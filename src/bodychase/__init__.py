@@ -34,9 +34,8 @@ from .adapters import (
 from .certify import (
     CertificateError,
     DualCertificate,
+    MovementDuals,
     MultiplierLog,
-    append_freeze,
-    append_multiplier,
     build_refined_dual,
     build_warmup_dual,
     certified_report,
@@ -60,13 +59,13 @@ from .core import (
     process_constraint,
     project_covering,
     project_packing,
-    record_step,
     scaled_output,
 )
 from .formats import FormatError, parse_stream, parse_updates, parse_weights, write_report
 from .offline import (
     Freeze,
     OfflineError,
+    OracleCapExceeded,
     solve_optimal_recourse,
     stream_from_log,
     verify_weak_duality,
@@ -91,17 +90,17 @@ __all__ = [
     "LoadBalanceState",
     "MatchingState",
     "MstState",
+    "MovementDuals",
     "MultiplierLog",
     "NotViolatedError",
     "OfflineError",
+    "OracleCapExceeded",
     "PositiveBody",
     "ProjectionResult",
     "RecourseLedger",
     "RunConfig",
     "SetCoverState",
     "UpdateEvent",
-    "append_freeze",
-    "append_multiplier",
     "build_refined_dual",
     "build_warmup_dual",
     "certified_report",
@@ -116,7 +115,6 @@ __all__ = [
     "process_constraint",
     "project_covering",
     "project_packing",
-    "record_step",
     "refine_ytilde",
     "replicate",
     "run_chase",

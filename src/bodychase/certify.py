@@ -19,13 +19,19 @@ with objective sum ybar - sum zbar. Coordinate clamps (freezes) add
 an absorbing multiplier on their own (i, t) row, so the checker skips
 exactly those rows; the refined construction is only sound for
 clamp-free logs and refuses others.
+
+Everything is computed per coordinate over its appearances, the steps
+whose support holds it: elsewhere x_i does not move, rbar_i does not
+change and the dual row is identically 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,9 +42,8 @@ __all__ = [
     "StepKind",
     "LogStep",
     "MultiplierLog",
+    "MovementDuals",
     "DualCertificate",
-    "append_multiplier",
-    "append_freeze",
     "build_warmup_dual",
     "refine_ytilde",
     "build_refined_dual",
@@ -69,31 +74,33 @@ class StepKind(enum.Enum):
 
 @dataclass
 class LogStep:
+    """One step on its support: x_before and x_after are x[indices]."""
+
     kind: StepKind
     indices: np.ndarray
     coeffs: np.ndarray
     multiplier: float
     x_before: np.ndarray
     x_after: np.ndarray
-    sparsity: int
 
 
 class MultiplierLog:
     """Ordered record of projections and clamps along one run.
 
-    Tracks per-coordinate extreme covering coefficients, the largest
-    covering support size, and full before/after snapshots (needed by
-    the warmup certificate and the lemma checks). The coordinate space
-    may grow during a run; snapshots are padded with zeros on demand,
-    which is exact because coordinates are zero before they first appear.
+    Each step keeps only its support (see LogStep); `appearances` maps
+    each coordinate to the times of the steps whose support holds it.
+    The log also tracks per-coordinate extreme covering coefficients and
+    the largest covering support size. The coordinate space may grow
+    during a run.
     """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
         self.steps: list[LogStep] = []
+        self.appearances: dict[int, list[int]] = {}
         self._cmax: dict[int, float] = {}
         self._cmin: dict[int, float] = {}
-        self.max_sparsity = 0
+        self.sparsity = 0  # largest covering support
         self.freeze_count = 0
 
     @property
@@ -109,10 +116,6 @@ class MultiplierLog:
         return self.freeze_count > 0
 
     @property
-    def sparsity(self) -> int:
-        return self.max_sparsity
-
-    @property
     def aspect_ratio(self) -> float:
         if not self._cmax:
             return 0.0
@@ -120,8 +123,7 @@ class MultiplierLog:
 
     def coeff_max(self) -> np.ndarray:
         out = np.zeros(self.n)
-        for i, v in self._cmax.items():
-            out[i] = v
+        out[list(self._cmax)] = list(self._cmax.values())
         return out
 
     def extend_weights(self, weights) -> None:
@@ -130,51 +132,57 @@ class MultiplierLog:
             raise ValueError("weights may only grow, never change")
         self.weights = weights
 
+    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after) -> "MultiplierLog":
+        x_before = np.asarray(x_before, dtype=float)
+        x_after = np.asarray(x_after, dtype=float)
+        if not (x_before.shape == x_after.shape == indices.shape):
+            raise ValueError("x_before and x_after must hold x on the step's support")
+        t = len(self.steps)
+        for i in indices.tolist():
+            self.appearances.setdefault(i, []).append(t)
+        self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
+        return self
+
     def append_projection(self, row: HalfspaceConstraint, multiplier, x_before, x_after) -> "MultiplierLog":
+        """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
         if multiplier < 0.0:
             raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
         kind = StepKind.COVERING if row.kind is Kind.COVERING else StepKind.PACKING
         if kind is StepKind.COVERING:
-            self.max_sparsity = max(self.max_sparsity, row.sparsity)
+            self.sparsity = max(self.sparsity, row.sparsity)
             for i, v in zip(row.indices.tolist(), row.coeffs.tolist()):
                 self._cmax[i] = max(self._cmax.get(i, v), v)
                 self._cmin[i] = min(self._cmin.get(i, v), v)
-        self.steps.append(
-            LogStep(
-                kind,
-                row.indices.copy(),
-                row.coeffs.copy(),
-                float(multiplier),
-                np.array(x_before, dtype=float),
-                np.array(x_after, dtype=float),
-                row.sparsity,
-            )
-        )
-        return self
+        return self._append(kind, row.indices, row.coeffs, multiplier, x_before, x_after)
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
-        idx = np.array(sorted(int(i) for i in indices), dtype=np.int64)
-        self.steps.append(
-            LogStep(
-                StepKind.FREEZE,
-                idx,
-                np.zeros(idx.shape[0]),
-                0.0,
-                np.array(x_before, dtype=float),
-                np.array(x_after, dtype=float),
-                0,
-            )
-        )
+        """Record a clamp; x_before and x_after are x at `indices`, in that order."""
+        idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
+        if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
+            raise ValueError("x_before and x_after must hold x at the clamped indices")
         self.freeze_count += 1
-        return self
+        return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+                            np.asarray(x_before, dtype=float)[first],
+                            np.asarray(x_after, dtype=float)[first])
 
 
-def append_multiplier(log: MultiplierLog, row, multiplier, x_before, x_after) -> MultiplierLog:
-    return log.append_projection(row, multiplier, x_before, x_after)
+@dataclass
+class MovementDuals:
+    """The movement duals rbar_i^t of one certificate, per coordinate.
 
+    `start[i]` is rbar_i^t up to and including the first appearance of i
+    (at every t if i never appears); `after[i][j]` is its value after
+    appearance j, up to and including the next one.
+    """
 
-def append_freeze(log: MultiplierLog, indices, x_before, x_after) -> MultiplierLog:
-    return log.append_freeze(indices, x_before, x_after)
+    start: np.ndarray
+    after: dict
+    appearances: dict
+
+    def at(self, i: int, t: int) -> float:
+        """rbar_i^t, for 0 <= t < T."""
+        j = bisect_left(self.appearances.get(i, ()), t)
+        return float(self.start[i] if j == 0 else self.after[i][j - 1])
 
 
 @dataclass
@@ -183,7 +191,7 @@ class DualCertificate:
     scaling: float
     y_bar: np.ndarray
     z_bar: np.ndarray
-    r_bar: np.ndarray
+    r_bar: MovementDuals
     ytilde: np.ndarray | None
     objective: float
     max_violation: float
@@ -194,57 +202,73 @@ class DualCertificate:
         return max(0.0, self.objective)
 
 
-def _padded(vec: np.ndarray, n: int) -> np.ndarray:
-    if vec.shape[0] == n:
-        return vec
-    out = np.zeros(n)
-    out[: vec.shape[0]] = vec
-    return out
+class _Entries:
+    """The log's appearance lists laid end to end, by coordinate then time:
+    per entry the step's kind, the coordinate's coefficient and its values
+    before and after the step."""
+
+    def __init__(self, log: MultiplierLog):
+        self.keys = keys = sorted(log.appearances)
+        times = [log.appearances[i] for i in keys]
+        self.coord = np.repeat(np.array(keys, dtype=np.int64), [len(t) for t in times])
+        self.time = np.fromiter(chain.from_iterable(times), np.int64, self.coord.shape[0])
+        self.first = np.diff(self.coord, prepend=-1) != 0
+        self.last = np.roll(self.first, -1)
+        steps = log.steps
+        self.kind = np.array([s.kind.value for s in steps], dtype="<U1")[self.time]
+
+        def joined(field, dtype=float):
+            return np.concatenate([getattr(s, field) for s in steps] + [np.zeros(0, dtype)])
+
+        flat = joined("indices", np.int64)
+        step_of = np.repeat(np.arange(len(steps)), [s.indices.shape[0] for s in steps])
+        # supports are sorted, so (step, coordinate) keys ascend along the
+        # concatenated supports and each entry finds its place by bisection
+        span = int(flat.max()) + 1 if flat.size else 1
+        at = np.searchsorted(step_of * span + flat, self.time * span + self.coord)
+        self.coeff = joined("coeffs")[at]
+        self.x_before = joined("x_before")[at]
+        self.x_after = joined("x_after")[at]
+
+    def movement(self, y, z) -> np.ndarray:
+        """c_i^t y^t on covering entries, -p_i^t z^t on the others (clamps have c = 0)."""
+        return np.where(self.kind == "C", self.coeff * y[self.time], -(self.coeff * z[self.time]))
+
+    def per_coordinate(self, values: np.ndarray) -> dict:
+        return dict(zip(self.keys, np.split(values, np.flatnonzero(self.first)[1:])))
 
 
-def _coeff_matrices(log: MultiplierLog):
-    """Dense (n, T) covering/packing coefficient matrices plus y, z vectors."""
-    n, T = log.n, log.horizon
-    C = np.zeros((n, T))
-    P = np.zeros((n, T))
-    y = np.zeros(T)
-    z = np.zeros(T)
-    for t, step in enumerate(log.steps):
-        if step.kind is StepKind.COVERING:
-            C[step.indices, t] = step.coeffs
-            y[t] = step.multiplier
-        elif step.kind is StepKind.PACKING:
-            P[step.indices, t] = step.coeffs
-            z[t] = step.multiplier
-    return C, P, y, z
+def _multipliers(log: MultiplierLog):
+    """Per step, y (covering multipliers, 0 elsewhere) and z (packing)."""
+    y = np.array([s.multiplier if s.kind is StepKind.COVERING else 0.0 for s in log.steps])
+    z = np.array([s.multiplier if s.kind is StepKind.PACKING else 0.0 for s in log.steps])
+    return y, z
 
 
-def _effective_scale_inputs(log: MultiplierLog):
-    d = max(1, log.sparsity)
-    delta = max(1.0, log.aspect_ratio)
-    return d, delta
-
-
-def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar) -> float:
+def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDuals) -> float:
     """Largest violation of any dual row by (y_bar, z_bar, r_bar).
 
-    Rows of frozen coordinates at their freeze times are exempt: those
-    primal columns carry a clamp constraint whose multiplier can absorb
-    any excess.
+    Every row on a step's support is evaluated; a row off it is 0, as
+    rbar_i is constant between appearances. Rows of frozen coordinates
+    at their freeze times are exempt: those primal columns carry a clamp
+    constraint whose multiplier can absorb any excess.
     """
     n, T = log.n, log.horizon
-    C, P, _, _ = _coeff_matrices(log)
-    r_next = np.zeros((n, T))
-    if T > 1:
-        r_next[:, :-1] = r_bar[:, 1:]
-    rows = C * y_bar - P * z_bar - r_bar + r_next
-    for t, step in enumerate(log.steps):
-        if step.kind is StepKind.FREEZE:
-            rows[step.indices, t] = -np.inf
-    worst = float(np.max(rows)) if rows.size else 0.0
-    worst = max(worst, float(np.max(-r_bar)) if r_bar.size else 0.0)
-    w_col = log.weights[:, None]
-    worst = max(worst, float(np.max(r_bar - w_col)) if r_bar.size else 0.0)
+    e = _Entries(log)
+    after = np.concatenate([r_bar.after[i] for i in e.keys] + [np.zeros(0)])
+    r_now = np.where(e.first, r_bar.start[e.coord], np.roll(after, 1))
+    inner = e.time < T - 1
+    rows = e.movement(y_bar, z_bar) - r_now + np.where(inner, after, 0.0)
+    rows[e.kind == "F"] = -np.inf
+    worst = float(rows.max()) if rows.size else -np.inf
+    # an off-support row before the last step reads 0 (the empty dual too)
+    if n * (T - 1) > np.count_nonzero(inner) or n * T == 0:
+        worst = max(worst, 0.0)
+    if n * T:
+        # every value rbar takes at some t < T
+        r_all = np.concatenate([r_bar.start, after[inner]])
+        w_all = np.concatenate([log.weights, log.weights[e.coord[inner]]])
+        worst = max(worst, float(np.max(-r_all)), float(np.max(r_all - w_all)))
     if y_bar.size:
         worst = max(worst, float(np.max(-y_bar)), float(np.max(-z_bar)))
     return worst
@@ -261,18 +285,21 @@ def build_warmup_dual(log: MultiplierLog, eps: float) -> DualCertificate:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    n, T = log.n, log.horizon
-    d, delta = _effective_scale_inputs(log)
-    A = math.log1p(4.0 * d * delta / eps)
-    _, _, y, z = _coeff_matrices(log)
+    d = max(1, log.sparsity)
+    A = math.log1p(4.0 * d * max(1.0, log.aspect_ratio) / eps)
+    y, z = _multipliers(log)
     y_bar = y / A
     z_bar = z / A
-    cmax = log.coeff_max()
-    xb = np.zeros((n, T))
-    for t, step in enumerate(log.steps):
-        xb[:, t] = _padded(step.x_before, n)
-    w_col = log.weights[:, None]
-    r_bar = w_col * (1.0 - np.log1p(4.0 * d * cmax[:, None] * xb / eps) / A)
+    e = _Entries(log)
+    w = log.weights[e.coord]
+    scale = 4.0 * d * log.coeff_max()[e.coord]
+
+    def r(x):
+        return w * (1.0 - np.log1p(scale * x / eps) / A)
+
+    start = log.weights.copy()
+    start[e.coord[e.first]] = r(e.x_before)[e.first]
+    r_bar = MovementDuals(start, e.per_coordinate(r(e.x_after)), log.appearances)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     return DualCertificate("warmup", A, y_bar, z_bar, r_bar, None, objective, violation)
@@ -308,13 +335,12 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
             continue
         y_ell = step.multiplier
         drops: dict[int, float] = {}
-        for pos in range(step.indices.shape[0]):
-            i = int(step.indices[pos])
-            c_il = float(step.coeffs[pos])
+        support = list(zip(step.indices.tolist(), step.coeffs.tolist()))
+        for i, c_il in support:
             budget = c_il * y_ell
             if budget <= 0.0:
                 continue
-            threshold = 10.0 * step.sparsity * c_il / eps
+            threshold = 10.0 * len(support) * c_il / eps
             seen = appearances.get(i, ())
             candidates = [(tau, c) for tau, c in seen if c >= threshold and ytilde[tau] > 0.0]
             k = len(candidates) - 1
@@ -331,10 +357,8 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
         ytilde[ell] = y_ell
         for tau, amount in drops.items():
             ytilde[tau] = max(0.0, ytilde[tau] - amount)
-        for pos in range(step.indices.shape[0]):
-            appearances.setdefault(int(step.indices[pos]), []).append(
-                (ell, float(step.coeffs[pos]))
-            )
+        for i, c_il in support:
+            appearances.setdefault(i, []).append((ell, c_il))
 
     excess1, where1 = check_ineq1(log, ytilde, eps)
     if excess1 > FEASIBILITY_TOL:
@@ -350,14 +374,24 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
 def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
     """Per coordinate, the maximum over nonempty time windows [s, t] of
     sum of c_i^tau ytilde^tau minus p_i^tau z^tau."""
-    C, P, _, z = _coeff_matrices(log)
-    a = C * ytilde - P * z
-    n, T = a.shape
-    best = np.full(n, -np.inf)
-    cur = np.full(n, -np.inf)
-    for t in range(T):
-        cur = np.where(cur > 0.0, cur + a[:, t], a[:, t])
-        best = np.maximum(best, cur)
+    T = log.horizon
+    # a coordinate's term is 0 off its appearances, so windows of them alone sum to 0
+    best = np.full(log.n, 0.0 if T else -np.inf)
+    e = _Entries(log)
+    a = e.movement(ytilde, _multipliers(log)[1]).tolist()
+    for i, t, a_t, first, last in zip(e.coord.tolist(), e.time.tolist(), a,
+                                      e.first.tolist(), e.last.tolist()):
+        if first:
+            cur = top = -math.inf
+            prev = -1
+        if t > prev + 1:
+            cur = max(cur, 0.0)
+            top = max(top, cur)
+        cur = cur + a_t if cur > 0.0 else a_t
+        top = max(top, cur)
+        prev = t
+        if last:
+            best[i] = max(top, cur, 0.0) if t < T - 1 else top
     return best
 
 
@@ -374,7 +408,7 @@ def check_ineq1(log: MultiplierLog, ytilde: np.ndarray, eps: float):
 
 def check_ineq2(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> float:
     """How far sum(ytilde) falls below (1 - eps/10) sum(y); <= 0 is good."""
-    _, _, y, _ = _coeff_matrices(log)
+    y, _ = _multipliers(log)
     return float((1.0 - eps / 10.0) * y.sum() - ytilde.sum())
 
 
@@ -383,25 +417,29 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
 
     The movement duals come from the backward suffix-maximum recurrence
     M_i^t = max(0, a_t + M_i^{t+1}) with a_t = c_i^t ytilde^t on covering
-    steps and -p_i^t z^t on packing steps; r_bar = M / A. Row feasibility
-    then holds by construction and r_bar <= w_i by the window bound;
-    both are still verified and violations abort.
+    steps and -p_i^t z^t on packing steps (0 off the support of step t);
+    r_bar = M / A. Row feasibility then holds by construction and
+    r_bar <= w_i by the window bound; both are still verified and
+    violations abort.
     """
     if log.has_freeze:
         raise CertificateError("refined certificate requires a clamp-free log")
-    n, T = log.n, log.horizon
-    d, _ = _effective_scale_inputs(log)
+    d = max(1, log.sparsity)
     A = math.log1p(40.0 * d * d / (eps * eps))
-    C, P, _, z = _coeff_matrices(log)
+    _, z = _multipliers(log)
     y_bar = np.asarray(ytilde, dtype=float) / A
     z_bar = z / A
-    a = C * ytilde - P * z
-    M = np.zeros((n, T))
-    carry = np.zeros(n)
-    for t in range(T - 1, -1, -1):
-        carry = np.maximum(0.0, a[:, t] + carry)
-        M[:, t] = carry
-    r_bar = M / A
+    e = _Entries(log)
+    a, last = e.movement(ytilde, z).tolist(), e.last.tolist()
+    M, carry = [0.0] * len(a), 0.0
+    for k in reversed(range(len(a))):
+        M[k] = carry = max(0.0, a[k] + (0.0 if last[k] else carry))
+    M = np.array(M)
+    start = np.zeros(log.n)
+    start[e.coord[e.first]] = M[e.first] / A
+    # after appearance k, M holds its value at the coordinate's next appearance
+    after = np.where(e.last, 0.0, np.roll(M, -1)) / A
+    r_bar = MovementDuals(start, e.per_coordinate(after), log.appearances)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     if violation > FEASIBILITY_TOL:
@@ -412,19 +450,17 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
 def check_movement_bound(log: MultiplierLog, eps: float) -> float:
     """Worst excess of per-covering-step upward movement over (1 + eps/4) y."""
     worst = -np.inf
-    n = log.n
     for step in log.steps:
         if step.kind is not StepKind.COVERING:
             continue
-        diff = _padded(step.x_after, n) - _padded(step.x_before, n)
-        up = float(log.weights @ np.clip(diff, 0.0, None))
+        up = float(log.weights[step.indices] @ np.clip(step.x_after - step.x_before, 0.0, None))
         worst = max(worst, up - (1.0 + eps / 4.0) * step.multiplier)
     return worst if worst > -np.inf else 0.0
 
 
 def check_z_bound(log: MultiplierLog, eps: float) -> float:
     """(1 + eps/4) sum(y) - (1 + eps) sum(z); >= 0 up to tol on real runs."""
-    _, _, y, z = _coeff_matrices(log)
+    y, z = _multipliers(log)
     return float((1.0 + eps / 4.0) * y.sum() - (1.0 + eps) * z.sum())
 
 
@@ -436,21 +472,26 @@ def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, s
     subset = sorted(int(tau) for tau in subset)
     if any(tau < s or tau > t for tau in subset):
         raise ValueError("subset must lie inside [s, t]")
-    C, P, y, z = _coeff_matrices(log)
-    for tau in subset:
-        if log.steps[tau].kind is not StepKind.COVERING:
-            raise ValueError("subset may only contain covering times")
-    lhs = sum(C[i, tau] * y[tau] for tau in subset)
-    lhs -= sum(
-        P[i, tau] * z[tau]
-        for tau in range(s, t + 1)
-        if log.steps[tau].kind is StepKind.PACKING
-    )
-    cmax_s = max((C[i, tau] for tau in subset), default=0.0)
-    d = max(1, log.sparsity)
-    x_it = float(_padded(log.steps[t].x_after, log.n)[i])
-    w_i = float(log.weights[i])
-    rhs = w_i * math.log1p(4.0 * d * cmax_s * x_it / eps)
+    if any(log.steps[tau].kind is not StepKind.COVERING for tau in subset):
+        raise ValueError("subset may only contain covering times")
+
+    def on_support(tau, field):
+        step = log.steps[tau]
+        k = int(np.searchsorted(step.indices, i))
+        hit = k < step.indices.shape[0] and step.indices[k] == i
+        return float(getattr(step, field)[k]) if hit else 0.0
+
+    def paid(tau):
+        return on_support(tau, "coeffs") * log.steps[tau].multiplier
+
+    lhs = sum(paid(tau) for tau in subset)
+    lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is StepKind.PACKING)
+    cmax_s = max((on_support(tau, "coeffs") for tau in subset), default=0.0)
+    # x_i after step t: its value after its last appearance up to t
+    times = log.appearances.get(i, [])
+    j = bisect_right(times, t)
+    x_it = on_support(times[j - 1], "x_after") if j else 0.0
+    rhs = float(log.weights[i]) * math.log1p(4.0 * max(1, log.sparsity) * cmax_s * x_it / eps)
     return float(lhs - rhs)
 
 
@@ -499,16 +540,13 @@ def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
     }
     if log.horizon == 0:
         return out
-    warm = build_warmup_dual(log, eps)
-    out["warmup_bound"] = warm.certified_bound
-    out["ratio_warmup"] = _ratio(ledger.upward_total, warm.certified_bound)
-    out["A_warmup"] = warm.scaling
-    out["theoretical_cap"] = (2.0 + eps) * (1.0 + eps) / eps * warm.scaling
+    certs = [build_warmup_dual(log, eps)]
     if not log.has_freeze:
-        ytilde = refine_ytilde(log, eps)
-        refined = build_refined_dual(log, ytilde, eps)
-        out["refined_bound"] = refined.certified_bound
-        out["ratio_refined"] = _ratio(ledger.upward_total, refined.certified_bound)
-        out["A_refined"] = refined.scaling
-        out["theoretical_cap"] = (2.0 + eps) * (1.0 + eps) / eps * refined.scaling
+        certs.append(build_refined_dual(log, refine_ytilde(log, eps), eps))
+    for cert in certs:
+        report = certified_report(cert, ledger, eps)
+        out[cert.scheme + "_bound"] = report["lower_bound"]
+        out["ratio_" + cert.scheme] = report["ratio"]
+        out["A_" + cert.scheme] = report["A"]
+        out["theoretical_cap"] = report["theoretical_cap"]
     return out

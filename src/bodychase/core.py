@@ -41,7 +41,7 @@ __all__ = [
     "HalfspaceConstraint",
     "ProjectionResult",
     "RecourseLedger",
-    "record_step",
+    "project_and_record",
     "process_constraint",
     "project_covering",
     "project_packing",
@@ -59,6 +59,8 @@ VIOLATION_SLACK = 1e-12
 # Exponent cap: keeps the bracketing phase finite when the trial
 # multiplier overshoots.  Monotonicity of the restriction is preserved.
 _EXP_CAP = 700.0
+
+_FLOAT_EPS = float(np.finfo(float).eps)
 
 
 class Kind(enum.Enum):
@@ -130,12 +132,6 @@ class FractionalPoint:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def copy(self) -> "FractionalPoint":
-        return FractionalPoint(self.values.copy(), self.weights)
-
-    def dot(self, constraint: "HalfspaceConstraint") -> float:
-        return constraint.value_at(self.values)
 
     def __repr__(self):
         return "FractionalPoint(%s)" % np.array2string(self.values, precision=6)
@@ -223,25 +219,18 @@ class RecourseLedger:
         self.upward_total = 0.0
         self.l1_total = 0.0
 
-    def record_step(self, x_prev: FractionalPoint, x_new: FractionalPoint) -> "RecourseLedger":
-        if x_prev.dim != x_new.dim:
-            raise DimensionMismatch("trajectory points must share a dimension")
-        if x_prev.weights is not x_new.weights and not np.array_equal(
-            x_prev.weights, x_new.weights
-        ):
-            raise DimensionMismatch("trajectory points must share movement weights")
-        diff = x_new.values - x_prev.values
-        up = float(x_prev.weights @ np.clip(diff, 0.0, None))
-        l1 = float(x_prev.weights @ np.abs(diff))
+    def record_step(self, weights, before, after) -> "RecourseLedger":
+        """Append one step from the coordinates it moved: their weights and
+        their values before and after it."""
+        if not (np.shape(weights) == np.shape(before) == np.shape(after)):
+            raise DimensionMismatch("weights, before and after must cover the same coordinates")
+        diff = np.asarray(after, dtype=float) - before
+        up = float(weights @ np.clip(diff, 0.0, None))
+        l1 = float(weights @ np.abs(diff))
         self.steps.append((up, l1))
         self.upward_total += up
         self.l1_total += l1
         return self
-
-
-def record_step(ledger: RecourseLedger, x_prev: FractionalPoint, x_new: FractionalPoint) -> RecourseLedger:
-    """Append one trajectory step to the ledger and return it."""
-    return ledger.record_step(x_prev, x_new)
 
 
 def covering_violated(value: float) -> bool:
@@ -252,15 +241,23 @@ def packing_violated(value: float, eps: float) -> bool:
     return value > (1.0 + eps) * (1.0 + VIOLATION_SLACK)
 
 
-def _bisect(g, lo, hi, rhs, tol, max_iter, increasing):
-    """Root of the monotone residual g on [lo, hi]; g(lo), g(hi) straddle 0.
+def _root(g, rhs, tol, max_iter, increasing, what):
+    """Root in [0, inf) of the monotone residual g, which is not yet 0 at 0.
 
-    Stops once |g| <= tol * rhs.  Runs at most max_iter halvings; if the
+    Doubles hi from 1 until g(hi) crosses 0, then bisects [0, hi] and
+    stops once |g| <= tol * rhs.  Runs at most max_iter halvings; if the
     bracket is exhausted without meeting the target the best midpoint is
     accepted only when it is within a factor 1e3 of the target, otherwise
-    the call fails.
+    the call fails.  Returns (root, |g(root)|, doublings + halvings).
     """
-    best = lo
+    hi = 1.0
+    doubles = 0
+    while (g(hi) < 0.0) if increasing else (g(hi) > 0.0):
+        hi *= 2.0
+        doubles += 1
+        if doubles > 200:
+            raise ConvergenceError("%s multiplier bracket did not close" % what)
+    lo = best = 0.0
     best_g = g(lo)
     iterations = 0
     for _ in range(max_iter):
@@ -270,16 +267,16 @@ def _bisect(g, lo, hi, rhs, tol, max_iter, increasing):
         if abs(gm) < abs(best_g):
             best, best_g = mid, gm
         if abs(gm) <= tol * rhs:
-            return mid, abs(gm), iterations
+            return mid, abs(gm), doubles + iterations
         below = (gm < 0.0) if increasing else (gm > 0.0)
         if below:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= np.finfo(float).eps * max(1.0, hi):
+        if hi - lo <= _FLOAT_EPS * max(1.0, hi):
             break
     if abs(best_g) <= 1e3 * tol * rhs:
-        return best, abs(best_g), iterations
+        return best, abs(best_g), doubles + iterations
     raise ConvergenceError(
         "multiplier search stalled: residual %.3e after %d iterations" % (best_g, iterations)
     )
@@ -321,22 +318,14 @@ def project_covering(
         expo = np.exp(np.minimum(rate * y, _EXP_CAP))
         return float(cvec @ (base * expo)) - const - 1.0
 
-    hi = 1.0
-    doubles = 0
-    while residual(hi) < 0.0:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 200:
-            raise ConvergenceError("covering multiplier bracket did not close")
-
-    y, resid, iters = _bisect(residual, 0.0, hi, 1.0, tol, max_iter, increasing=True)
+    y, resid, iters = _root(residual, 1.0, tol, max_iter, True, "covering")
     new_sub = base * np.exp(rate * y) - shift
     # covering projections never move a coordinate down
     new_sub = np.maximum(new_sub, xs)
     values = x_prev.values.copy()
     values[idx] = new_sub
     point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(y), doubles + iters, resid)
+    return ProjectionResult(point, float(y), iters, resid)
 
 
 def project_packing(
@@ -373,20 +362,12 @@ def project_packing(
     def residual(z: float) -> float:
         return float(pvec @ (xs * np.exp(-rate * z))) - rhs
 
-    hi = 1.0
-    doubles = 0
-    while residual(hi) > 0.0:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 200:
-            raise ConvergenceError("packing multiplier bracket did not close")
-
-    z, resid, iters = _bisect(residual, 0.0, hi, rhs, tol, max_iter, increasing=False)
+    z, resid, iters = _root(residual, rhs, tol, max_iter, False, "packing")
     new_sub = np.minimum(xs * np.exp(-rate * z), xs)
     values = x_prev.values.copy()
     values[idx] = new_sub
     point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(z), doubles + iters, resid)
+    return ProjectionResult(point, float(z), iters, resid)
 
 
 def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
@@ -402,6 +383,35 @@ def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
     return FractionalPoint(x.values * factor, x.weights)
 
 
+def project_and_record(
+    x_prev: FractionalPoint,
+    row: HalfspaceConstraint,
+    eps: float,
+    ledger: RecourseLedger | None = None,
+    log=None,
+) -> tuple[FractionalPoint, ProjectionResult | None]:
+    """One step of the engine: project onto `row` if it is violated, and record.
+
+    A satisfied row leaves the point alone (result None) and is recorded
+    as a zero-multiplier step.  The ledger and the log get the step on the
+    row's support, the only coordinates it can move.
+    """
+    value = row.value_at(x_prev.values)
+    if row.kind is Kind.COVERING:
+        violated, project = covering_violated(value), project_covering
+    else:
+        violated, project = packing_violated(value, eps), project_packing
+    res = project(x_prev, row, eps) if violated else None
+    x_new = x_prev if res is None else res.point
+    idx = row.indices
+    before, after = x_prev.values[idx], x_new.values[idx]
+    if ledger is not None:
+        ledger.record_step(x_prev.weights[idx], before, after)
+    if log is not None:
+        log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
+    return x_new, res
+
+
 def process_constraint(
     x_prev: FractionalPoint,
     row: HalfspaceConstraint,
@@ -412,31 +422,10 @@ def process_constraint(
 ) -> FractionalPoint:
     """Feed one arriving constraint of a stream.
 
-    A violated row triggers the matching projection; an already
-    satisfied row leaves the point alone but is still recorded as a
-    zero-multiplier step (its body row binds the offline benchmark, so
-    the certificate log must carry it).
+    A satisfied row is still recorded as a zero-multiplier step: its body
+    row binds the offline benchmark, so the certificate log must carry it.
     """
-    value = row.value_at(x_prev.values)
-    if row.kind is Kind.COVERING:
-        violated = covering_violated(value)
-    else:
-        violated = packing_violated(value, eps)
-    if not violated:
-        if ledger is not None:
-            ledger.record_step(x_prev, x_prev)
-        if log is not None:
-            log.append_projection(row, 0.0, x_prev.values, x_prev.values)
-        return x_prev
-    if row.kind is Kind.COVERING:
-        res = project_covering(x_prev, row, eps)
-    else:
-        res = project_packing(x_prev, row, eps)
-    if ledger is not None:
-        ledger.record_step(x_prev, res.point)
-    if log is not None:
-        log.append_projection(row, res.multiplier, x_prev.values, res.point.values)
-    return res.point
+    return project_and_record(x_prev, row, eps, ledger, log)[0]
 
 
 class PositiveBody:
@@ -518,16 +507,10 @@ def chase_body(
         row = find(x.values, cover_floor, pack_ceiling)
         if row is None:
             return x, trace
-        if row.kind is Kind.COVERING:
-            res = project_covering(x, row, eps)
-        else:
-            res = project_packing(x, row, eps)
-        if ledger is not None:
-            ledger.record_step(x, res.point)
-        if log is not None:
-            log.append_projection(row, res.multiplier, x.values, res.point.values)
+        x, res = project_and_record(x, row, eps, ledger, log)
+        if res is None:
+            raise NotViolatedError("oracle returned a satisfied row %r" % row)
         trace.append(ChaseStep(row, res))
-        x = res.point
     raise InfeasibleBodyError(
         "no feasible point found after %d repair rounds; last violated row %r"
         % (max_rounds, row),

@@ -36,6 +36,7 @@ from .simplex import SimplexResult, solve_inequality_lp
 __all__ = [
     "Freeze",
     "OfflineError",
+    "OracleCapExceeded",
     "RecourseLP",
     "build_full_lp",
     "build_compressed_lp",
@@ -51,6 +52,10 @@ VARIABLE_CAP = 4000
 
 class OfflineError(ChaseError):
     pass
+
+
+class OracleCapExceeded(OfflineError):
+    """The LP would have more variables than the cap; nothing was built."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,30 @@ def _row_entries(item, n):
     return item.indices.tolist()
 
 
+def _constraint_rows(steps, n, nvar, col):
+    """Dense covering, packing and clamp rows; x_i^t is column col(i, t)."""
+    rows, rhs, kinds = [], [], []
+    for t, group in enumerate(steps):
+        for item in group:
+            entries = _row_entries(item, n)
+            if isinstance(item, Freeze):
+                for i in entries:
+                    row = np.zeros(nvar)
+                    row[col(i, t)] = 1.0
+                    rows.append(row)
+                    rhs.append(0.0)
+                    kinds.append("freeze")
+                continue
+            sign, kind = (-1.0, "cover") if item.kind is Kind.COVERING else (1.0, "pack")
+            row = np.zeros(nvar)
+            for i, v in zip(entries, item.coeffs):
+                row[col(i, t)] = sign * v
+            rows.append(row)
+            rhs.append(sign)
+            kinds.append(kind)
+    return rows, rhs, kinds
+
+
 def build_full_lp(stream, weights) -> RecourseLP:
     weights = np.asarray(weights, dtype=float)
     steps = _normalize_stream(stream)
@@ -141,29 +170,7 @@ def build_full_lp(stream, weights) -> RecourseLP:
     for t in range(T):
         c[nx + t * n : nx + (t + 1) * n] = weights
 
-    rows, rhs, kinds = [], [], []
-    for t, group in enumerate(steps):
-        for item in group:
-            _row_entries(item, n)
-            if isinstance(item, Freeze):
-                for i in item.indices:
-                    row = np.zeros(nvar)
-                    row[x_cols[t, i]] = 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-                    kinds.append("freeze")
-            elif item.kind is Kind.COVERING:
-                row = np.zeros(nvar)
-                row[x_cols[t, item.indices]] = -item.coeffs
-                rows.append(row)
-                rhs.append(-1.0)
-                kinds.append("cover")
-            else:
-                row = np.zeros(nvar)
-                row[x_cols[t, item.indices]] = item.coeffs
-                rows.append(row)
-                rhs.append(1.0)
-                kinds.append("pack")
+    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: x_cols[t, i])
     for t in range(T):
         for i in range(n):
             row = np.zeros(nvar)
@@ -178,11 +185,8 @@ def build_full_lp(stream, weights) -> RecourseLP:
                       "full", x_cols)
 
 
-def build_compressed_lp(stream, weights) -> RecourseLP:
-    weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
-    T, n = len(steps), weights.shape[0]
-
+def _appearances(steps, n) -> dict[int, list[int]]:
+    """Per coordinate, the time steps at which a row or clamp names it."""
     appearances: dict[int, list[int]] = {}
     for t, group in enumerate(steps):
         for item in group:
@@ -190,51 +194,27 @@ def build_compressed_lp(stream, weights) -> RecourseLP:
                 seq = appearances.setdefault(int(i), [])
                 if not seq or seq[-1] != t:
                     seq.append(t)
+    return appearances
 
-    x_cols = {}
-    c_parts = []
-    col = 0
+
+def build_compressed_lp(stream, weights) -> RecourseLP:
+    weights = np.asarray(weights, dtype=float)
+    steps = _normalize_stream(stream)
+    T, n = len(steps), weights.shape[0]
+
+    appearances = _appearances(steps, n)
+    x_cols, col_at, nx = {}, {}, 0
     for i, times in sorted(appearances.items()):
-        k = len(times)
-        cols = np.arange(col, col + k)
-        x_cols[i] = (times, cols)
-        col += k
-    nx = col
+        x_cols[i] = (times, np.arange(nx, nx + len(times)))
+        col_at.update(((i, t), nx + k) for k, t in enumerate(times))
+        nx += len(times)
     # one upward-movement variable per x variable, same order
     nvar = 2 * nx
     c = np.zeros(nvar)
     for i, (times, cols) in x_cols.items():
         c[nx + cols] = weights[i]
 
-    col_at = {}
-    for i, (times, cols) in x_cols.items():
-        for t, xc in zip(times, cols):
-            col_at[(i, t)] = int(xc)
-
-    rows, rhs, kinds = [], [], []
-    for t, group in enumerate(steps):
-        for item in group:
-            if isinstance(item, Freeze):
-                for i in item.indices:
-                    row = np.zeros(nvar)
-                    row[col_at[(i, t)]] = 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-                    kinds.append("freeze")
-            elif item.kind is Kind.COVERING:
-                row = np.zeros(nvar)
-                for i, v in zip(item.indices.tolist(), item.coeffs):
-                    row[col_at[(i, t)]] = -v
-                rows.append(row)
-                rhs.append(-1.0)
-                kinds.append("cover")
-            else:
-                row = np.zeros(nvar)
-                for i, v in zip(item.indices.tolist(), item.coeffs):
-                    row[col_at[(i, t)]] = v
-                rows.append(row)
-                rhs.append(1.0)
-                kinds.append("pack")
+    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: col_at[(i, t)])
     for i, (times, cols) in sorted(x_cols.items()):
         for k in range(len(times)):
             row = np.zeros(nvar)
@@ -275,15 +255,18 @@ def solve_optimal_recourse(stream, weights, *, formulation: str = "compressed",
     if not steps:
         return 0.0, []
     if formulation == "full":
-        lp = build_full_lp(steps, weights)
+        variables, build = 2 * len(steps) * weights.shape[0], build_full_lp
     elif formulation == "compressed":
-        lp = build_compressed_lp(steps, weights)
+        variables = 2 * sum(map(len, _appearances(steps, weights.shape[0]).values()))
+        build = build_compressed_lp
     else:
         raise ValueError("formulation must be 'full' or 'compressed'")
-    if lp.variable_count > variable_cap:
-        raise OfflineError(
-            "LP has %d variables, above the cap of %d" % (lp.variable_count, variable_cap)
+    # counted before anything is built: the dense rows are what runs out of memory
+    if variables > variable_cap:
+        raise OracleCapExceeded(
+            "LP has %d variables, above the cap of %d" % (variables, variable_cap)
         )
+    lp = build(steps, weights)
     res = solve_recourse_lp(lp)
     opt = max(0.0, float(res.objective))
     X = lp.trajectory(res.x)

@@ -38,12 +38,11 @@ from .core import (
     RecourseLedger,
     chase_body,
     process_constraint,
-    record_step,
     scaled_output,
 )
 from .formats import FormatError, parse_stream, parse_updates, parse_weights, stream_dimension
 from .graphs import is_connected
-from .offline import Freeze, OfflineError, solve_optimal_recourse, stream_from_log
+from .offline import Freeze, OracleCapExceeded, solve_optimal_recourse
 from .round_matching import MaintainedMatching, Stabilizer, maintain_matching, stabilizer_step
 from .round_mst import DynamicTree, MstSampler, mst_sampler_step, repair_tree
 from .round_setcover import CoverState, init_clocks, round_det, round_rand
@@ -115,25 +114,22 @@ def _grown(x: FractionalPoint, dim: int, weights=None) -> FractionalPoint:
 
 def apply_freeze(x: FractionalPoint, indices, ledger=None, log=None) -> FractionalPoint:
     """Clamp coordinates to zero, recording the move and the clamp event."""
-    idx = sorted(int(i) for i in indices)
+    idx = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
     values = x.values.copy()
     values[idx] = 0.0
-    new = FractionalPoint(values, x.weights)
     if ledger is not None:
-        record_step(ledger, x, new)
+        ledger.record_step(x.weights[idx], x.values[idx], values[idx])
     if log is not None:
-        log.append_freeze(idx, x.values, new.values)
-    return new
+        log.append_freeze(idx, x.values[idx], values[idx])
+    return FractionalPoint(values, x.weights)
 
 
 def _offline_block(stream, weights, cap):
     try:
         opt, _ = solve_optimal_recourse(stream, weights, variable_cap=cap)
         return {"kind": "offline", "opt": opt, "skipped": None}
-    except OfflineError as exc:
-        if "above the cap" in str(exc):
-            return {"kind": "offline", "opt": None, "skipped": str(exc)}
-        raise
+    except OracleCapExceeded as exc:
+        return {"kind": "offline", "opt": None, "skipped": str(exc)}
 
 
 def _ratio_against(upward: float, opt) -> float | None:
@@ -147,7 +143,10 @@ def _ratio_against(upward: float, opt) -> float | None:
 
 
 def run_chase(config: RunConfig, stream, weights=None) -> list:
-    """Process a raw constraint stream; returns the report records."""
+    """Process a raw constraint stream; returns the report records.
+
+    A `str` for `stream` or `weights` is read as a file path, not as text.
+    """
     if isinstance(stream, str):
         stream = parse_stream(stream)
     dim = stream_dimension(stream)
@@ -171,19 +170,14 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
         for member in group:
             if isinstance(member, Freeze):
                 x = apply_freeze(x, member.indices, ledger, log)
-                records.append({"kind": "step", "t": t, "tag": "F",
-                                "support": len(member.indices),
-                                "multiplier": None,
-                                "upward_step": ledger.steps[-1][0],
-                                "l1_step": ledger.steps[-1][1]})
+                tag, multiplier = "F", None
             else:
                 x = process_constraint(x, member, eps, ledger=ledger, log=log)
-                records.append({"kind": "step", "t": t,
-                                "tag": member.kind.value,
-                                "support": member.sparsity,
-                                "multiplier": log.steps[-1].multiplier,
-                                "upward_step": ledger.steps[-1][0],
-                                "l1_step": ledger.steps[-1][1]})
+                tag, multiplier = member.kind.value, log.steps[-1].multiplier
+            records.append({"kind": "step", "t": t, "tag": tag,
+                            "support": len(member.indices), "multiplier": multiplier,
+                            "upward_step": ledger.steps[-1][0],
+                            "l1_step": ledger.steps[-1][1]})
     summary = {"kind": "summary",
                "upward_recourse": ledger.upward_total,
                "l1_recourse": ledger.l1_total,
@@ -311,7 +305,10 @@ def _apply_event(problem: str, state, event) -> None:
 
 
 def run_problem(config: RunConfig, updates) -> list:
-    """Replay an update sequence through adapter, chaser, and rounding."""
+    """Replay an update sequence through adapter, chaser, and rounding.
+
+    A `str` for `updates` is read as a file path, not as update text.
+    """
     if isinstance(updates, str):
         problem, header, events = parse_updates(updates)
     else:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from bodychase.certify import MultiplierLog
+import math
+
+from bodychase.certify import MultiplierLog, StepKind
 from bodychase.core import (
     FractionalPoint,
     HalfspaceConstraint,
@@ -239,3 +241,99 @@ def random_packing_case(rng, nmax=20, dmax=6, eps_choices=(0.0, 0.1, 0.5, 1.0)):
     eps = float(rng.choice(eps_choices))
     x *= 1.5 * (1.0 + eps) / p.value_at(x)
     return FractionalPoint(x, w), p, eps
+
+
+# ---------------------------------------------------------------------------
+# Dense (n, T) reference for the certificate layer: the computations the
+# per-coordinate certificates replaced, kept to check them against.
+
+
+def coeff_matrices(log: MultiplierLog):
+    """Dense (n, T) covering/packing coefficient matrices plus y, z vectors."""
+    n, T = log.n, log.horizon
+    C = np.zeros((n, T))
+    P = np.zeros((n, T))
+    y = np.zeros(T)
+    z = np.zeros(T)
+    for t, step in enumerate(log.steps):
+        if step.kind is StepKind.COVERING:
+            C[step.indices, t] = step.coeffs
+            y[t] = step.multiplier
+        elif step.kind is StepKind.PACKING:
+            P[step.indices, t] = step.coeffs
+            z[t] = step.multiplier
+    return C, P, y, z
+
+
+def dense_x_before(log: MultiplierLog) -> np.ndarray:
+    """(n, T) matrix of the full point before every step, replayed from
+    the per-step support values; a coordinate holds its first recorded
+    value until it first moves."""
+    x = np.zeros(log.n)
+    for step in reversed(log.steps):
+        x[step.indices] = step.x_before
+    xb = np.zeros((log.n, log.horizon))
+    for t, step in enumerate(log.steps):
+        xb[:, t] = x
+        x[step.indices] = step.x_after
+    return xb
+
+
+def dense_r(r_bar, n: int, T: int) -> np.ndarray:
+    """(n, T) matrix of a certificate's r_i^t, read through its accessor."""
+    return np.array([[r_bar.at(i, t) for t in range(T)] for i in range(n)]).reshape(n, T)
+
+
+def dense_check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar) -> float:
+    """Largest violation of any dual row, with r_bar a dense (n, T) matrix."""
+    n, T = log.n, log.horizon
+    C, P, _, _ = coeff_matrices(log)
+    r_next = np.zeros((n, T))
+    if T > 1:
+        r_next[:, :-1] = r_bar[:, 1:]
+    rows = C * y_bar - P * z_bar - r_bar + r_next
+    for t, step in enumerate(log.steps):
+        if step.kind is StepKind.FREEZE:
+            rows[step.indices, t] = -np.inf
+    worst = float(np.max(rows)) if rows.size else 0.0
+    worst = max(worst, float(np.max(-r_bar)) if r_bar.size else 0.0)
+    w_col = log.weights[:, None]
+    worst = max(worst, float(np.max(r_bar - w_col)) if r_bar.size else 0.0)
+    if y_bar.size:
+        worst = max(worst, float(np.max(-y_bar)), float(np.max(-z_bar)))
+    return worst
+
+
+def dense_warmup_r_bar(log: MultiplierLog, eps: float) -> np.ndarray:
+    d = max(1, log.sparsity)
+    A = math.log1p(4.0 * d * max(1.0, log.aspect_ratio) / eps)
+    cmax = log.coeff_max()
+    xb = dense_x_before(log)
+    w_col = log.weights[:, None]
+    return w_col * (1.0 - np.log1p(4.0 * d * cmax[:, None] * xb / eps) / A)
+
+
+def dense_refined_r_bar(log: MultiplierLog, ytilde, eps: float) -> np.ndarray:
+    n, T = log.n, log.horizon
+    d = max(1, log.sparsity)
+    A = math.log1p(40.0 * d * d / (eps * eps))
+    C, P, _, z = coeff_matrices(log)
+    a = C * ytilde - P * z
+    M = np.zeros((n, T))
+    carry = np.zeros(n)
+    for t in range(T - 1, -1, -1):
+        carry = np.maximum(0.0, a[:, t] + carry)
+        M[:, t] = carry
+    return M / A
+
+
+def dense_max_window_sums(log: MultiplierLog, ytilde) -> np.ndarray:
+    C, P, _, z = coeff_matrices(log)
+    a = C * ytilde - P * z
+    n, T = a.shape
+    best = np.full(n, -np.inf)
+    cur = np.full(n, -np.inf)
+    for t in range(T):
+        cur = np.where(cur > 0.0, cur + a[:, t], a[:, t])
+        best = np.maximum(best, cur)
+    return best

@@ -30,7 +30,7 @@ from bodychase.certify import (
     check_z_bound,
     max_window_sums,
 )
-from oracles import random_mixed_stream
+from oracles import coeff_matrices, random_mixed_stream
 
 
 def run_single_covering():
@@ -66,7 +66,7 @@ def test_warmup_single_covering_arithmetic():
     cert = build_warmup_dual(log, eps=1.0)
     assert cert.scaling == pytest.approx(math.log(5.0))
     assert cert.y_bar[0] == pytest.approx(0.5, abs=1e-9)
-    assert cert.r_bar[0, 0] == pytest.approx(1.0)
+    assert cert.r_bar.at(0, 0) == pytest.approx(1.0)
     assert cert.objective == pytest.approx(0.5, abs=1e-9)
     assert cert.max_violation <= FEASIBILITY_TOL
     report = certified_report(cert, ledger, eps=1.0)
@@ -97,10 +97,10 @@ def test_warmup_r_is_weight_at_origin():
     x = FractionalPoint.zeros(2, w)
     row = HalfspaceConstraint.covering({0: 1.0})
     res = project_covering(x, row, 0.5)
-    log.append_projection(row, res.multiplier, x.values, res.point.values)
+    log.append_projection(row, res.multiplier, x.values[row.indices], res.point.values[row.indices])
     cert = build_warmup_dual(log, eps=0.5)
-    assert cert.r_bar[1, 0] == 3.0
-    assert cert.r_bar[0, 0] == 1.0
+    assert cert.r_bar.at(1, 0) == 3.0
+    assert cert.r_bar.at(0, 0) == 1.0
 
 
 def test_refined_single_covering_arithmetic():
@@ -109,9 +109,9 @@ def test_refined_single_covering_arithmetic():
     assert ytilde[0] == pytest.approx(math.log(5.0) / 2.0, abs=1e-9)
     cert = build_refined_dual(log, ytilde, eps=1.0)
     assert cert.scaling == pytest.approx(math.log(41.0))
-    assert cert.r_bar[0, 0] == pytest.approx(math.log(5.0) / math.log(41.0), abs=1e-9)
-    assert cert.r_bar[0, 0] == pytest.approx(0.4334, abs=2e-4)
-    assert cert.r_bar[0, 0] <= 1.0
+    assert cert.r_bar.at(0, 0) == pytest.approx(math.log(5.0) / math.log(41.0), abs=1e-9)
+    assert cert.r_bar.at(0, 0) == pytest.approx(0.4334, abs=2e-4)
+    assert cert.r_bar.at(0, 0) <= 1.0
 
 
 def test_refined_budget_spends_on_latest_heavy_time():
@@ -147,7 +147,7 @@ def test_freeze_blocks_refined_but_not_warmup():
     ledger = RecourseLedger()
     x = process_constraint(x, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)
     frozen = FractionalPoint.zeros(1, w)
-    ledger.record_step(x, frozen)
+    ledger.record_step(w, x.values, frozen.values)
     log.append_freeze([0], x.values, frozen.values)
     x = process_constraint(frozen, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)
     with pytest.raises(CertificateError):
@@ -224,9 +224,7 @@ def test_window_sums_match_triple_loop():
     ytilde = refine_ytilde(log, eps)
     fast = max_window_sums(log, ytilde)
     # literal definition, nonempty windows
-    from bodychase.certify import _coeff_matrices
-
-    C, P, _, z = _coeff_matrices(log)
+    C, P, _, z = coeff_matrices(log)
     a = C * ytilde - P * z
     for i in range(log.n):
         slow = max(

@@ -8,6 +8,7 @@ from bodychase import (
     HalfspaceConstraint,
     InfeasibleBodyError,
     Kind,
+    NotViolatedError,
     PositiveBody,
     RecourseLedger,
     chase_body,
@@ -66,6 +67,14 @@ def test_callable_oracle_receives_tolerances():
     assert seen["ceiling"] == pytest.approx(1.0 + 0.01 + 0.02)
     assert len(trace) == 1
     assert x.values[0] >= 1.0 - 0.02
+
+
+def test_oracle_returning_a_satisfied_row_is_an_error():
+    def oracle(values, cover_floor, pack_ceiling):
+        return HalfspaceConstraint.covering({0: 1.0})
+
+    with pytest.raises(NotViolatedError):
+        chase_body(FractionalPoint([2.0]), oracle, delta=0.2)
 
 
 def test_ledger_accumulates_trace_movement():

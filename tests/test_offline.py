@@ -8,7 +8,6 @@ from bodychase.core import (
     FractionalPoint,
     HalfspaceConstraint,
     RecourseLedger,
-    record_step,
 )
 from bodychase.offline import (
     Freeze,
@@ -149,7 +148,7 @@ def test_trajectory_upward_total_matches_optimum(seed):
     ledger = RecourseLedger()
     prev = FractionalPoint.zeros(5, w)
     for point in traj:
-        record_step(ledger, prev, point)
+        ledger.record_step(w, prev.values, point.values)
         prev = point
     assert ledger.upward_total == pytest.approx(opt, abs=1e-6 * max(1.0, opt))
 
@@ -181,9 +180,9 @@ def test_stream_from_log_round_trip():
     log = MultiplierLog(w)
     x0 = np.zeros(2)
     x1 = np.array([0.5, 0.0])
-    log.append_projection(C({0: 2.0}), 0.3, x0, x1)
-    log.append_freeze([0], x1, np.array([0.0, 0.0]))
-    log.append_projection(P({1: 1.0}), 0.0, np.zeros(2), np.zeros(2))
+    log.append_projection(C({0: 2.0}), 0.3, x0[:1], x1[:1])
+    log.append_freeze([0], x1[:1], np.zeros(1))
+    log.append_projection(P({1: 1.0}), 0.0, np.zeros(1), np.zeros(1))
     stream = stream_from_log(log)
     assert isinstance(stream[1], Freeze) and stream[1].indices == (0,)
     assert stream[0].kind.value == "C" and stream[2].kind.value == "P"

@@ -207,3 +207,21 @@ def test_oracle_cap_skips_offline_block():
     assert "above the cap" in block["skipped"]
     assert "ratio_vs_opt" in summary_of(records)
     assert summary_of(records)["ratio_vs_opt"] is None
+
+
+@pytest.mark.parametrize("formulation", ["compressed", "full"])
+def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch, formulation):
+    from bodychase import offline, runner
+
+    def build(stream, weights):
+        raise AssertionError("an LP above the cap was built")
+
+    monkeypatch.setattr(offline, "build_compressed_lp", build)
+    monkeypatch.setattr(offline, "build_full_lp", build)
+    stream = parse_stream(["C %d:1" % i for i in range(6)])
+    block = runner._offline_block(stream, np.ones(6), 3)
+    assert block == {"kind": "offline", "opt": None,
+                     "skipped": "LP has 12 variables, above the cap of 3"}
+    with pytest.raises(offline.OracleCapExceeded):
+        offline.solve_optimal_recourse(stream, np.ones(6), formulation=formulation,
+                                       variable_cap=3)
