@@ -18,7 +18,8 @@ multiplier; the optimum has the multiplicative closed form
     covering:  x_i = (x_i_prev + s_i) * exp(c_i * y / w_i) - s_i
     packing:   x_i = x_i_prev * exp(-p_i * z / w_i)
 
-which the root finder inverts by bracketing and bisection.
+which the root finder inverts by safeguarded Newton steps on the log of
+the row's value, falling back to bisection of a doubling bracket.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class HalfspaceConstraint:
     zeros are omitted and all stored values are strictly positive.
     """
 
-    __slots__ = ("kind", "indices", "coeffs")
+    __slots__ = ("kind", "indices", "coeffs", "max_index")
 
     def __init__(self, kind: Kind, coeffs):
         if not isinstance(kind, Kind):
@@ -163,6 +164,7 @@ class HalfspaceConstraint:
         self.kind = kind
         self.indices = indices
         self.coeffs = values
+        self.max_index = int(indices[-1])
 
     @classmethod
     def covering(cls, coeffs) -> "HalfspaceConstraint":
@@ -175,10 +177,6 @@ class HalfspaceConstraint:
     @property
     def sparsity(self) -> int:
         return int(self.indices.shape[0])
-
-    @property
-    def max_index(self) -> int:
-        return int(self.indices.max())
 
     def value_at(self, values: np.ndarray) -> float:
         if self.max_index >= values.shape[0]:
@@ -241,42 +239,41 @@ def packing_violated(value: float, eps: float) -> bool:
     return value > (1.0 + eps) * (1.0 + VIOLATION_SLACK)
 
 
-def _root(g, rhs, tol, max_iter, increasing, what):
+def _root(g, total, rhs, tol, max_iter, increasing):
     """Root in [0, inf) of the monotone residual g, which is not yet 0 at 0.
 
-    Doubles hi from 1 until g(hi) crosses 0, then bisects [0, hi] and
-    stops once |g| <= tol * rhs.  Runs at most max_iter halvings; if the
-    bracket is exhausted without meeting the target the best midpoint is
-    accepted only when it is within a factor 1e3 of the target, otherwise
-    the call fails.  Returns (root, |g(root)|, doublings + halvings).
+    g(t) returns the residual and its slope.  g + total is a positive sum
+    of exponentials of affine functions, so h = log((g + total) / total)
+    is convex with the same root, and linear when the row's rates are
+    equal.  Newton steps on h start at t = 0.  Every point evaluated
+    narrows the bracket [lo, hi] by the sign of g; a step that leaves
+    (lo, hi), or a zero or infinite slope, falls back to the midpoint, or
+    to doubling from 1 while hi is open.  Stops once |g| <= tol * rhs.
+    After max_iter evaluations, or once the bracket is exhausted, the best
+    point is accepted only within a factor 1e3 of the target, otherwise
+    the call fails.  Returns (root, |g(root)|, evaluations after t = 0).
     """
-    hi = 1.0
-    doubles = 0
-    while (g(hi) < 0.0) if increasing else (g(hi) > 0.0):
-        hi *= 2.0
-        doubles += 1
-        if doubles > 200:
-            raise ConvergenceError("%s multiplier bracket did not close" % what)
-    lo = best = 0.0
-    best_g = g(lo)
+    t, lo, hi = 0.0, 0.0, math.inf
+    gt, slope = g(t)
+    best, best_g = t, gt
     iterations = 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        iterations += 1
-        if abs(gm) < abs(best_g):
-            best, best_g = mid, gm
-        if abs(gm) <= tol * rhs:
-            return mid, abs(gm), doubles + iterations
-        below = (gm < 0.0) if increasing else (gm > 0.0)
-        if below:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _FLOAT_EPS * max(1.0, hi):
+    while iterations < max_iter:
+        level = gt + total
+        # an infinite slope gives nxt = t, an end of the bracket, so it falls back
+        nxt = t - math.log1p(gt / total) * level / slope if level > 0.0 and slope else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else max(1.0, 2.0 * lo)
+        t, iterations = nxt, iterations + 1
+        gt, slope = g(t)
+        if abs(gt) < abs(best_g):
+            best, best_g = t, gt
+        if abs(gt) <= tol * rhs:
+            return t, abs(gt), iterations
+        lo, hi = (t, hi) if (gt < 0.0) == increasing else (lo, t)
+        if hi - lo <= _FLOAT_EPS * max(1.0, lo):
             break
     if abs(best_g) <= 1e3 * tol * rhs:
-        return best, abs(best_g), doubles + iterations
+        return best, abs(best_g), iterations
     raise ConvergenceError(
         "multiplier search stalled: residual %.3e after %d iterations" % (best_g, iterations)
     )
@@ -307,18 +304,20 @@ def project_covering(
 
     idx = c.indices
     cvec = c.coeffs
-    w = x_prev.weights[idx]
     xs = x_prev.values[idx]
     shift = eps / (4.0 * c.sparsity * cvec)
     base = xs + shift
-    rate = cvec / w
+    rate = cvec / x_prev.weights[idx]
+    top = float(rate.max())
+    mass = cvec * base
     const = float(cvec @ shift)
 
-    def residual(y: float) -> float:
-        expo = np.exp(np.minimum(rate * y, _EXP_CAP))
-        return float(cvec @ (base * expo)) - const - 1.0
+    def residual(y: float):
+        terms = mass * np.exp(np.minimum(rate * y, _EXP_CAP))
+        slope = float(terms @ rate) if y * top < _EXP_CAP else math.inf
+        return float(terms.sum()) - const - 1.0, slope
 
-    y, resid, iters = _root(residual, 1.0, tol, max_iter, True, "covering")
+    y, resid, iters = _root(residual, 1.0 + const, 1.0, tol, max_iter, True)
     new_sub = base * np.exp(rate * y) - shift
     # covering projections never move a coordinate down
     new_sub = np.maximum(new_sub, xs)
@@ -355,14 +354,15 @@ def project_packing(
 
     idx = p.indices
     pvec = p.coeffs
-    w = x_prev.weights[idx]
     xs = x_prev.values[idx]
-    rate = pvec / w
+    rate = pvec / x_prev.weights[idx]
+    mass = pvec * xs
 
-    def residual(z: float) -> float:
-        return float(pvec @ (xs * np.exp(-rate * z))) - rhs
+    def residual(z: float):
+        terms = mass * np.exp(rate * -z)
+        return float(terms.sum()) - rhs, -float(terms @ rate)
 
-    z, resid, iters = _root(residual, rhs, tol, max_iter, False, "packing")
+    z, resid, iters = _root(residual, rhs, rhs, tol, max_iter, False)
     new_sub = np.minimum(xs * np.exp(-rate * z), xs)
     values = x_prev.values.copy()
     values[idx] = new_sub

@@ -37,7 +37,7 @@ from .core import (
     FractionalPoint,
     RecourseLedger,
     chase_body,
-    process_constraint,
+    project_and_record,
     scaled_output,
 )
 from .formats import FormatError, parse_stream, parse_updates, parse_weights, stream_dimension
@@ -165,24 +165,31 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
     ledger = RecourseLedger()
     log = MultiplierLog(w)
     records = [_meta(config, {"n": dim, "T": len(stream)})]
+    iterations, worst = 0, 0.0
     for t, item in enumerate(stream):
         group = item if isinstance(item, list) else [item]
         for member in group:
             if isinstance(member, Freeze):
                 x = apply_freeze(x, member.indices, ledger, log)
-                tag, multiplier = "F", None
+                tag, multiplier, res = "F", None, None
             else:
-                x = process_constraint(x, member, eps, ledger=ledger, log=log)
+                x, res = project_and_record(x, member, eps, ledger, log)
                 tag, multiplier = member.kind.value, log.steps[-1].multiplier
+            if res is not None:
+                iterations += res.iterations
+                worst = max(worst, res.residual)
             records.append({"kind": "step", "t": t, "tag": tag,
                             "support": len(member.indices), "multiplier": multiplier,
                             "upward_step": ledger.steps[-1][0],
-                            "l1_step": ledger.steps[-1][1]})
+                            "l1_step": ledger.steps[-1][1],
+                            "rootfind_iterations": 0 if res is None else res.iterations})
     summary = {"kind": "summary",
                "upward_recourse": ledger.upward_total,
                "l1_recourse": ledger.l1_total,
                "final_point": x.values,
-               "T": len(stream)}
+               "T": len(stream),
+               "rootfind_iterations": iterations,
+               "max_projection_residual": worst}
     if config.certify:
         cert = certify_run(log, ledger, eps)
         records.append({"kind": "certificate", **cert})
@@ -208,6 +215,8 @@ class _ProblemDriver:
         self.x = FractionalPoint.zeros(0, np.ones(0))
         self.offline_stream = []
         self.frozen_now: tuple = ()
+        self.rootfind_iterations = 0
+        self.max_projection_residual = 0.0
 
     def grow(self, dim: int):
         if dim > self.x.dim:
@@ -228,10 +237,15 @@ class _ProblemDriver:
             self.x, oracle, self.config.delta, self.config.eps,
             ledger=self.ledger, log=self.log, max_rounds=self.config.max_rounds,
         )
+        iterations = sum(s.result.iterations for s in steps)
+        self.rootfind_iterations += iterations
+        self.max_projection_residual = max(
+            [self.max_projection_residual] + [s.result.residual for s in steps])
         return {
             "projections": len(steps),
             "upward_step": self.ledger.upward_total - before_up,
             "l1_step": self.ledger.l1_total - before_l1,
+            "rootfind_iterations": iterations,
             "rows": [s.constraint for s in steps],
         }
 
@@ -248,7 +262,9 @@ class _ProblemDriver:
         out = {"kind": "summary",
                "upward_recourse": self.ledger.upward_total,
                "l1_recourse": self.ledger.l1_total,
-               "n": n}
+               "n": n,
+               "rootfind_iterations": self.rootfind_iterations,
+               "max_projection_residual": self.max_projection_residual}
         eps = self.config.effective_eps()
         if self.config.certify:
             cert = certify_run(self.log, self.ledger, eps)
@@ -366,6 +382,7 @@ def run_problem(config: RunConfig, updates) -> list:
         row["projections"] = chased["projections"]
         row["upward_step"] = chased["upward_step"]
         row["l1_step"] = chased["l1_step"]
+        row["rootfind_iterations"] = chased["rootfind_iterations"]
         _round_step(problem, state, driver, config, rounding, row)
         records.append(row)
 

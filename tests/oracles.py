@@ -12,10 +12,18 @@ import math
 
 from bodychase.certify import MultiplierLog, StepKind
 from bodychase.core import (
+    _EXP_CAP,
+    _FLOAT_EPS,
+    ConstraintError,
+    ConvergenceError,
     FractionalPoint,
     HalfspaceConstraint,
     Kind,
+    NotViolatedError,
+    ProjectionResult,
     RecourseLedger,
+    covering_violated,
+    packing_violated,
     process_constraint,
 )
 
@@ -241,6 +249,140 @@ def random_packing_case(rng, nmax=20, dmax=6, eps_choices=(0.0, 0.1, 0.5, 1.0)):
     eps = float(rng.choice(eps_choices))
     x *= 1.5 * (1.0 + eps) / p.value_at(x)
     return FractionalPoint(x, w), p, eps
+
+
+# ---------------------------------------------------------------------------
+# Bracket-and-bisect projections: the root finder the Newton iteration in
+# core replaced, kept to check the multipliers and points against.
+
+
+def bisect_root(g, rhs, tol, max_iter, increasing, what):
+    """Root in [0, inf) of the monotone residual g, which is not yet 0 at 0.
+
+    Doubles hi from 1 until g(hi) crosses 0, then bisects [0, hi] and
+    stops once |g| <= tol * rhs.  Runs at most max_iter halvings; if the
+    bracket is exhausted without meeting the target the best midpoint is
+    accepted only when it is within a factor 1e3 of the target, otherwise
+    the call fails.  Returns (root, |g(root)|, doublings + halvings).
+    """
+    hi = 1.0
+    doubles = 0
+    while (g(hi) < 0.0) if increasing else (g(hi) > 0.0):
+        hi *= 2.0
+        doubles += 1
+        if doubles > 200:
+            raise ConvergenceError("%s multiplier bracket did not close" % what)
+    lo = best = 0.0
+    best_g = g(lo)
+    iterations = 0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        iterations += 1
+        if abs(gm) < abs(best_g):
+            best, best_g = mid, gm
+        if abs(gm) <= tol * rhs:
+            return mid, abs(gm), doubles + iterations
+        below = (gm < 0.0) if increasing else (gm > 0.0)
+        if below:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _FLOAT_EPS * max(1.0, hi):
+            break
+    if abs(best_g) <= 1e3 * tol * rhs:
+        return best, abs(best_g), doubles + iterations
+    raise ConvergenceError(
+        "multiplier search stalled: residual %.3e after %d iterations" % (best_g, iterations)
+    )
+
+
+def bisect_project_covering(
+    x_prev: FractionalPoint,
+    c: HalfspaceConstraint,
+    eps: float,
+    *,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> ProjectionResult:
+    """Project onto a violated covering halfspace `<c, x> >= 1`.
+
+    Only coordinates on the row's support move, and they only move up.
+    Returns the new point together with the nonnegative multiplier y of
+    the tight constraint, the root-finder iteration count, and the final
+    absolute residual |<c, x> - 1|.
+    """
+    if c.kind is not Kind.COVERING:
+        raise ConstraintError("project_covering needs a covering row")
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    start = c.value_at(x_prev.values)
+    if not covering_violated(start):
+        raise NotViolatedError("row already satisfied: value %.17g" % start)
+
+    idx = c.indices
+    cvec = c.coeffs
+    w = x_prev.weights[idx]
+    xs = x_prev.values[idx]
+    shift = eps / (4.0 * c.sparsity * cvec)
+    base = xs + shift
+    rate = cvec / w
+    const = float(cvec @ shift)
+
+    def residual(y: float) -> float:
+        expo = np.exp(np.minimum(rate * y, _EXP_CAP))
+        return float(cvec @ (base * expo)) - const - 1.0
+
+    y, resid, iters = bisect_root(residual, 1.0, tol, max_iter, True, "covering")
+    new_sub = base * np.exp(rate * y) - shift
+    # covering projections never move a coordinate down
+    new_sub = np.maximum(new_sub, xs)
+    values = x_prev.values.copy()
+    values[idx] = new_sub
+    point = FractionalPoint(values, x_prev.weights)
+    return ProjectionResult(point, float(y), iters, resid)
+
+
+def bisect_project_packing(
+    x_prev: FractionalPoint,
+    p: HalfspaceConstraint,
+    eps: float,
+    *,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> ProjectionResult:
+    """Project onto `<p, x> <= 1 + eps` from a point that violates it.
+
+    Support coordinates shrink multiplicatively; zero coordinates stay
+    zero.  eps = 0 is allowed here (the shift never enters the packing
+    objective, only the right hand side).
+    """
+    if p.kind is not Kind.PACKING:
+        raise ConstraintError("project_packing needs a packing row")
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
+    rhs = 1.0 + eps
+    start = p.value_at(x_prev.values)
+    if not packing_violated(start, eps):
+        raise NotViolatedError(
+            "packing row not violated: value %.17g <= %.17g" % (start, rhs)
+        )
+
+    idx = p.indices
+    pvec = p.coeffs
+    w = x_prev.weights[idx]
+    xs = x_prev.values[idx]
+    rate = pvec / w
+
+    def residual(z: float) -> float:
+        return float(pvec @ (xs * np.exp(-rate * z))) - rhs
+
+    z, resid, iters = bisect_root(residual, rhs, tol, max_iter, False, "packing")
+    new_sub = np.minimum(xs * np.exp(-rate * z), xs)
+    values = x_prev.values.copy()
+    values[idx] = new_sub
+    point = FractionalPoint(values, x_prev.weights)
+    return ProjectionResult(point, float(z), iters, resid)
 
 
 # ---------------------------------------------------------------------------

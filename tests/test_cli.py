@@ -99,6 +99,19 @@ def test_bad_flag_exits_2(stream_file, capsys):
     assert main(["chase", stream_file, "--bogus"]) == 2
 
 
+def test_root_finder_failure_exits_1_without_traceback(stream_file, monkeypatch, capsys):
+    from bodychase import core
+
+    def fail(*args, **kwargs):
+        raise core.ConvergenceError("multiplier search stalled")
+
+    monkeypatch.setattr(core, "_root", fail)
+    assert main(["chase", stream_file, "--eps", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: multiplier search stalled\n"
+    assert captured.out == ""
+
+
 def test_setcover_det_against_updates(cover_file, capsys):
     assert main(["setcover", cover_file, "--round", "det"]) == 0
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]

@@ -54,6 +54,55 @@ def test_freeze_line_clamps_and_blocks_refined():
     assert s["offline_opt"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.fixture
+def projections(monkeypatch):
+    """Every ProjectionResult the engine returns during a test, in order."""
+    from bodychase import core
+
+    results = []
+
+    def recorded(project):
+        def run(*args, **kwargs):
+            results.append(project(*args, **kwargs))
+            return results[-1]
+        return run
+
+    monkeypatch.setattr(core, "project_covering", recorded(core.project_covering))
+    monkeypatch.setattr(core, "project_packing", recorded(core.project_packing))
+    return results
+
+
+def test_chase_reports_root_finder_cost(projections):
+    # one equal-rate row lands in one Newton step; the satisfied repeat and
+    # the freeze account for 0, the mixed-rate rows for more than 1
+    stream = parse_stream(["C 0:2", "C 0:2", "F 0", "C 1:1 2:4 3:0.5", "P 2:8 3:1"])
+    w = np.array([1.0, 1.0, 0.01, 10.0])
+    records = run_chase(RunConfig(eps=0.5), stream, w)
+    iters = [r["rootfind_iterations"] for r in rows_of(records, "step")]
+    assert iters[:3] == [1, 0, 0] and min(iters[3:]) > 1
+    assert [i for i in iters if i] == [r.iterations for r in projections]
+    s = summary_of(records)
+    assert s["rootfind_iterations"] == sum(iters)
+    assert s["max_projection_residual"] == max(r.residual for r in projections)
+    assert s["max_projection_residual"] <= 1e-12 * 1.5
+
+
+def test_problem_reports_root_finder_cost(projections):
+    header = {"problem": "matching", "n": 8}
+    events = _events("matching", [("insert", {"u": "a", "v": "b"}),
+                                  ("insert", {"u": "a", "v": "d"}),
+                                  ("insert", {"u": "c", "v": "d"}),
+                                  ("delete", {"u": "a", "v": "b"})])
+    records = run_problem(RunConfig(problem="matching"), ("matching", header, events))
+    updates = rows_of(records, "update")
+    assert sum(r["projections"] for r in updates) == len(projections) > 0
+    # matching rows have equal rates: one Newton step per projection
+    assert [r["rootfind_iterations"] for r in updates] == [r["projections"] for r in updates]
+    s = summary_of(records)
+    assert s["rootfind_iterations"] == sum(r.iterations for r in projections)
+    assert s["max_projection_residual"] == max(r.residual for r in projections)
+
+
 def test_weights_shape_mismatch_rejected():
     from bodychase.formats import FormatError
 
