@@ -56,7 +56,7 @@ from .core import (
     ProjectionResult,
     RecourseLedger,
     chase_body,
-    process_constraint,
+    project_and_record,
     project_covering,
     project_packing,
     scaled_output,
@@ -112,7 +112,7 @@ __all__ = [
     "parse_stream",
     "parse_updates",
     "parse_weights",
-    "process_constraint",
+    "project_and_record",
     "project_covering",
     "project_packing",
     "refine_ytilde",

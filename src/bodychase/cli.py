@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,36 +38,59 @@ from .runner import RunConfig, replicate, run_chase, run_problem
 PROBLEMS = ("setcover", "matching", "mst", "loadbalance")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=0.5,
-                   help="covering slack target in (0, 1] (default 0.5)")
-    p.add_argument("--eps", type=float, default=None,
-                   help="projection shift parameter (default delta/20)")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--weights", default=None,
-                   help="per-coordinate movement weight file")
-    p.add_argument("--report", default=None,
-                   help="write the JSON-lines report here instead of stdout")
-    p.add_argument("--oracle-cap", type=int, default=4000, dest="oracle_cap",
-                   help="skip the offline LP above this variable count")
-    p.add_argument("--no-offline", action="store_true",
-                   help="skip the offline benchmark LP")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip the dual certificates")
+# Every flag, defined once; SUBCOMMANDS names the ones each subcommand takes.
+FLAGS = {
+    "--delta": dict(type=float, default=0.5,
+                    help="covering slack target in (0, 1] (default 0.5)"),
+    "--eps": dict(type=float, default=None,
+                  help="projection shift parameter (default delta/20)"),
+    "--seed": dict(type=int, default=0, help="base random seed"),
+    "--weights": dict(default=None, help="per-coordinate movement weight file"),
+    "--report": dict(default=None,
+                     help="write the JSON-lines report here instead of stdout"),
+    "--oracle-cap": dict(type=int, default=4000, dest="oracle_cap",
+                         help="skip the offline LP above this variable count"),
+    "--no-offline": dict(action="store_true", help="skip the offline benchmark LP"),
+    "--no-certify": dict(action="store_true", help="skip the dual certificates"),
+    "--dump-trajectory": dict(action="store_true", dest="dump_trajectory",
+                              help="include the optimal trajectory in the report"),
+    "--alpha": dict(type=float, default=1.0,
+                    help="failure-probability exponent for sampling layers"),
+    "--beta": dict(type=float, default=None,
+                   help="cost-bound slack of the packing row (problem default)"),
+    "--gamma": dict(type=float, default=1.0,
+                    help="extra oversampling factor for the tree sampler"),
+    "--f": dict(type=int, default=None,
+                help="frequency bound for deterministic cover rounding"),
+    "--runs": dict(type=int, default=1, help="number of seeded repetitions"),
+}
 
-
-def _add_problem_common(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="failure-probability exponent for sampling layers")
-    p.add_argument("--beta", type=float, default=None,
-                   help="cost-bound slack of the packing row (problem default)")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="extra oversampling factor for the tree sampler")
-    p.add_argument("--f", type=int, default=None,
-                   help="frequency bound for deterministic cover rounding")
-    p.add_argument("--runs", type=int, default=1,
-                   help="number of seeded repetitions (replicate only)")
+# subcommand: (help, input argument, the flags some run of it reads)
+SUBCOMMANDS = {
+    "chase": ("process a raw constraint stream", "stream",
+              "--delta --eps --seed --weights --report --oracle-cap --no-offline --no-certify"),
+    "certify": ("chase a stream, print certificates", "stream",
+                "--delta --eps --seed --weights --report --oracle-cap --no-offline"),
+    "offline-opt": ("solve the offline recourse LP", "stream",
+                    "--weights --report --oracle-cap --dump-trajectory"),
+    "setcover": ("replay a dynamic setcover update file", "updates",
+                 "--delta --seed --report --oracle-cap --no-offline --no-certify"
+                 " --alpha --beta --f"),
+    "matching": ("replay a dynamic matching update file", "updates",
+                 "--delta --seed --report --oracle-cap --no-offline --no-certify"
+                 " --alpha --beta"),
+    "mst": ("replay a dynamic mst update file", "updates",
+            "--delta --seed --report --oracle-cap --no-offline --no-certify"
+            " --alpha --beta --gamma"),
+    "loadbalance": ("replay a dynamic loadbalance update file", "updates",
+                    "--delta --report --oracle-cap --no-offline --no-certify --beta"),
+    "replicate": ("repeat a problem run across seeds", "updates",
+                  "--delta --seed --report --oracle-cap --no-offline --no-certify"
+                  " --alpha --beta --gamma --f --runs"),
+}
+INPUT_HELP = {"stream": "constraint stream file", "updates": "JSON-lines update file"}
+ROUND_MODES = {"setcover": ("none", "det", "rand"), "matching": ("none", "on"),
+               "mst": ("none", "on")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,61 +99,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="chase a drifting packing-covering body with bounded recourse",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chase", help="process a raw constraint stream")
-    p.add_argument("stream", help="constraint stream file")
-    _add_common(p)
-
-    p = sub.add_parser("certify", help="chase a stream, print certificates")
-    p.add_argument("stream", help="constraint stream file")
-    _add_common(p)
-
-    p = sub.add_parser("offline-opt", help="solve the offline recourse LP")
-    p.add_argument("stream", help="constraint stream file")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--oracle-cap", type=int, default=4000, dest="oracle_cap")
-    p.add_argument("--formulation", choices=("compressed", "full"),
-                   default="compressed")
-    p.add_argument("--dump-trajectory", action="store_true",
-                   dest="dump_trajectory",
-                   help="include the optimal trajectory in the report")
-
-    for name in PROBLEMS:
-        p = sub.add_parser(name, help="replay a dynamic %s update file" % name)
-        p.add_argument("updates", help="JSON-lines update file")
-        _add_problem_common(p)
-        if name == "setcover":
-            p.add_argument("--round", choices=("none", "det", "rand"),
+    for name, (help_text, source, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(source, help=INPUT_HELP[source])
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        if name in ROUND_MODES:
+            p.add_argument("--round", choices=ROUND_MODES[name],
                            default="none", dest="round_mode")
-        elif name in ("matching", "mst"):
-            p.add_argument("--round", choices=("none", "on"),
-                           default="none", dest="round_mode")
-
-    p = sub.add_parser("replicate", help="repeat a problem run across seeds")
-    p.add_argument("updates", help="JSON-lines update file")
-    _add_problem_common(p)
-    p.add_argument("--round", default="none", dest="round_mode",
-                   help="rounding mode handed to the problem runner")
+        elif name == "replicate":
+            p.add_argument("--round", default="none", dest="round_mode",
+                           help="rounding mode handed to the problem runner")
     return top
 
 
 def _config(args, problem: str = "chase") -> RunConfig:
-    return RunConfig(
-        problem=problem,
-        delta=args.delta,
-        eps=args.eps,
-        alpha=getattr(args, "alpha", 1.0),
-        beta=getattr(args, "beta", None),
-        gamma=getattr(args, "gamma", 1.0),
-        f=getattr(args, "f", None),
-        seed=args.seed,
-        runs=getattr(args, "runs", 1),
-        round_mode=getattr(args, "round_mode", "none"),
-        certify=not args.no_certify,
-        offline=not args.no_offline,
-        oracle_cap=args.oracle_cap,
-    )
+    """The run's config from the flags its subcommand takes; RunConfig's
+    defaults stand for the flags it does not."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(problem=problem, certify=not getattr(args, "no_certify", False),
+                     offline=not args.no_offline, **given)
 
 
 def _emit(records, args) -> None:
@@ -143,12 +132,8 @@ def _run_offline(args) -> int:
     dim = stream_dimension(stream)
     weights = (np.ones(dim) if args.weights is None
                else parse_weights(args.weights, dim))
-    opt, trajectory = solve_optimal_recourse(
-        stream, weights, formulation=args.formulation,
-        variable_cap=args.oracle_cap,
-    )
-    record = {"kind": "offline", "opt": opt, "T": len(stream),
-              "n": int(weights.shape[0]), "formulation": args.formulation}
+    opt, trajectory = solve_optimal_recourse(stream, weights, variable_cap=args.oracle_cap)
+    record = {"kind": "offline", "opt": opt, "T": len(stream), "n": int(weights.shape[0])}
     if args.dump_trajectory:
         record["trajectory"] = [p.values for p in trajectory]
     _emit([record], args)
@@ -164,10 +149,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command in ("chase", "certify"):
-            config = _config(args)
-            if args.command == "certify":
-                config.certify = True
-            records = run_chase(config, args.stream, args.weights)
+            records = run_chase(_config(args), args.stream, args.weights)
             if args.command == "certify":
                 keep = ("meta", "certificate", "offline", "summary")
                 records = [r for r in records if r.get("kind") in keep]
@@ -179,7 +161,7 @@ def main(argv=None) -> int:
             records = run_problem(_config(args, args.command), args.updates)
             _emit(records, args)
             return 0
-        records = replicate(_config(args, "chase"), args.updates, args.runs)
+        records = replicate(_config(args, "chase"), args.updates)
         _emit(records, args)
         return 0
     except FormatError as exc:

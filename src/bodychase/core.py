@@ -43,7 +43,6 @@ __all__ = [
     "ProjectionResult",
     "RecourseLedger",
     "project_and_record",
-    "process_constraint",
     "project_covering",
     "project_packing",
     "scaled_output",
@@ -279,6 +278,39 @@ def _root(g, total, rhs, tol, max_iter, increasing):
     )
 
 
+def _project(x_prev, row, shift, sign, level, tol, max_iter) -> ProjectionResult:
+    """Move the support of a violated row to (x + s) * exp(sign * rate * t) - s.
+
+    rate = coeffs / weights, s is the covering shift (0 for packing) and
+    sign is +1 for covering, -1 for packing; t >= 0 makes the row's value
+    equal `level` (1, or 1 + eps for packing).  The result is clamped so a
+    covering step only moves coordinates up and a packing step only down.
+    """
+    idx = row.indices
+    cvec = row.coeffs
+    xs = x_prev.values[idx]
+    base = xs + shift
+    rate = cvec / x_prev.weights[idx]
+    # the exponents sign * rate * t are <= 0 for packing; only covering
+    # ones can reach the cap
+    top = float(rate.max()) if sign > 0 else 0.0
+    mass = cvec * base
+    const = float(cvec @ shift) if sign > 0 else 0.0
+
+    def residual(t: float):
+        st = sign * t
+        exponent = np.minimum(rate * st, _EXP_CAP) if st > 0.0 else rate * st
+        terms = mass * np.exp(exponent)
+        slope = sign * float(terms @ rate) if st * top < _EXP_CAP else math.inf
+        return float(terms.sum()) - const - level, slope
+
+    t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+    new_sub = base * np.exp(rate * (sign * t)) - shift
+    values = x_prev.values.copy()
+    values[idx] = np.maximum(new_sub, xs) if sign > 0 else np.minimum(new_sub, xs)
+    return ProjectionResult(FractionalPoint(values, x_prev.weights), float(t), iters, resid)
+
+
 def project_covering(
     x_prev: FractionalPoint,
     c: HalfspaceConstraint,
@@ -301,30 +333,8 @@ def project_covering(
     start = c.value_at(x_prev.values)
     if not covering_violated(start):
         raise NotViolatedError("row already satisfied: value %.17g" % start)
-
-    idx = c.indices
-    cvec = c.coeffs
-    xs = x_prev.values[idx]
-    shift = eps / (4.0 * c.sparsity * cvec)
-    base = xs + shift
-    rate = cvec / x_prev.weights[idx]
-    top = float(rate.max())
-    mass = cvec * base
-    const = float(cvec @ shift)
-
-    def residual(y: float):
-        terms = mass * np.exp(np.minimum(rate * y, _EXP_CAP))
-        slope = float(terms @ rate) if y * top < _EXP_CAP else math.inf
-        return float(terms.sum()) - const - 1.0, slope
-
-    y, resid, iters = _root(residual, 1.0 + const, 1.0, tol, max_iter, True)
-    new_sub = base * np.exp(rate * y) - shift
-    # covering projections never move a coordinate down
-    new_sub = np.maximum(new_sub, xs)
-    values = x_prev.values.copy()
-    values[idx] = new_sub
-    point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(y), iters, resid)
+    shift = eps / (4.0 * c.sparsity * c.coeffs)
+    return _project(x_prev, c, shift, 1.0, 1.0, tol, max_iter)
 
 
 def project_packing(
@@ -351,23 +361,7 @@ def project_packing(
         raise NotViolatedError(
             "packing row not violated: value %.17g <= %.17g" % (start, rhs)
         )
-
-    idx = p.indices
-    pvec = p.coeffs
-    xs = x_prev.values[idx]
-    rate = pvec / x_prev.weights[idx]
-    mass = pvec * xs
-
-    def residual(z: float):
-        terms = mass * np.exp(rate * -z)
-        return float(terms.sum()) - rhs, -float(terms @ rate)
-
-    z, resid, iters = _root(residual, rhs, rhs, tol, max_iter, False)
-    new_sub = np.minimum(xs * np.exp(-rate * z), xs)
-    values = x_prev.values.copy()
-    values[idx] = new_sub
-    point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(z), iters, resid)
+    return _project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter)
 
 
 def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
@@ -392,16 +386,17 @@ def project_and_record(
 ) -> tuple[FractionalPoint, ProjectionResult | None]:
     """One step of the engine: project onto `row` if it is violated, and record.
 
-    A satisfied row leaves the point alone (result None) and is recorded
-    as a zero-multiplier step.  The ledger and the log get the step on the
-    row's support, the only coordinates it can move.
+    A satisfied row leaves the point alone (result None) and is still
+    recorded, as a zero-multiplier step: its body row binds the offline
+    benchmark, so the certificate log must carry it.  The ledger and the
+    log get the step on the row's support, the only coordinates it can
+    move.
     """
-    value = row.value_at(x_prev.values)
-    if row.kind is Kind.COVERING:
-        violated, project = covering_violated(value), project_covering
-    else:
-        violated, project = packing_violated(value, eps), project_packing
-    res = project(x_prev, row, eps) if violated else None
+    project = project_covering if row.kind is Kind.COVERING else project_packing
+    try:
+        res = project(x_prev, row, eps)
+    except NotViolatedError:
+        res = None
     x_new = x_prev if res is None else res.point
     idx = row.indices
     before, after = x_prev.values[idx], x_new.values[idx]
@@ -410,22 +405,6 @@ def project_and_record(
     if log is not None:
         log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
     return x_new, res
-
-
-def process_constraint(
-    x_prev: FractionalPoint,
-    row: HalfspaceConstraint,
-    eps: float,
-    *,
-    ledger: RecourseLedger | None = None,
-    log=None,
-) -> FractionalPoint:
-    """Feed one arriving constraint of a stream.
-
-    A satisfied row is still recorded as a zero-multiplier step: its body
-    row binds the offline benchmark, so the certificate log must carry it.
-    """
-    return project_and_record(x_prev, row, eps, ledger, log)[0]
 
 
 class PositiveBody:

@@ -155,6 +155,24 @@ _HEADER_KEYS = {
 }
 
 
+def _numeric(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _loads(v) -> bool:
+    return isinstance(v, dict) and all(map(_numeric, v.values()))
+
+
+# per problem: the ids every event names, and the field an insert adds
+# with its check and its description
+_EVENT_KEYS = {
+    "setcover": (("element",), None),
+    "matching": (("u", "v"), None),
+    "mst": (("u", "v"), ("cost", _numeric, "a number")),
+    "loadbalance": (("job",), ("loads", _loads, "an object of numbers")),
+}
+
+
 def _check_header_shape(problem, record, source, lineno):
     # presence is already checked; reject wrong shapes before the
     # adapters trip over them
@@ -163,9 +181,7 @@ def _check_header_shape(problem, record, source, lineno):
         if not isinstance(sets, list):
             _fail(source, lineno, "sets must be a list")
         for s in sets:
-            if (not isinstance(s, dict)
-                    or isinstance(s.get("cost"), bool)
-                    or not isinstance(s.get("cost"), (int, float))
+            if (not isinstance(s, dict) or not _numeric(s.get("cost"))
                     or not isinstance(s.get("elements"), list)):
                 _fail(source, lineno,
                       "each set needs a numeric cost and an element list")
@@ -181,6 +197,24 @@ def _check_header_shape(problem, record, source, lineno):
         machines = record["machines"]
         if not isinstance(machines, list) or not machines:
             _fail(source, lineno, "machines must be a nonempty list")
+
+
+def _event_payload(problem, op, record, source, lineno) -> dict:
+    """The fields the adapter's insert or delete takes, checked; the
+    adapters' parameter names are these keys."""
+    ids, extra = _EVENT_KEYS[problem]
+    payload = {key: record.get(key) for key in ids}
+    for key, v in payload.items():
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            _fail(source, lineno, "%s event needs %r as a string or integer id" % (problem, key))
+    if len(ids) == 2 and type(payload["u"]) is not type(payload["v"]):
+        _fail(source, lineno, "u and v must both be strings or both integers")
+    if op == "insert" and extra is not None:
+        key, valid, what = extra
+        if not valid(record.get(key)):
+            _fail(source, lineno, "%s insert needs %r as %s" % (problem, key, what))
+        payload[key] = record[key]
+    return payload
 
 
 def parse_updates(lines, source="<updates>"):
@@ -218,8 +252,8 @@ def parse_updates(lines, source="<updates>"):
         op = record.get("op")
         if op not in ("insert", "delete"):
             _fail(source, lineno, "event op must be insert or delete, got %r" % (op,))
-        payload = {k: v for k, v in record.items() if k != "op"}
-        events.append(UpdateEvent(problem, op, payload))
+        events.append(UpdateEvent(problem, op,
+                                  _event_payload(problem, op, record, source, lineno)))
     if header is None:
         _fail(source, 1, "empty update file: header record required")
     return problem, header, events

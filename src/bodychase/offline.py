@@ -14,14 +14,13 @@ A time step may carry several rows (a whole body snapshot); the stream
 is a sequence of steps, each being one row, one Freeze, or an iterable
 of those.
 
-Two builders produce the same optimum. The full formulation carries
-2nT variables exactly as stated above. The compressed one keeps
-variables only at the times a coordinate is actually named by a row or
-clamp, chaining movement constraints between consecutive appearances;
-holding coordinates constant in between is optimal (moving without a
-row to satisfy only costs), so the optima coincide. The equivalence is
-cross-checked in the tests; the compressed form is the default because
-it is far smaller on sparse streams.
+The LP keeps variables only at the times a coordinate is actually named
+by a row or clamp, chaining movement constraints between consecutive
+appearances; holding coordinates constant in between is optimal (moving
+without a row to satisfy only costs), so its optimum is that of the full
+formulation above, which carries x and l at every step (2nT variables).
+The full form lives in the tests (tests/oracles.py) as the reference the
+equivalence is cross-checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "OfflineError",
     "OracleCapExceeded",
     "RecourseLP",
-    "build_full_lp",
     "build_compressed_lp",
     "solve_recourse_lp",
     "solve_optimal_recourse",
@@ -92,10 +90,8 @@ class RecourseLP:
     lhs: np.ndarray
     rhs: np.ndarray
     row_kinds: list
-    formulation: str
-    # x-column lookup: full -> (T, n) int array; compressed -> per-coordinate
-    # (times array, columns array)
-    x_cols: object = field(repr=False, default=None)
+    # per coordinate: (the times it appears at, its x columns at those times)
+    x_cols: dict = field(repr=False, default_factory=dict)
 
     @property
     def variable_count(self) -> int:
@@ -104,17 +100,14 @@ class RecourseLP:
     def trajectory(self, solution: np.ndarray) -> np.ndarray:
         """(T, n) matrix of the trajectory encoded by an LP solution."""
         X = np.zeros((self.horizon, self.n))
-        if self.formulation == "full":
-            X = solution[self.x_cols]
-        else:
-            for i, (times, cols) in self.x_cols.items():
-                k = 0
-                current = 0.0
-                for t in range(self.horizon):
-                    while k < len(times) and times[k] <= t:
-                        current = solution[cols[k]]
-                        k += 1
-                    X[t, i] = current
+        for i, (times, cols) in self.x_cols.items():
+            k = 0
+            current = 0.0
+            for t in range(self.horizon):
+                while k < len(times) and times[k] <= t:
+                    current = solution[cols[k]]
+                    k += 1
+                X[t, i] = current
         return X
 
 
@@ -153,36 +146,6 @@ def _constraint_rows(steps, n, nvar, col):
             rhs.append(sign)
             kinds.append(kind)
     return rows, rhs, kinds
-
-
-def build_full_lp(stream, weights) -> RecourseLP:
-    weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
-    T, n = len(steps), weights.shape[0]
-    nx = T * n
-    nvar = 2 * nx
-    x_cols = np.arange(nx).reshape(T, n)
-
-    def lcol(i, t):
-        return nx + t * n + i
-
-    c = np.zeros(nvar)
-    for t in range(T):
-        c[nx + t * n : nx + (t + 1) * n] = weights
-
-    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: x_cols[t, i])
-    for t in range(T):
-        for i in range(n):
-            row = np.zeros(nvar)
-            row[x_cols[t, i]] = 1.0
-            if t > 0:
-                row[x_cols[t - 1, i]] = -1.0
-            row[lcol(i, t)] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            kinds.append("move")
-    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds,
-                      "full", x_cols)
 
 
 def _appearances(steps, n) -> dict[int, list[int]]:
@@ -230,8 +193,7 @@ def build_compressed_lp(stream, weights) -> RecourseLP:
         rhs = [0.0]
         kinds = ["void"]
         c = np.zeros(max(nvar, 1))
-    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds,
-                      "compressed", x_cols)
+    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds, x_cols)
 
 
 def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
@@ -247,26 +209,19 @@ def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
     return res
 
 
-def solve_optimal_recourse(stream, weights, *, formulation: str = "compressed",
-                           variable_cap: int = VARIABLE_CAP):
+def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP):
     """Optimal offline upward recourse and one optimal trajectory."""
     weights = np.asarray(weights, dtype=float)
     steps = _normalize_stream(stream)
     if not steps:
         return 0.0, []
-    if formulation == "full":
-        variables, build = 2 * len(steps) * weights.shape[0], build_full_lp
-    elif formulation == "compressed":
-        variables = 2 * sum(map(len, _appearances(steps, weights.shape[0]).values()))
-        build = build_compressed_lp
-    else:
-        raise ValueError("formulation must be 'full' or 'compressed'")
     # counted before anything is built: the dense rows are what runs out of memory
+    variables = 2 * sum(map(len, _appearances(steps, weights.shape[0]).values()))
     if variables > variable_cap:
         raise OracleCapExceeded(
             "LP has %d variables, above the cap of %d" % (variables, variable_cap)
         )
-    lp = build(steps, weights)
+    lp = build_compressed_lp(steps, weights)
     res = solve_recourse_lp(lp)
     opt = max(0.0, float(res.objective))
     X = lp.trajectory(res.x)

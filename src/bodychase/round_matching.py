@@ -70,9 +70,6 @@ class Stabilizer:
         # copies with threshold strictly below the fractional value
         return int(np.searchsorted(self._sorted_thresholds(edge), value, side="left"))
 
-    def fractional_copy_value(self) -> float:
-        return sum(self.counts.values()) / ((1.0 + self.delta) * self.kappa)
-
 
 def stabilizer_step(x, stab: Stabilizer):
     """Recompute the stabilizer for the current point.

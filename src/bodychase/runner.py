@@ -67,7 +67,6 @@ class RunConfig:
     certify: bool = True
     offline: bool = True
     oracle_cap: int = 4000
-    max_rounds: int = 10000
 
     def effective_eps(self) -> float:
         return self.delta / 20.0 if self.eps is None else self.eps
@@ -235,7 +234,7 @@ class _ProblemDriver:
         before_l1 = self.ledger.l1_total
         self.x, steps = chase_body(
             self.x, oracle, self.config.delta, self.config.eps,
-            ledger=self.ledger, log=self.log, max_rounds=self.config.max_rounds,
+            ledger=self.ledger, log=self.log,
         )
         iterations = sum(s.result.iterations for s in steps)
         self.rootfind_iterations += iterations
@@ -296,30 +295,6 @@ def _build_state(problem: str, header: dict):
     raise FormatError("unknown problem %r" % problem)
 
 
-def _apply_event(problem: str, state, event) -> None:
-    p = event.payload
-    if problem == "setcover":
-        if event.op == "insert":
-            state.insert(p["element"])
-        else:
-            state.delete(p["element"])
-    elif problem == "matching":
-        if event.op == "insert":
-            state.insert(p["u"], p["v"])
-        else:
-            state.delete(p["u"], p["v"])
-    elif problem == "mst":
-        if event.op == "insert":
-            state.insert(p["u"], p["v"], p["cost"])
-        else:
-            state.delete(p["u"], p["v"])
-    elif problem == "loadbalance":
-        if event.op == "insert":
-            state.insert(p["job"], p["loads"])
-        else:
-            state.delete(p["job"])
-
-
 def run_problem(config: RunConfig, updates) -> list:
     """Replay an update sequence through adapter, chaser, and rounding.
 
@@ -343,7 +318,8 @@ def run_problem(config: RunConfig, updates) -> list:
 
     for index, event in enumerate(events):
         try:
-            _apply_event(problem, state, event)
+            # the adapters' parameter names are the event's JSON keys
+            getattr(state, event.op)(**event.payload)
         except AdapterError as exc:
             raise AdapterError("update %d: %s" % (index, exc)) from None
         driver.grow(state.dimension)
@@ -485,9 +461,10 @@ def _is_number(v) -> bool:
         and math.isfinite(float(v))
 
 
-def replicate(config: RunConfig, updates, runs: int | None = None) -> list:
-    """Independent seeded repetitions; aggregates the rounding metrics."""
-    runs = config.runs if runs is None else runs
+def replicate(config: RunConfig, updates) -> list:
+    """config.runs independent seeded repetitions; aggregates the rounding
+    metrics."""
+    runs = config.runs
     if runs < 2:
         raise FormatError("replicate needs runs >= 2")
     if isinstance(updates, str):

@@ -24,8 +24,9 @@ from bodychase.core import (
     RecourseLedger,
     covering_violated,
     packing_violated,
-    process_constraint,
+    project_and_record,
 )
+from bodychase.offline import RecourseLP, _constraint_rows, _normalize_stream
 
 
 def kl_objective(x_sub, prev_sub, w_sub, shift_sub):
@@ -139,7 +140,7 @@ def random_mixed_stream(rng, n, T, eps, coeff_lo=1.0, coeff_hi=8.0,
             row = HalfspaceConstraint.packing(coeffs)
         else:
             row = HalfspaceConstraint.covering(coeffs)
-        x = process_constraint(x, row, eps, ledger=ledger, log=log)
+        x = project_and_record(x, row, eps, ledger, log)[0]
         rows.append(row)
     return log, ledger, rows, w
 
@@ -192,6 +193,37 @@ def grid_recourse_dp(stream, weights, cells=64):
                     feasible &= (np.arange(cells + 1) == 0).reshape(shape)
         V = np.where(feasible, V, np.inf)
     return float(V.min())
+
+
+def build_full_lp(stream, weights) -> RecourseLP:
+    """The recourse LP exactly as stated in bodychase.offline: x_i^t and
+    l_i^t for every coordinate at every step (2nT variables). The
+    reference for the compressed form, which keeps x only where a row or
+    clamp names the coordinate."""
+    weights = np.asarray(weights, dtype=float)
+    steps = _normalize_stream(stream)
+    T, n = len(steps), weights.shape[0]
+    nx = T * n
+    nvar = 2 * nx
+    x_at = np.arange(nx).reshape(T, n)
+
+    c = np.zeros(nvar)
+    for t in range(T):
+        c[nx + t * n : nx + (t + 1) * n] = weights
+
+    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: x_at[t, i])
+    for t in range(T):
+        for i in range(n):
+            row = np.zeros(nvar)
+            row[x_at[t, i]] = 1.0
+            if t > 0:
+                row[x_at[t - 1, i]] = -1.0
+            row[nx + t * n + i] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+            kinds.append("move")
+    x_cols = {i: (list(range(T)), x_at[:, i]) for i in range(n)}
+    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds, x_cols)
 
 
 def covering_residuals(x_prev, c, eps, res):

@@ -16,7 +16,7 @@ from bodychase import (
     build_warmup_dual,
     certified_report,
     certify_run,
-    process_constraint,
+    project_and_record,
     project_covering,
     refine_ytilde,
 )
@@ -40,7 +40,7 @@ def run_single_covering():
     log = MultiplierLog(w)
     ledger = RecourseLedger()
     row = HalfspaceConstraint.covering({0: 2.0})
-    x = process_constraint(x, row, 1.0, ledger=ledger, log=log)
+    x = project_and_record(x, row, 1.0, ledger=ledger, log=log)[0]
     return x, log, ledger
 
 
@@ -82,7 +82,7 @@ def test_warmup_packing_only_clamps_to_zero():
     log = MultiplierLog(w)
     ledger = RecourseLedger()
     row = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
-    process_constraint(x, row, 0.5, ledger=ledger, log=log)
+    project_and_record(x, row, 0.5, ledger=ledger, log=log)
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.objective < 0.0
     assert cert.certified_bound == 0.0
@@ -120,8 +120,8 @@ def test_refined_budget_spends_on_latest_heavy_time():
     w = np.ones(1)
     x = FractionalPoint.zeros(1, w)
     log = MultiplierLog(w)
-    x = process_constraint(x, HalfspaceConstraint.covering({0: 100.0}), 1.0, log=log)
-    x = process_constraint(x, HalfspaceConstraint.covering({0: 1.0}), 1.0, log=log)
+    x = project_and_record(x, HalfspaceConstraint.covering({0: 100.0}), 1.0, log=log)[0]
+    x = project_and_record(x, HalfspaceConstraint.covering({0: 1.0}), 1.0, log=log)[0]
     y0 = log.steps[0].multiplier
     y1 = log.steps[1].multiplier
     ytilde = refine_ytilde(log, eps=1.0)
@@ -133,8 +133,8 @@ def test_refined_packing_time_changes_nothing():
     w = np.ones(2)
     x = FractionalPoint.zeros(2, w)
     log = MultiplierLog(w)
-    x = process_constraint(x, HalfspaceConstraint.covering({0: 1.0, 1: 1.0}), 0.5, log=log)
-    x = process_constraint(x, HalfspaceConstraint.packing({0: 4.0}), 0.5, log=log)
+    x = project_and_record(x, HalfspaceConstraint.covering({0: 1.0, 1: 1.0}), 0.5, log=log)[0]
+    x = project_and_record(x, HalfspaceConstraint.packing({0: 4.0}), 0.5, log=log)[0]
     ytilde = refine_ytilde(log, eps=0.5)
     assert ytilde[0] == log.steps[0].multiplier
     assert ytilde[1] == 0.0
@@ -145,11 +145,11 @@ def test_freeze_blocks_refined_but_not_warmup():
     x = FractionalPoint.zeros(1, w)
     log = MultiplierLog(w)
     ledger = RecourseLedger()
-    x = process_constraint(x, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)
+    x = project_and_record(x, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)[0]
     frozen = FractionalPoint.zeros(1, w)
     ledger.record_step(w, x.values, frozen.values)
     log.append_freeze([0], x.values, frozen.values)
-    x = process_constraint(frozen, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)
+    x = project_and_record(frozen, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)[0]
     with pytest.raises(CertificateError):
         refine_ytilde(log, eps=0.5)
     cert = build_warmup_dual(log, eps=0.5)
@@ -173,7 +173,7 @@ def test_zero_multiplier_arrivals_are_recorded():
     x = FractionalPoint([2.0], w)
     log = MultiplierLog(w)
     row = HalfspaceConstraint.covering({0: 1.0})
-    x2 = process_constraint(x, row, 0.5, log=log)
+    x2 = project_and_record(x, row, 0.5, log=log)[0]
     assert x2 is x
     assert log.horizon == 1
     assert log.steps[0].multiplier == 0.0

@@ -12,7 +12,7 @@ from bodychase import (
     build_refined_dual,
     build_warmup_dual,
     certify_run,
-    process_constraint,
+    project_and_record,
     refine_ytilde,
 )
 from bodychase.certify import check_dual_feasibility, max_window_sums
@@ -48,7 +48,7 @@ def stream_with_freezes(rng, n, T, eps):
             row = HalfspaceConstraint.packing({int(i): coeffs.get(int(i), 2.0) for i in live[:3]})
         else:
             row = HalfspaceConstraint.covering(coeffs)
-        x = process_constraint(x, row, eps, ledger=ledger, log=log)
+        x = project_and_record(x, row, eps, ledger=ledger, log=log)[0]
     return log
 
 
@@ -121,7 +121,7 @@ def test_log_stays_sparse():
     for t in range(40):
         sup = rng.choice(n, size=int(rng.integers(1, 9)), replace=False)
         row = HalfspaceConstraint.covering({int(i): float(rng.uniform(1.0, 4.0)) for i in sup})
-        x = process_constraint(x, row, eps, ledger=ledger, log=log)
+        x = project_and_record(x, row, eps, ledger=ledger, log=log)[0]
         support += sup.size
     x = apply_freeze(x, np.flatnonzero(x.values)[:3], ledger, log)
     support += 3

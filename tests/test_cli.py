@@ -155,3 +155,45 @@ def test_matching_updates_via_cli(tmp_path, capsys):
     # rounding needs the vertex budget in the header
     assert main(["matching", str(q), "--round", "on"]) == 2
     assert main(["matching", str(q)]) == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("certify", ["--no-certify"]),
+    ("offline-opt", ["--formulation", "full"]),
+    *[("setcover", f) for f in (["--eps", "0.025"], ["--weights", "w.txt"],
+                                ["--runs", "7"], ["--gamma", "2"])],
+    *[("matching", f) for f in (["--eps", "0.025"], ["--weights", "w.txt"],
+                                ["--runs", "7"], ["--gamma", "2"], ["--f", "3"])],
+    *[("mst", f) for f in (["--eps", "0.025"], ["--weights", "w.txt"],
+                           ["--runs", "7"], ["--f", "3"])],
+    *[("loadbalance", f) for f in (["--eps", "0.025"], ["--weights", "w.txt"],
+                                   ["--runs", "7"], ["--alpha", "2"], ["--gamma", "2"],
+                                   ["--f", "3"], ["--seed", "1"])],
+    ("replicate", ["--eps", "0.025"]),
+    ("replicate", ["--weights", "w.txt"]),
+])
+def test_flag_no_run_of_the_subcommand_reads_exits_2(command, flag, stream_file,
+                                                      cover_file, capsys):
+    source = stream_file if command in ("certify", "offline-opt") else cover_file
+    assert main([command, source, *flag]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: %s" % flag[0] in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("problem,header,event", [
+    ("setcover", {"sets": [{"cost": 1.0, "elements": [0]}]},
+     {"op": "insert", "elem": 0}),
+    ("mst", {"vertices": [0, 1]}, {"op": "insert", "u": 0, "v": 1}),
+    ("matching", {"n": 4}, {"op": "insert", "u": [0], "v": 1}),
+])
+def test_malformed_event_exits_2_with_one_error_line(problem, header, event,
+                                                     tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"problem": problem, **header}) + "\n"
+                    + json.dumps(event) + "\n")
+    assert main([problem, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s:2: " % path)
+    assert captured.err.count("\n") == 1

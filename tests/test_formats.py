@@ -134,3 +134,55 @@ def test_write_report_file_and_text(tmp_path):
     text = write_report([{"x": 1}, {"y": 2}], path=str(path))
     assert path.read_text() == text
     assert text == '{"x": 1}\n{"y": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "header,event,fragment",
+    [
+        ('{"problem": "setcover", "sets": []}', '{"op": "insert", "elem": 0}',
+         "'element' as a string or integer id"),
+        ('{"problem": "setcover", "sets": []}', '{"op": "delete", "element": 1.5}',
+         "'element' as a string or integer id"),
+        ('{"problem": "matching"}', '{"op": "insert", "u": [0], "v": 1}',
+         "'u' as a string or integer id"),
+        ('{"problem": "matching"}', '{"op": "delete", "u": true, "v": 1}',
+         "'u' as a string or integer id"),
+        ('{"problem": "matching"}', '{"op": "insert", "u": "a", "v": 1}',
+         "must both be strings or both integers"),
+        ('{"problem": "mst", "vertices": [0, 1]}', '{"op": "insert", "u": 0, "v": 1}',
+         "'cost' as a number"),
+        ('{"problem": "mst", "vertices": [0, 1]}',
+         '{"op": "insert", "u": 0, "v": 1, "cost": false}', "'cost' as a number"),
+        ('{"problem": "mst", "vertices": [0, 1]}',
+         '{"op": "insert", "u": 0, "v": 1, "cost": NaN}', "'cost' as a number"),
+        ('{"problem": "mst", "vertices": [0, 1]}', '{"op": "delete", "v": 1}',
+         "'u' as a string or integer id"),
+        ('{"problem": "loadbalance", "machines": ["m"]}', '{"op": "insert", "job": "j"}',
+         "'loads' as an object of numbers"),
+        ('{"problem": "loadbalance", "machines": ["m"]}',
+         '{"op": "insert", "job": "j", "loads": {"m": "1"}}', "'loads' as an object of numbers"),
+        ('{"problem": "loadbalance", "machines": ["m"]}', '{"op": "delete"}',
+         "'job' as a string or integer id"),
+    ],
+)
+def test_event_fields_are_checked(header, event, fragment):
+    with pytest.raises(FormatError) as err:
+        parse_updates([header, event], source="u.jsonl")
+    assert str(err.value).startswith("u.jsonl:2: ")
+    assert fragment in str(err.value)
+
+
+def test_event_payload_keeps_only_the_adapter_fields():
+    _, _, events = parse_updates([
+        '{"problem": "mst", "vertices": [0, 1]}',
+        '{"op": "insert", "u": 0, "v": 1, "cost": 2, "note": "x"}',
+        '{"op": "delete", "u": 0, "v": 1, "cost": 2}',
+    ])
+    assert [e.payload for e in events] == [{"u": 0, "v": 1, "cost": 2}, {"u": 0, "v": 1}]
+    _, _, events = parse_updates([
+        '{"problem": "loadbalance", "machines": ["m0", "m1"]}',
+        '{"op": "insert", "job": 3, "loads": {"m0": 1, "m1": 2.5}}',
+        '{"op": "delete", "job": 3, "loads": {}}',
+    ])
+    assert [e.payload for e in events] == [{"job": 3, "loads": {"m0": 1, "m1": 2.5}},
+                                           {"job": 3}]

@@ -13,14 +13,13 @@ from bodychase.offline import (
     Freeze,
     OfflineError,
     build_compressed_lp,
-    build_full_lp,
     solve_optimal_recourse,
     solve_recourse_lp,
     stream_from_log,
     verify_weak_duality,
 )
 
-from oracles import random_mixed_stream
+from oracles import build_full_lp, random_mixed_stream
 
 C = HalfspaceConstraint.covering
 P = HalfspaceConstraint.packing

@@ -1,5 +1,7 @@
 """End-to-end drivers: chase runs, problem replays, replication."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,7 +247,7 @@ def test_replicate_statistics_and_determinism():
     assert agg["l1_recourse_se"] == pytest.approx(0.0, abs=1e-12)
     assert "cover_cost_mean" in agg and "cover_cost_se" in agg
     with pytest.raises(Exception):
-        replicate(cfg, ("setcover", header, events), runs=1)
+        replicate(replace(cfg, runs=1), ("setcover", header, events))
 
 
 def test_oracle_cap_skips_offline_block():
@@ -258,19 +260,16 @@ def test_oracle_cap_skips_offline_block():
     assert summary_of(records)["ratio_vs_opt"] is None
 
 
-@pytest.mark.parametrize("formulation", ["compressed", "full"])
-def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch, formulation):
+def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
     from bodychase import offline, runner
 
     def build(stream, weights):
         raise AssertionError("an LP above the cap was built")
 
     monkeypatch.setattr(offline, "build_compressed_lp", build)
-    monkeypatch.setattr(offline, "build_full_lp", build)
     stream = parse_stream(["C %d:1" % i for i in range(6)])
     block = runner._offline_block(stream, np.ones(6), 3)
     assert block == {"kind": "offline", "opt": None,
                      "skipped": "LP has 12 variables, above the cap of 3"}
     with pytest.raises(offline.OracleCapExceeded):
-        offline.solve_optimal_recourse(stream, np.ones(6), formulation=formulation,
-                                       variable_cap=3)
+        offline.solve_optimal_recourse(stream, np.ones(6), variable_cap=3)
