@@ -73,7 +73,8 @@ class BodySnapshot:
 
 
 class SetCoverState:
-    """Fixed set system, dynamic universe of live elements."""
+    """Fixed set system, dynamic universe of live elements. Each element's
+    sets, covering row and cover LP column are built once."""
 
     def __init__(self, costs, memberships):
         self.costs = np.asarray(costs, dtype=float)
@@ -82,18 +83,26 @@ class SetCoverState:
         self.sets = [frozenset(s) for s in memberships]
         if len(self.sets) != self.costs.shape[0]:
             raise AdapterError("costs and memberships disagree in length")
+        self._holders = {u: tuple(i for i, s in enumerate(self.sets) if u in s)
+                         for u in set().union(*self.sets)}
+        self._frequency = max(map(len, self._holders.values()), default=0)
+        self.rows = {u: HalfspaceConstraint.covering(dict.fromkeys(ix, 1.0))
+                     for u, ix in self._holders.items()}
+        self._column = {u: j for j, u in enumerate(self._holders)}
+        self._incidence = np.array([[float(u in s) for u in self._holders] for s in self.sets])
         self.live: set = set()
+        self._basis = []  # last optimal LP basis, ("element", u) or ("slack", i); [] if none
+        self.lp_pivots = 0
 
     @property
     def dimension(self) -> int:
         return len(self.sets)
 
     def covering_sets(self, element):
-        return [i for i, s in enumerate(self.sets) if element in s]
+        return self._holders.get(element, ())
 
     def frequency(self) -> int:
-        universe = set().union(*self.sets) if self.sets else set()
-        return max((len(self.covering_sets(u)) for u in universe), default=0)
+        return self._frequency
 
     def insert(self, element):
         if element in self.live:
@@ -106,31 +115,33 @@ class SetCoverState:
         if element not in self.live:
             raise AdapterError("element %r is not live" % (element,))
         self.live.remove(element)
+        if ("element", element) in self._basis:
+            self._basis = []
 
     def fractional_opt(self) -> float:
-        """Exact optimum of the fractional cover LP over live elements."""
-        if not self.live:
+        """Exact optimum of the fractional cover LP over live elements, by its
+        dual max sum y_u s.t. sum_{u in S_i} y_u <= c_i, y >= 0, started from
+        the last optimal basis: an insert or a nonbasic delete keeps it feasible."""
+        live = sorted(self.live)
+        k, self.lp_pivots = len(live), 0
+        if not k:
             return 0.0
-        m = self.dimension
-        rows = []
-        for u in sorted(self.live):
-            row = np.zeros(m)
-            row[self.covering_sets(u)] = -1.0
-            rows.append(row)
-        res = solve_inequality_lp(self.costs, np.array(rows), -np.ones(len(rows)))
+        col = {u: j for j, u in enumerate(live)}
+        start = [col[key] if kind == "element" else k + key for kind, key in self._basis] or None
+        res = solve_inequality_lp(-np.ones(k),
+                                  self._incidence[:, [self._column[u] for u in live]],
+                                  self.costs, basis=start)
         if res.status != "optimal":
             raise AdapterError("cover LP reported %s" % res.status)
-        return float(res.objective)
+        self._basis = [("element", live[j]) if j < k else ("slack", j - k) for j in res.basis]
+        self.lp_pivots = res.iterations
+        return -float(res.objective)
 
 
 def setcover_body(state: SetCoverState, beta: float) -> BodySnapshot:
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for covering problems")
-    covering = []
-    for u in sorted(state.live):
-        covering.append(
-            HalfspaceConstraint.covering({i: 1.0 for i in state.covering_sets(u)})
-        )
+    covering = tuple(state.rows[u] for u in sorted(state.live))
     opt = state.fractional_opt()
     packing = []
     if opt > 0.0:
@@ -139,7 +150,7 @@ def setcover_body(state: SetCoverState, beta: float) -> BodySnapshot:
                 {i: float(c) / (beta * opt) for i, c in enumerate(state.costs)}
             )
         )
-    return BodySnapshot(tuple(covering), tuple(packing), (), state.dimension,
+    return BodySnapshot(covering, tuple(packing), (), state.dimension,
                         {"opt": opt, "beta": beta})
 
 

@@ -68,9 +68,9 @@ FLAGS = {
 # subcommand: (help, input argument, the flags some run of it reads)
 SUBCOMMANDS = {
     "chase": ("process a raw constraint stream", "stream",
-              "--delta --eps --seed --weights --report --oracle-cap --no-offline --no-certify"),
+              "--delta --eps --weights --report --oracle-cap --no-offline --no-certify"),
     "certify": ("chase a stream, print certificates", "stream",
-                "--delta --eps --seed --weights --report --oracle-cap --no-offline"),
+                "--delta --eps --weights --report --oracle-cap --no-offline"),
     "offline-opt": ("solve the offline recourse LP", "stream",
                     "--weights --report --oracle-cap --dump-trajectory"),
     "setcover": ("replay a dynamic setcover update file", "updates",
@@ -85,8 +85,7 @@ SUBCOMMANDS = {
     "loadbalance": ("replay a dynamic loadbalance update file", "updates",
                     "--delta --report --oracle-cap --no-offline --no-certify --beta"),
     "replicate": ("repeat a problem run across seeds", "updates",
-                  "--delta --seed --report --oracle-cap --no-offline --no-certify"
-                  " --alpha --beta --gamma --f --runs"),
+                  "--delta --seed --report --alpha --beta --gamma --f --runs"),
 }
 INPUT_HELP = {"stream": "constraint stream file", "updates": "JSON-lines update file"}
 ROUND_MODES = {"setcover": ("none", "det", "rand"), "matching": ("none", "on"),
@@ -118,7 +117,7 @@ def _config(args, problem: str = "chase") -> RunConfig:
     defaults stand for the flags it does not."""
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     return RunConfig(problem=problem, certify=not getattr(args, "no_certify", False),
-                     offline=not args.no_offline, **given)
+                     offline=not getattr(args, "no_offline", False), **given)
 
 
 def _emit(records, args) -> None:

@@ -173,9 +173,9 @@ _EVENT_KEYS = {
 }
 
 
-def _check_header_shape(problem, record, source, lineno):
-    # presence is already checked; reject wrong shapes before the
-    # adapters trip over them
+def _check_header_shape(problem, record, source, lineno) -> list:
+    """The ids the header names. Presence is already checked; wrong shapes
+    are rejected before the adapters trip over them."""
     if problem == "setcover":
         sets = record["sets"]
         if not isinstance(sets, list):
@@ -185,7 +185,8 @@ def _check_header_shape(problem, record, source, lineno):
                     or not isinstance(s.get("elements"), list)):
                 _fail(source, lineno,
                       "each set needs a numeric cost and an element list")
-    elif problem == "matching":
+        return [u for s in sets for u in s["elements"]]
+    if problem == "matching":
         n = record.get("n")
         if n is not None and (isinstance(n, bool)
                               or not isinstance(n, int) or n <= 0):
@@ -193,10 +194,23 @@ def _check_header_shape(problem, record, source, lineno):
     elif problem == "mst":
         if not isinstance(record["vertices"], list):
             _fail(source, lineno, "vertices must be a list of vertex ids")
+        return record["vertices"]
     elif problem == "loadbalance":
         machines = record["machines"]
         if not isinstance(machines, list) or not machines:
             _fail(source, lineno, "machines must be a nonempty list")
+    return []
+
+
+def _id_type(ids, seen, source, lineno):
+    """The one JSON type, str or int, of a file's ids: `seen` so far (None
+    before the first id), checked against `ids`."""
+    for v in ids:
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            _fail(source, lineno, "ids must be strings or integers, got %r" % (v,))
+        if type(v) is not (seen := seen or type(v)):
+            _fail(source, lineno, "id %r: a file's ids must be all strings or all integers" % (v,))
+    return seen
 
 
 def _event_payload(problem, op, record, source, lineno) -> dict:
@@ -228,6 +242,7 @@ def parse_updates(lines, source="<updates>"):
             lines = fh.readlines()
     header = None
     problem = None
+    id_type = None
     events = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -246,14 +261,17 @@ def parse_updates(lines, source="<updates>"):
             for key in _HEADER_KEYS[problem]:
                 if key not in record:
                     _fail(source, lineno, "%s header needs %r" % (problem, key))
-            _check_header_shape(problem, record, source, lineno)
+            id_type = _id_type(_check_header_shape(problem, record, source, lineno),
+                               id_type, source, lineno)
             header = record
             continue
         op = record.get("op")
         if op not in ("insert", "delete"):
             _fail(source, lineno, "event op must be insert or delete, got %r" % (op,))
-        events.append(UpdateEvent(problem, op,
-                                  _event_payload(problem, op, record, source, lineno)))
+        payload = _event_payload(problem, op, record, source, lineno)
+        id_type = _id_type([payload[key] for key in _EVENT_KEYS[problem][0]],
+                           id_type, source, lineno)
+        events.append(UpdateEvent(problem, op, payload))
     if header is None:
         _fail(source, 1, "empty update file: header record required")
     return problem, header, events

@@ -16,7 +16,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -77,21 +77,7 @@ class RunConfig:
         return BETA_DEFAULTS.get(self.problem, 1.0)
 
     def echo(self) -> dict:
-        return {
-            "problem": self.problem,
-            "delta": self.delta,
-            "eps": self.effective_eps(),
-            "alpha": self.alpha,
-            "beta": self.effective_beta(),
-            "gamma": self.gamma,
-            "f": self.f,
-            "seed": self.seed,
-            "runs": self.runs,
-            "round_mode": self.round_mode,
-            "certify": self.certify,
-            "offline": self.offline,
-            "oracle_cap": self.oracle_cap,
-        }
+        return {**asdict(self), "eps": self.effective_eps(), "beta": self.effective_beta()}
 
 
 def _meta(config: RunConfig, extra=None) -> dict:
@@ -345,6 +331,7 @@ def run_problem(config: RunConfig, updates) -> list:
         else:
             if problem == "setcover":
                 snap = setcover_body(state, beta)
+                row["lp_pivots"] = state.lp_pivots
             elif problem == "matching":
                 snap = matching_body(state, beta)
             else:
@@ -363,6 +350,8 @@ def run_problem(config: RunConfig, updates) -> list:
         records.append(row)
 
     summary = driver.summary()
+    if problem == "setcover":
+        summary["lp_pivots"] = sum(r["lp_pivots"] for r in records[1:])
     summary.update(_round_summary(problem, config, rounding))
     records.append(summary)
     return records
@@ -379,6 +368,9 @@ def _init_rounding(problem, state, header, config: RunConfig):
                                        state.dimension)
         elif mode != "det":
             raise FormatError("setcover round mode must be none, det, or rand")
+        if config.f is not None and config.f < state.frequency():
+            raise AdapterError("f=%d below the instance frequency %d"
+                               % (config.f, state.frequency()))
         return cover
     if problem == "matching":
         if mode != "on":
@@ -404,12 +396,8 @@ def _round_step(problem, state, driver, config: RunConfig, rounding, row) -> Non
         return
     if problem == "setcover":
         scaled = scaled_output(driver.x, config.delta)
-        f_eff = config.f if config.f is not None else state.frequency()
-        if f_eff < state.frequency():
-            raise AdapterError("f=%d below the instance frequency %d"
-                               % (f_eff, state.frequency()))
         if config.round_mode == "det":
-            round_det(scaled, rounding, f_eff)
+            round_det(scaled, rounding, state.frequency() if config.f is None else config.f)
         else:
             round_rand(scaled, rounding, config.alpha, state.dimension)
         row["cover_size"] = len(rounding.selected)
@@ -463,7 +451,7 @@ def _is_number(v) -> bool:
 
 def replicate(config: RunConfig, updates) -> list:
     """config.runs independent seeded repetitions; aggregates the rounding
-    metrics."""
+    metrics only, so the runs neither certify nor solve the offline LP."""
     runs = config.runs
     if runs < 2:
         raise FormatError("replicate needs runs >= 2")
@@ -473,12 +461,10 @@ def replicate(config: RunConfig, updates) -> list:
                "matching_recourse", "stabilizer_copy_recourse",
                "tree_cost", "tree_recourse", "sample_recourse",
                "upward_recourse", "l1_recourse")
+    config = replace(config, certify=False, offline=False)
     values: dict = {}
     for r in range(runs):
-        cfg = replace(config, seed=config.seed + r,
-                      offline=config.offline and r == 0,
-                      certify=config.certify and r == 0)
-        report = run_problem(cfg, updates)
+        report = run_problem(replace(config, seed=config.seed + r), updates)
         summary = report[-1]
         for key in tracked:
             if key in summary and _is_number(summary[key]):

@@ -36,6 +36,7 @@ class SimplexResult:
     iterations: int
     cs_residual: float
     duality_gap: float
+    basis: tuple = ()  # optimal basis, column indices into [G | I]
 
 
 def _pivot(work, obj, row, col):
@@ -91,8 +92,10 @@ def _run_phase(work, obj, basis, pivot_tol, max_iter):
     raise SimplexError("pivot budget exhausted after %d iterations" % max_iter)
 
 
-def solve_inequality_lp(c, G, h, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL,
-                        max_iter=None) -> SimplexResult:
+def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
+                        feas_tol=FEAS_TOL, max_iter=None) -> SimplexResult:
+    """`basis`, one column of [G | I] per row, needs h >= 0; phase 2 starts
+    there unless it is singular or infeasible, else at the slack basis."""
     c = np.asarray(c, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
@@ -103,6 +106,10 @@ def solve_inequality_lp(c, G, h, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL,
         raise ValueError("LP needs at least one row")
     if max_iter is None:
         max_iter = 10000 + 20 * (m + n)
+    start = None if basis is None else np.asarray(basis, dtype=np.int64)
+    if start is not None and ((h < 0.0).any() or start.shape != (m,)
+                              or start.min() < 0 or start.max() >= n + m):
+        raise ValueError("a starting basis needs h >= 0 and one column of [G | I] per row")
 
     # sign-fix rows so every right-hand side is nonnegative
     sign = np.where(h < 0.0, -1.0, 1.0)
@@ -121,6 +128,15 @@ def solve_inequality_lp(c, G, h, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL,
         basis[r] = n + r if sign[r] > 0.0 else 0
     for k, r in enumerate(art_rows):
         basis[r] = n + m + k
+    if start is not None:
+        try:  # the tableau in that basis, by one linear solve
+            table = np.linalg.solve(work[:, start], work)
+        except np.linalg.LinAlgError:  # singular
+            table = None
+        if table is not None and np.isfinite(table).all() and (table[:, -1] >= -feas_tol).all():
+            table[:, start] = np.eye(m)
+            table[:, -1] = np.clip(table[:, -1], 0.0, None)
+            work, basis = table, start.tolist()
 
     total_iter = 0
     if n_art:
@@ -195,4 +211,4 @@ def solve_inequality_lp(c, G, h, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL,
     cs_cols = float(np.max(np.abs(x * reduced))) if n else 0.0
     cs = max(cs_rows, cs_cols)
     gap = abs(objective - float(-h @ duals))
-    return SimplexResult("optimal", objective, x, duals, total_iter, cs, gap)
+    return SimplexResult("optimal", objective, x, duals, total_iter, cs, gap, tuple(basis))

@@ -27,6 +27,7 @@ from bodychase.core import (
     project_and_record,
 )
 from bodychase.offline import RecourseLP, _constraint_rows, _normalize_stream
+from bodychase.simplex import solve_inequality_lp
 
 
 def kl_objective(x_sub, prev_sub, w_sub, shift_sub):
@@ -511,3 +512,18 @@ def dense_max_window_sums(log: MultiplierLog, ytilde) -> np.ndarray:
         cur = np.where(cur > 0.0, cur + a[:, t], a[:, t])
         best = np.maximum(best, cur)
     return best
+
+
+def cold_cover_opt(state):
+    """The fractional cover LP over `state`'s live elements in its primal
+    form, min c.x s.t. every live element covered, x >= 0, solved cold by
+    two-phase simplex: the formulation `SetCoverState.fractional_opt`
+    replaced. Returns (optimum, pivots)."""
+    if not state.live:
+        return 0.0, 0
+    rows = np.zeros((len(state.live), state.dimension))
+    for r, u in enumerate(sorted(state.live)):
+        rows[r, list(state.covering_sets(u))] = -1.0
+    res = solve_inequality_lp(state.costs, rows, -np.ones(len(rows)))
+    assert res.status == "optimal"
+    return float(res.objective), res.iterations

@@ -19,7 +19,9 @@ from bodychase.adapters import (
     setcover_body,
 )
 from bodychase.core import FractionalPoint
+from bodychase.simplex import solve_inequality_lp
 
+from oracles import cold_cover_opt
 from test_graphs import brute_min_cut
 from test_simplex import enumerate_vertices
 
@@ -106,6 +108,51 @@ def test_setcover_fractional_opt_against_vertex_enumeration():
         h = np.concatenate([-np.ones(len(covered)), np.ones(m)])
         best = min(costs @ v for v in enumerate_vertices(G, h))
         assert state.fractional_opt() == pytest.approx(best, abs=1e-7), trial
+
+
+def test_setcover_warm_dual_matches_cold_primal_under_churn():
+    # every update against a cold solve of the primal cover LP, on set
+    # systems with identical sets, equal costs and elements held by one set
+    rng = np.random.default_rng(606)
+    warm_pivots = cold_pivots = cold_dual_pivots = 0
+    for trial in range(12):
+        m = int(rng.integers(3, 13))
+        universe = list(range(int(rng.integers(4, 16))))
+        sets = [{u for u in universe if rng.random() < 0.35} for _ in range(m - 1)]
+        sets.append(set(sets[int(rng.integers(m - 1))]))
+        sets[int(rng.integers(m))].add(len(universe))
+        costs = rng.choice([1.0, 1.5, 2.0], size=m)
+        state = SetCoverState(costs, sets)
+        covered = [u for u in universe + [len(universe)] if state.covering_sets(u)]
+        for step in range(60):
+            u = covered[int(rng.integers(len(covered)))]
+            (state.delete if u in state.live else state.insert)(u)
+            opt, pivots = cold_cover_opt(state)
+            assert state.fractional_opt() == pytest.approx(opt, rel=1e-9, abs=1e-12), \
+                (trial, step)
+            warm_pivots += state.lp_pivots
+            cold_pivots += pivots
+            if state.live:
+                dual = np.zeros((m, len(state.live)))
+                for j, u in enumerate(sorted(state.live)):
+                    dual[list(state.covering_sets(u)), j] = 1.0
+                cold_dual_pivots += solve_inequality_lp(-np.ones(dual.shape[1]), dual,
+                                                        costs).iterations
+    # the warm start, not only the dual form, saves the pivots
+    assert 0 < warm_pivots < cold_pivots
+    assert warm_pivots < cold_dual_pivots / 2
+
+
+def test_setcover_index_built_once():
+    state = SetCoverState([1.0, 2.0, 1.0], [{"a", "b"}, {"b"}, {"b", "c"}])
+    assert state.covering_sets("b") == (0, 1, 2)
+    assert state.covering_sets("z") == ()
+    assert state.frequency() == 3
+    state.insert("c")
+    state.insert("a")
+    snap = setcover_body(state, beta=2.0)
+    assert [row.as_dict() for row in snap.covering] == [{0: 1.0}, {2: 1.0}]
+    assert snap.covering[0] is state.rows["a"]
 
 
 def test_setcover_opt_monotone_under_deletion():

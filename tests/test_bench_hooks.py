@@ -3,8 +3,9 @@
 bench/tracing.py patches module attributes (core.project_covering, ...)
 from outside src/. A refactor that stops looking them up at call time
 would leave `--trace 1` counting nothing without any error, so this runs
-the tracer on a tiny matching replay, in a subprocess to keep its patches
-out of the other tests, and checks its counts against the report.
+the tracer on tiny matching and set cover replays, in a subprocess to keep
+its patches out of the other tests, and checks its counts against the
+report.
 """
 
 import json
@@ -22,6 +23,17 @@ MATCHING = "\n".join(json.dumps(r) for r in [
     {"op": "delete", "u": "a", "v": "b"},
 ]) + "\n"
 
+SETCOVER = "\n".join(json.dumps(r) for r in [
+    {"problem": "setcover", "sets": [{"cost": 1.0, "elements": [0, 1]},
+                                     {"cost": 2.0, "elements": [1, 2]},
+                                     {"cost": 1.5, "elements": [0, 2, 3]}]},
+    {"op": "insert", "element": 0},
+    {"op": "insert", "element": 2},
+    {"op": "insert", "element": 1},
+    {"op": "delete", "element": 0},
+    {"op": "insert", "element": 3},
+]) + "\n"
+
 SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -29,24 +41,37 @@ import tracing
 from bodychase import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
-rc = cli.main(["matching", sys.argv[3], "--round", "on", "--no-offline",
-               "--report", sys.argv[4]])
+rc = cli.main(json.loads(sys.argv[3]))
 print(json.dumps({"rc": rc, "counts": tracer.counts}))
 """
 
 
-def test_tracer_counts_every_projection(tmp_path):
-    updates, report = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
-    updates.write_text(MATCHING)
+def traced_replay(tmp_path, text, argv):
+    """The tracer's counts and the report's records of one CLI replay."""
+    updates, report = tmp_path / "u.jsonl", tmp_path / "r.jsonl"
+    updates.write_text(text)
+    argv = [argv[0], str(updates), *argv[1:], "--no-offline", "--report", str(report)]
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
-         str(updates), str(report)],
+         json.dumps(argv)],
         capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout)
     assert out["rc"] == 0
-    rows = [json.loads(line) for line in report.read_text().splitlines()]
-    rows = [r for r in rows if r["kind"] == "update"]
+    return out["counts"], [json.loads(line) for line in report.read_text().splitlines()]
+
+
+def test_tracer_counts_every_projection(tmp_path):
+    counts, records = traced_replay(tmp_path, MATCHING, ["matching", "--round", "on"])
+    rows = [r for r in records if r["kind"] == "update"]
     projections = sum(r["projections"] for r in rows)
     assert projections > 0
-    assert out["counts"].get("core.projections", 0) == projections
-    assert out["counts"].get("core.rootfind_iters", 0) == sum(r["rootfind_iterations"] for r in rows)
+    assert counts.get("core.projections", 0) == projections
+    assert counts.get("core.rootfind_iters", 0) == sum(r["rootfind_iterations"] for r in rows)
+
+
+def test_tracer_counts_every_cover_lp_pivot(tmp_path):
+    counts, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
+    total = records[-1]["lp_pivots"]
+    assert total > 0
+    assert total == sum(r["lp_pivots"] for r in records if r["kind"] == "update")
+    assert counts.get("simplex.adapters_pivots", 0) == total

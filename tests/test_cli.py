@@ -171,10 +171,17 @@ def test_matching_updates_via_cli(tmp_path, capsys):
                                    ["--f", "3"], ["--seed", "1"])],
     ("replicate", ["--eps", "0.025"]),
     ("replicate", ["--weights", "w.txt"]),
+    # replicate never certifies or solves the offline LP
+    ("replicate", ["--no-offline"]),
+    ("replicate", ["--no-certify"]),
+    ("replicate", ["--oracle-cap", "10"]),
+    # a stream chase draws nothing at random
+    ("chase", ["--seed", "1"]),
+    ("certify", ["--seed", "1"]),
 ])
 def test_flag_no_run_of_the_subcommand_reads_exits_2(command, flag, stream_file,
                                                       cover_file, capsys):
-    source = stream_file if command in ("certify", "offline-opt") else cover_file
+    source = stream_file if command in ("chase", "certify", "offline-opt") else cover_file
     assert main([command, source, *flag]) == 2
     captured = capsys.readouterr()
     assert "unrecognized arguments: %s" % flag[0] in captured.err
@@ -186,14 +193,35 @@ def test_flag_no_run_of_the_subcommand_reads_exits_2(command, flag, stream_file,
      {"op": "insert", "elem": 0}),
     ("mst", {"vertices": [0, 1]}, {"op": "insert", "u": 0, "v": 1}),
     ("matching", {"n": 4}, {"op": "insert", "u": [0], "v": 1}),
+    # ids of two JSON types in one file; `event` may list several events
+    ("setcover", {"sets": [{"cost": 1.0, "elements": [0, 1]}]},
+     {"op": "insert", "element": "1"}),
+    ("matching", {"n": 4}, [{"op": "insert", "u": 0, "v": 1},
+                            {"op": "insert", "u": "a", "v": "b"}]),
 ])
 def test_malformed_event_exits_2_with_one_error_line(problem, header, event,
                                                      tmp_path, capsys):
+    events = event if isinstance(event, list) else [event]
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"problem": problem, **header}) + "\n"
-                    + json.dumps(event) + "\n")
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in [{"problem": problem, **header}, *events]))
     assert main([problem, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: %s:2: " % path)
+    assert captured.err.startswith("error: %s:%d: " % (path, 1 + len(events)))
     assert captured.err.count("\n") == 1
+
+
+def test_f_below_the_instance_frequency_fails_before_any_update(cover_file, capsys,
+                                                                 monkeypatch):
+    from bodychase import runner
+
+    def body(state, beta):
+        raise AssertionError("an update ran before --f was checked")
+
+    monkeypatch.setattr(runner, "setcover_body", body)
+    # element 0 lies in two of the three sets
+    assert main(["setcover", cover_file, "--round", "det", "--f", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: f=1 below the instance frequency 2\n"
+    assert captured.out == ""

@@ -186,3 +186,40 @@ def test_event_payload_keeps_only_the_adapter_fields():
     ])
     assert [e.payload for e in events] == [{"job": 3, "loads": {"m0": 1, "m1": 2.5}},
                                            {"job": 3}]
+
+
+@pytest.mark.parametrize(
+    "lines,lineno",
+    [
+        # set cover: the header's element ids fix the file's id type
+        (['{"problem": "setcover", "sets": [{"cost": 1, "elements": [0, 1]}]}',
+          '{"op": "insert", "element": "0"}'], 2),
+        (['{"problem": "setcover", "sets": [{"cost": 1, "elements": [0, "a"]}]}'], 1),
+        (['{"problem": "setcover", "sets": [{"cost": 1, "elements": []}]}',
+          '{"op": "insert", "element": 0}', '{"op": "delete", "element": "0"}'], 3),
+        # matching: the first event fixes it
+        (['{"problem": "matching"}', '{"op": "insert", "u": 0, "v": 1}',
+          '{"op": "insert", "u": "a", "v": "b"}'], 3),
+        (['{"problem": "mst", "vertices": [0, "a"]}'], 1),
+        (['{"problem": "loadbalance", "machines": ["m"]}',
+          '{"op": "insert", "job": 0, "loads": {"m": 1}}',
+          '{"op": "insert", "job": "a", "loads": {"m": 1}}'], 3),
+    ],
+)
+def test_ids_share_one_json_type_per_file(lines, lineno):
+    with pytest.raises(FormatError) as err:
+        parse_updates(lines, source="u.jsonl")
+    assert str(err.value).startswith("u.jsonl:%d: " % lineno)
+    assert "all strings or all integers" in str(err.value)
+
+
+def test_header_ids_must_be_strings_or_integers():
+    for elements in ("[1.5]", "[true]", "[[0]]"):
+        with pytest.raises(FormatError, match="ids must be strings or integers"):
+            parse_updates(['{"problem": "setcover", "sets": [{"cost": 1, "elements": %s}]}'
+                           % elements])
+    _, header, events = parse_updates([
+        '{"problem": "setcover", "sets": [{"cost": 1, "elements": ["a", "b"]}]}',
+        '{"op": "insert", "element": "a"}',
+    ])
+    assert events[0].payload == {"element": "a"}

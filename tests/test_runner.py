@@ -155,6 +155,38 @@ def test_setcover_det_pipeline():
     assert summary_of(plain)["upward_recourse"] == pytest.approx(s["upward_recourse"])
 
 
+def test_setcover_rows_report_cover_lp_pivots():
+    events = _events("setcover", [("insert", {"element": 0}),
+                                  ("insert", {"element": 2}),
+                                  ("delete", {"element": 0}),
+                                  ("delete", {"element": 2}),
+                                  ("insert", {"element": 1})])
+    records = run_problem(RunConfig(problem="setcover"), ("setcover", SETCOVER_HEADER, events))
+    pivots = [u["lp_pivots"] for u in rows_of(records, "update")]
+    assert pivots[0] > 0
+    assert pivots[3] == 0  # nothing live
+    assert summary_of(records)["lp_pivots"] == sum(pivots)
+    matching = run_problem(RunConfig(problem="matching"),
+                           ("matching", {"problem": "matching"},
+                            _events("matching", [("insert", {"u": 0, "v": 1})])))
+    assert all("lp_pivots" not in r for r in matching)
+
+
+def test_replicate_runs_neither_certify_nor_solve_offline(monkeypatch):
+    from bodychase import runner
+
+    def fail(*args, **kwargs):
+        raise AssertionError("replicate ran a layer its aggregate does not read")
+
+    monkeypatch.setattr(runner, "certify_run", fail)
+    monkeypatch.setattr(runner, "_offline_block", fail)
+    events = _events("setcover", [("insert", {"element": 0}), ("insert", {"element": 1})])
+    cfg = RunConfig(problem="setcover", round_mode="rand", runs=2)
+    meta, agg = replicate(cfg, ("setcover", SETCOVER_HEADER, events))
+    assert meta["config"]["certify"] is False and meta["config"]["offline"] is False
+    assert agg["runs"] == 2 and "cover_cost_mean" in agg
+
+
 def test_setcover_f_below_frequency_rejected():
     events = _events("setcover", [("insert", {"element": 0})])
     cfg = RunConfig(problem="setcover", round_mode="det", f=1)

@@ -101,3 +101,42 @@ def test_matches_vertex_enumeration():
 def test_rejects_shape_mismatch():
     with pytest.raises((ValueError, SimplexError)):
         solve_inequality_lp(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+def test_optimal_basis_restarts_with_no_pivots():
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n = int(rng.integers(1, 4))
+        c, G, h = random_bounded_lp(rng, n)
+        if (h < 0).any():
+            continue
+        cold = solve_inequality_lp(c, G, h)
+        warm = solve_inequality_lp(c, G, h, basis=cold.basis)
+        assert warm.iterations == 0, trial
+        assert warm.basis == cold.basis
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert np.allclose(warm.duals, cold.duals, atol=1e-12)
+
+
+def _same_result(a, b):
+    assert a.objective == b.objective and a.iterations == b.iterations
+    assert np.array_equal(a.x, b.x) and a.basis == b.basis
+
+
+def test_singular_or_infeasible_basis_starts_cold():
+    # min -x - y  s.t.  x + y <= 2,  x - y <= 1
+    c, G, h = np.array([-1.0, -1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 1.0])
+    cold = solve_inequality_lp(c, G, h)
+    assert cold.objective == pytest.approx(-2.0)
+    # x twice is singular; {x, second slack} has x = 2 and that slack -1
+    for basis in ([0, 0], [0, 3]):
+        _same_result(solve_inequality_lp(c, G, h, basis=basis), cold)
+
+
+def test_basis_needs_nonnegative_h_and_one_column_per_row():
+    c, G = np.array([1.0]), np.array([[-1.0]])
+    with pytest.raises(ValueError):
+        solve_inequality_lp(c, G, np.array([-1.0]), basis=[1])
+    for basis in ([0, 1], [2], [-1]):
+        with pytest.raises(ValueError):
+            solve_inequality_lp(c, G, np.array([1.0]), basis=basis)
