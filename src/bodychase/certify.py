@@ -133,8 +133,9 @@ class MultiplierLog:
         self.weights = weights
 
     def _append(self, kind, indices, coeffs, multiplier, x_before, x_after) -> "MultiplierLog":
-        x_before = np.asarray(x_before, dtype=float)
-        x_after = np.asarray(x_after, dtype=float)
+        # the engine hands over arrays it built; only other sequences are wrapped
+        if type(x_before) is not np.ndarray or type(x_after) is not np.ndarray:
+            x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
         if not (x_before.shape == x_after.shape == indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
         t = len(self.steps)

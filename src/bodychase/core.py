@@ -20,6 +20,12 @@ multiplier; the optimum has the multiplicative closed form
 
 which the root finder inverts by safeguarded Newton steps on the log of
 the row's value, falling back to bisection of a doubling bracket.
+
+The projectors move nothing: they return the support's new values
+(`ProjectionResult.after`).  The engine (`project_and_record`, and so
+`chase_body`) owns the point and writes them into its `values` in place,
+so a step costs the row's support d, not the dimension n.  A caller that
+keeps a point across engine steps keeps a copy of its values.
 """
 
 from __future__ import annotations
@@ -99,8 +105,9 @@ class InfeasibleBodyError(ChaseError):
 class FractionalPoint:
     """Nonnegative vector with fixed per-coordinate movement weights.
 
-    `values` is owned by the instance; `weights` may be shared between
-    points of one run and is treated as immutable.
+    `values` is a copy owned by the instance and moved in place by the
+    engine; `weights` may be shared between points of one run and is
+    treated as immutable.
     """
 
     __slots__ = ("values", "weights")
@@ -195,9 +202,13 @@ class HalfspaceConstraint:
 
 @dataclass
 class ProjectionResult:
-    """Outcome of a single halfspace projection."""
+    """Outcome of a single halfspace projection.
 
-    point: FractionalPoint
+    `after` holds the row's support coordinates after the step, in the
+    order of the row's indices; no other coordinate moves.
+    """
+
+    after: np.ndarray
     multiplier: float
     iterations: int
     residual: float
@@ -216,14 +227,21 @@ class RecourseLedger:
         self.upward_total = 0.0
         self.l1_total = 0.0
 
-    def record_step(self, weights, before, after) -> "RecourseLedger":
+    def record_step(self, weights, before, after, sign=0) -> "RecourseLedger":
         """Append one step from the coordinates it moved: their weights and
-        their values before and after it."""
-        if not (np.shape(weights) == np.shape(before) == np.shape(after)):
+        their values before and after it.  sign = 1 (-1) promises that no
+        coordinate moved down (up), as in a covering (packing or freeze)
+        step; one weighted sum then gives both totals."""
+        before, after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+        if not (np.asarray(weights).shape == before.shape == after.shape):
             raise DimensionMismatch("weights, before and after must cover the same coordinates")
-        diff = np.asarray(after, dtype=float) - before
-        up = float(weights @ np.clip(diff, 0.0, None))
-        l1 = float(weights @ np.abs(diff))
+        diff = after - before
+        if sign:
+            moved = float(weights @ diff)
+            up, l1 = (moved, moved) if sign > 0 else (0.0, 0.0 - moved)
+        else:
+            up = float(weights @ np.clip(diff, 0.0, None))
+            l1 = float(weights @ np.abs(diff))
         self.steps.append((up, l1))
         self.upward_total += up
         self.l1_total += l1
@@ -278,19 +296,27 @@ def _root(g, total, rhs, tol, max_iter, increasing):
     )
 
 
-def _project(x_prev, row, shift, sign, level, tol, max_iter) -> ProjectionResult:
-    """Move the support of a violated row to (x + s) * exp(sign * rate * t) - s.
+def _project(x_prev, row, eps, tol, max_iter) -> ProjectionResult:
+    """Support values (x + s) * exp(sign * rate * t) - s of a violated row.
 
     rate = coeffs / weights, s is the covering shift (0 for packing) and
     sign is +1 for covering, -1 for packing; t >= 0 makes the row's value
     equal `level` (1, or 1 + eps for packing).  The result is clamped so a
     covering step only moves coordinates up and a packing step only down.
     """
-    idx = row.indices
     cvec = row.coeffs
-    xs = x_prev.values[idx]
-    base = xs + shift
-    rate = cvec / x_prev.weights[idx]
+    start = row.value_at(x_prev.values)
+    xs = x_prev.values[row.indices]
+    if row.kind is Kind.COVERING:
+        sign, level, shift = 1.0, 1.0, eps / (4.0 * row.sparsity * cvec)
+        violated = covering_violated(start)
+    else:
+        sign, level, shift = -1.0, 1.0 + eps, 0.0
+        violated = packing_violated(start, eps)
+    if not violated:
+        raise NotViolatedError("row not violated: value %.17g, bound %.17g" % (start, level))
+    base = xs + shift if sign > 0 else xs
+    rate = cvec / x_prev.weights[row.indices]
     # the exponents sign * rate * t are <= 0 for packing; only covering
     # ones can reach the cap
     top = float(rate.max()) if sign > 0 else 0.0
@@ -299,16 +325,16 @@ def _project(x_prev, row, shift, sign, level, tol, max_iter) -> ProjectionResult
 
     def residual(t: float):
         st = sign * t
-        exponent = np.minimum(rate * st, _EXP_CAP) if st > 0.0 else rate * st
-        terms = mass * np.exp(exponent)
-        slope = sign * float(terms @ rate) if st * top < _EXP_CAP else math.inf
+        uncapped = st * top < _EXP_CAP
+        exponent = rate * st if uncapped else np.minimum(rate * st, _EXP_CAP)
+        terms = mass * np.exp(exponent) if st else mass  # exp(0) is exactly 1
+        slope = sign * float(terms @ rate) if uncapped else math.inf
         return float(terms.sum()) - const - level, slope
 
     t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
-    new_sub = base * np.exp(rate * (sign * t)) - shift
-    values = x_prev.values.copy()
-    values[idx] = np.maximum(new_sub, xs) if sign > 0 else np.minimum(new_sub, xs)
-    return ProjectionResult(FractionalPoint(values, x_prev.weights), float(t), iters, resid)
+    new_sub = base * np.exp(rate * (sign * t))
+    after = np.maximum(new_sub - shift, xs) if sign > 0 else np.minimum(new_sub, xs)
+    return ProjectionResult(after, float(t), iters, resid)
 
 
 def project_covering(
@@ -322,19 +348,15 @@ def project_covering(
     """Project onto a violated covering halfspace `<c, x> >= 1`.
 
     Only coordinates on the row's support move, and they only move up.
-    Returns the new point together with the nonnegative multiplier y of
-    the tight constraint, the root-finder iteration count, and the final
-    absolute residual |<c, x> - 1|.
+    Returns their new values together with the nonnegative multiplier y
+    of the tight constraint, the root-finder iteration count, and the
+    final absolute residual |<c, x> - 1|.  `x_prev` is left unchanged.
     """
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    start = c.value_at(x_prev.values)
-    if not covering_violated(start):
-        raise NotViolatedError("row already satisfied: value %.17g" % start)
-    shift = eps / (4.0 * c.sparsity * c.coeffs)
-    return _project(x_prev, c, shift, 1.0, 1.0, tol, max_iter)
+    return _project(x_prev, c, eps, tol, max_iter)
 
 
 def project_packing(
@@ -355,13 +377,7 @@ def project_packing(
         raise ConstraintError("project_packing needs a packing row")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    rhs = 1.0 + eps
-    start = p.value_at(x_prev.values)
-    if not packing_violated(start, eps):
-        raise NotViolatedError(
-            "packing row not violated: value %.17g <= %.17g" % (start, rhs)
-        )
-    return _project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter)
+    return _project(x_prev, p, eps, tol, max_iter)
 
 
 def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
@@ -378,7 +394,7 @@ def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
 
 
 def project_and_record(
-    x_prev: FractionalPoint,
+    x: FractionalPoint,
     row: HalfspaceConstraint,
     eps: float,
     ledger: RecourseLedger | None = None,
@@ -386,55 +402,62 @@ def project_and_record(
 ) -> tuple[FractionalPoint, ProjectionResult | None]:
     """One step of the engine: project onto `row` if it is violated, and record.
 
+    The engine owns `x`: it writes the new support values into `x.values`
+    in place and returns `x`, so nothing of the point's size is copied or
+    scanned; a caller that keeps the point from before the step copies it.
     A satisfied row leaves the point alone (result None) and is still
     recorded, as a zero-multiplier step: its body row binds the offline
     benchmark, so the certificate log must carry it.  The ledger and the
     log get the step on the row's support, the only coordinates it can
-    move.
+    move, as the same `before` and `after` arrays.
     """
-    project = project_covering if row.kind is Kind.COVERING else project_packing
+    covering = row.kind is Kind.COVERING
+    project = project_covering if covering else project_packing
     try:
-        res = project(x_prev, row, eps)
+        res = project(x, row, eps)
     except NotViolatedError:
         res = None
-    x_new = x_prev if res is None else res.point
     idx = row.indices
-    before, after = x_prev.values[idx], x_new.values[idx]
+    before = x.values[idx]
+    after = before if res is None else res.after
+    x.values[idx] = after
     if ledger is not None:
-        ledger.record_step(x_prev.weights[idx], before, after)
+        ledger.record_step(x.weights[idx], before, after, 1 if covering else -1)
     if log is not None:
         log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
-    return x_new, res
+    return x, res
 
 
 class PositiveBody:
     """Explicit finite body: lists of covering and packing rows.
 
-    `find_violated` scans covering rows in insertion order, then packing
-    rows, and returns the first row outside the given tolerance band.
+    `find_violated` checks once that the point covers `max_index`, then
+    scans covering rows in insertion order, then packing rows, and returns
+    the first row outside the given tolerance band.
     The deterministic order makes chase runs replayable.
     """
 
     def __init__(self, covering=(), packing=()):
         self.covering: list[HalfspaceConstraint] = []
         self.packing: list[HalfspaceConstraint] = []
-        for row in covering:
-            self.add(row)
-        for row in packing:
+        self.max_index = -1
+        for row in (*covering, *packing):
             self.add(row)
 
     def add(self, row: HalfspaceConstraint) -> None:
-        if row.kind is Kind.COVERING:
-            self.covering.append(row)
-        else:
-            self.packing.append(row)
+        (self.covering if row.kind is Kind.COVERING else self.packing).append(row)
+        if row.max_index > self.max_index:
+            self.max_index = row.max_index
 
     def find_violated(self, values: np.ndarray, cover_floor: float, pack_ceiling: float):
+        if self.max_index >= values.shape[0]:
+            raise DimensionMismatch("body touches coordinate %d but the point has dimension %d"
+                                    % (self.max_index, values.shape[0]))
         for row in self.covering:
-            if row.value_at(values) < cover_floor:
+            if values[row.indices] @ row.coeffs < cover_floor:
                 return row
         for row in self.packing:
-            if row.value_at(values) > pack_ceiling:
+            if values[row.indices] @ row.coeffs > pack_ceiling:
                 return row
         return None
 
@@ -464,6 +487,7 @@ def chase_body(
     <= (1 + eps) + delta/10.  Use `scaled_output` on the returned point
     when full covering feasibility is required downstream.
 
+    `x_prev` is moved in place and returned (see `project_and_record`).
     Projections are appended to `ledger` and `log` when given.  Exceeding
     `max_rounds` raises InfeasibleBodyError carrying the last violated
     row: the body is empty or too tight for the tolerance.

@@ -103,7 +103,7 @@ def apply_freeze(x: FractionalPoint, indices, ledger=None, log=None) -> Fraction
     values = x.values.copy()
     values[idx] = 0.0
     if ledger is not None:
-        ledger.record_step(x.weights[idx], x.values[idx], values[idx])
+        ledger.record_step(x.weights[idx], x.values[idx], values[idx], -1)
     if log is not None:
         log.append_freeze(idx, x.values[idx], values[idx])
     return FractionalPoint(values, x.weights)
@@ -476,4 +476,6 @@ def replicate(config: RunConfig, updates) -> list:
         out[key + "_mean"] = float(arr.mean())
         if len(arr) > 1:
             out[key + "_se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    return [_meta(config, {"replications": runs}), out]
+    # the runs checked config.problem against the file's; echo the file's
+    # problem, and so its default beta
+    return [_meta(replace(config, problem=updates[0]), {"replications": runs}), out]

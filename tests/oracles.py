@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
-Nothing here calls into the solver's numerics: the point is to confirm
-the fast paths against slow, transparent computations.
+The references do not call into the solver's numerics, except the
+copying engine step, which shares core's root finder: the point is to
+confirm the fast paths against slow, transparent computations.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 import math
+from dataclasses import dataclass
 
 from bodychase.certify import MultiplierLog, StepKind
 from bodychase.core import (
@@ -20,8 +22,8 @@ from bodychase.core import (
     HalfspaceConstraint,
     Kind,
     NotViolatedError,
-    ProjectionResult,
     RecourseLedger,
+    _root,
     covering_violated,
     packing_violated,
     project_and_record,
@@ -227,22 +229,29 @@ def build_full_lp(stream, weights) -> RecourseLP:
     return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds, x_cols)
 
 
+def applied(x_prev, row, res) -> np.ndarray:
+    """A copy of x_prev's values with the projection `res` onto `row` applied."""
+    values = x_prev.values.copy()
+    values[row.indices] = res.after
+    return values
+
+
 def covering_residuals(x_prev, c, eps, res):
     """(tightness, multiplicative-form) residuals for a covering projection."""
     shift = eps / (4.0 * c.sparsity * c.coeffs)
-    xh_new = res.point.values[c.indices] + shift
+    xh_new = res.after + shift
     xh_old = x_prev.values[c.indices] + shift
     w = x_prev.weights[c.indices]
-    tight = abs(c.value_at(res.point.values) - 1.0)
+    tight = abs(float(res.after @ c.coeffs) - 1.0)
     mult = float(np.max(np.abs(w * np.log(xh_new / xh_old) - c.coeffs * res.multiplier)))
     return tight, mult
 
 
 def packing_residuals(x_prev, p, eps, res):
     old = x_prev.values[p.indices]
-    new = res.point.values[p.indices]
+    new = res.after
     w = x_prev.weights[p.indices]
-    tight = abs(p.value_at(res.point.values) - (1.0 + eps))
+    tight = abs(float(new @ p.coeffs) - (1.0 + eps))
     live = old > 0.0
     mult = 0.0
     if live.any():
@@ -287,6 +296,16 @@ def random_packing_case(rng, nmax=20, dmax=6, eps_choices=(0.0, 0.1, 0.5, 1.0)):
 # ---------------------------------------------------------------------------
 # Bracket-and-bisect projections: the root finder the Newton iteration in
 # core replaced, kept to check the multipliers and points against.
+
+
+@dataclass
+class PointResult:
+    """A reference projection's outcome: a whole new point."""
+
+    point: FractionalPoint
+    multiplier: float
+    iterations: int
+    residual: float
 
 
 def bisect_root(g, rhs, tol, max_iter, increasing, what):
@@ -337,7 +356,7 @@ def bisect_project_covering(
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-) -> ProjectionResult:
+) -> PointResult:
     """Project onto a violated covering halfspace `<c, x> >= 1`.
 
     Only coordinates on the row's support move, and they only move up.
@@ -373,7 +392,7 @@ def bisect_project_covering(
     values = x_prev.values.copy()
     values[idx] = new_sub
     point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(y), iters, resid)
+    return PointResult(point, float(y), iters, resid)
 
 
 def bisect_project_packing(
@@ -383,7 +402,7 @@ def bisect_project_packing(
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-) -> ProjectionResult:
+) -> PointResult:
     """Project onto `<p, x> <= 1 + eps` from a point that violates it.
 
     Support coordinates shrink multiplicatively; zero coordinates stay
@@ -415,7 +434,86 @@ def bisect_project_packing(
     values = x_prev.values.copy()
     values[idx] = new_sub
     point = FractionalPoint(values, x_prev.weights)
-    return ProjectionResult(point, float(z), iters, resid)
+    return PointResult(point, float(z), iters, resid)
+
+
+# ---------------------------------------------------------------------------
+# Copying engine step: the step the in-place engine in core replaced, which
+# builds a whole new point per row and records the ledger step with clip
+# and abs. Kept as the bit-for-bit reference for the fused step; it shares
+# core._root, so it checks everything around the root finder.
+
+
+def _copying_project(x_prev, row, shift, sign, level, tol, max_iter) -> PointResult:
+    idx = row.indices
+    cvec = row.coeffs
+    xs = x_prev.values[idx]
+    base = xs + shift
+    rate = cvec / x_prev.weights[idx]
+    # the exponents sign * rate * t are <= 0 for packing; only covering
+    # ones can reach the cap
+    top = float(rate.max()) if sign > 0 else 0.0
+    mass = cvec * base
+    const = float(cvec @ shift) if sign > 0 else 0.0
+
+    def residual(t: float):
+        st = sign * t
+        exponent = np.minimum(rate * st, _EXP_CAP) if st > 0.0 else rate * st
+        terms = mass * np.exp(exponent)
+        slope = sign * float(terms @ rate) if st * top < _EXP_CAP else math.inf
+        return float(terms.sum()) - const - level, slope
+
+    t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+    new_sub = base * np.exp(rate * (sign * t)) - shift
+    values = x_prev.values.copy()
+    values[idx] = np.maximum(new_sub, xs) if sign > 0 else np.minimum(new_sub, xs)
+    return PointResult(FractionalPoint(values, x_prev.weights), float(t), iters, resid)
+
+
+def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200) -> PointResult:
+    if c.kind is not Kind.COVERING:
+        raise ConstraintError("project_covering needs a covering row")
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    start = c.value_at(x_prev.values)
+    if not covering_violated(start):
+        raise NotViolatedError("row already satisfied: value %.17g" % start)
+    shift = eps / (4.0 * c.sparsity * c.coeffs)
+    return _copying_project(x_prev, c, shift, 1.0, 1.0, tol, max_iter)
+
+
+def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200) -> PointResult:
+    if p.kind is not Kind.PACKING:
+        raise ConstraintError("project_packing needs a packing row")
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
+    rhs = 1.0 + eps
+    start = p.value_at(x_prev.values)
+    if not packing_violated(start, eps):
+        raise NotViolatedError(
+            "packing row not violated: value %.17g <= %.17g" % (start, rhs)
+        )
+    return _copying_project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter)
+
+
+def copying_project_and_record(x_prev, row, eps, ledger=None, log=None):
+    """(new point, PointResult or None); x_prev is left unchanged."""
+    if row.kind is Kind.COVERING:
+        project = copying_project_covering
+    else:
+        project = copying_project_packing
+    try:
+        res = project(x_prev, row, eps)
+    except NotViolatedError:
+        res = None
+    x_new = x_prev if res is None else res.point
+    idx = row.indices
+    before, after = x_prev.values[idx], x_new.values[idx]
+    if ledger is not None:
+        ledger.record_step(x_prev.weights[idx], before, after)
+    if log is not None:
+        log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
+    return x_new, res
 
 
 # ---------------------------------------------------------------------------

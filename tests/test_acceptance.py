@@ -48,6 +48,7 @@ from bodychase.round_matching import MaintainedMatching, Stabilizer, maintain_ma
 from bodychase.round_mst import DynamicTree, MstSampler, mst_sampler_step, repair_tree
 from bodychase.round_setcover import CoverState, init_clocks, round_det, round_rand
 from oracles import (
+    applied,
     covering_residuals,
     grid_recourse_dp,
     packing_residuals,
@@ -94,7 +95,7 @@ def test_criterion_1_kkt_and_brute_force():
             x0, row, eps = random_packing_case(rng, nmax=3, dmax=3)
             res = project_packing(x0, row, eps)
         ref = brute_project(x0.values, x0.weights, row, eps)
-        gap = float(np.max(np.abs(res.point.values - ref)))
+        gap = float(np.max(np.abs(applied(x0, row, res) - ref)))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6
     elapsed = time.perf_counter() - t0

@@ -97,7 +97,7 @@ def test_warmup_r_is_weight_at_origin():
     x = FractionalPoint.zeros(2, w)
     row = HalfspaceConstraint.covering({0: 1.0})
     res = project_covering(x, row, 0.5)
-    log.append_projection(row, res.multiplier, x.values[row.indices], res.point.values[row.indices])
+    log.append_projection(row, res.multiplier, x.values[row.indices], res.after)
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.r_bar.at(1, 0) == 3.0
     assert cert.r_bar.at(0, 0) == 1.0

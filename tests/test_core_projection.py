@@ -13,6 +13,7 @@ from bodychase import (
     project_packing,
 )
 from oracles import (
+    applied,
     brute_project,
     covering_residuals,
     kl_objective,
@@ -39,7 +40,7 @@ def test_covering_symmetric_pair():
     x0 = FractionalPoint.zeros(2)
     c = HalfspaceConstraint.covering({0: 1.0, 1: 1.0})
     res = project_covering(x0, c, eps=1.0)
-    assert res.point.values == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert res.after == pytest.approx([0.5, 0.5], abs=1e-9)
     assert res.multiplier >= 0.0
 
 
@@ -48,7 +49,7 @@ def test_covering_singleton_multiplier():
     x0 = FractionalPoint.zeros(1)
     c = HalfspaceConstraint.covering({0: 2.0})
     res = project_covering(x0, c, eps=1.0)
-    assert res.point.values[0] == pytest.approx(0.5, abs=1e-9)
+    assert res.after[0] == pytest.approx(0.5, abs=1e-9)
     assert res.multiplier == pytest.approx(np.log(5.0) / 2.0, abs=1e-9)
 
 
@@ -56,15 +57,15 @@ def test_covering_leaves_off_support_alone():
     x0 = FractionalPoint([0.6, 0.0])
     c = HalfspaceConstraint.covering({1: 1.0})
     res = project_covering(x0, c, eps=0.5)
-    assert res.point.values[0] == 0.6
-    assert res.point.values[1] == pytest.approx(1.0, abs=1e-9)
+    assert applied(x0, c, res)[0] == 0.6
+    assert applied(x0, c, res)[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_packing_symmetric_scale():
     x0 = FractionalPoint([1.0, 1.0])
     p = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
     res = project_packing(x0, p, eps=0.5)
-    assert res.point.values == pytest.approx([0.75, 0.75], abs=1e-9)
+    assert res.after == pytest.approx([0.75, 0.75], abs=1e-9)
 
 
 def test_packing_uniform_factor():
@@ -72,7 +73,7 @@ def test_packing_uniform_factor():
     p = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
     res = project_packing(x0, p, eps=0.0)
     assert res.multiplier == pytest.approx(np.log(3.0), abs=1e-9)
-    assert res.point.values == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
+    assert res.after == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
 
 
 def test_packing_boundary_is_not_violated():
@@ -131,10 +132,10 @@ def test_random_covering_kkt_and_monotonicity():
         assert mult <= KKT_TOL
         assert res.multiplier >= 0.0
         # never moves down, never touches the complement of the support
-        assert np.all(res.point.values >= x0.values - 1e-15)
+        assert np.all(applied(x0, c, res) >= x0.values - 1e-15)
         off = np.setdiff1d(np.arange(x0.dim), c.indices)
-        assert np.array_equal(res.point.values[off], x0.values[off])
-        assert full_divergence(x0, c, eps, res.point.values) >= -1e-12
+        assert np.array_equal(applied(x0, c, res)[off], x0.values[off])
+        assert full_divergence(x0, c, eps, applied(x0, c, res)) >= -1e-12
 
 
 def test_random_packing_kkt_and_monotonicity():
@@ -146,12 +147,12 @@ def test_random_packing_kkt_and_monotonicity():
         assert tight <= KKT_TOL
         assert mult <= KKT_TOL
         assert res.multiplier >= 0.0
-        assert np.all(res.point.values <= x0.values + 1e-15)
+        assert np.all(applied(x0, p, res) <= x0.values + 1e-15)
         zero = x0.values[p.indices] == 0.0
-        assert np.all(res.point.values[p.indices][zero] == 0.0)
+        assert np.all(res.after[zero] == 0.0)
         off = np.setdiff1d(np.arange(x0.dim), p.indices)
-        assert np.array_equal(res.point.values[off], x0.values[off])
-        assert full_divergence(x0, p, eps, res.point.values) >= -1e-12
+        assert np.array_equal(applied(x0, p, res)[off], x0.values[off])
+        assert full_divergence(x0, p, eps, applied(x0, p, res)) >= -1e-12
 
 
 def test_matches_brute_minimizer_small():
@@ -160,9 +161,9 @@ def test_matches_brute_minimizer_small():
         x0, c, eps = random_covering_case(rng, nmax=3, dmax=3)
         res = project_covering(x0, c, eps)
         ref = brute_project(x0.values, x0.weights, c, eps)
-        assert np.max(np.abs(res.point.values - ref)) <= 1e-6
+        assert np.max(np.abs(applied(x0, c, res) - ref)) <= 1e-6
     for _ in range(25):
         x0, p, eps = random_packing_case(rng, nmax=3, dmax=3)
         res = project_packing(x0, p, eps)
         ref = brute_project(x0.values, x0.weights, p, eps)
-        assert np.max(np.abs(res.point.values - ref)) <= 1e-6
+        assert np.max(np.abs(applied(x0, p, res) - ref)) <= 1e-6

@@ -282,6 +282,20 @@ def test_replicate_statistics_and_determinism():
         replicate(replace(cfg, runs=1), ("setcover", header, events))
 
 
+@pytest.mark.parametrize("given, beta", [(RunConfig(), 2.0), (RunConfig(beta=3.0), 3.0)])
+def test_replicate_meta_echoes_the_file_problem_and_its_beta(given, beta):
+    events = _events("setcover", [("insert", {"element": 0}), ("insert", {"element": 2})])
+    cfg = replace(given, round_mode="rand", runs=2)
+    meta, agg = replicate(cfg, ("setcover", SETCOVER_HEADER, events))
+    assert meta["config"]["problem"] == "setcover"
+    assert meta["config"]["beta"] == beta
+    # the runs themselves read the same config
+    run_meta = run_problem(replace(cfg, seed=0, certify=False, offline=False),
+                           ("setcover", SETCOVER_HEADER, events))[0]
+    assert run_meta["config"] == {**meta["config"], "seed": 0}
+    assert agg["seeds"] == [0, 1]
+
+
 def test_oracle_cap_skips_offline_block():
     stream = parse_stream(["C %d:1" % i for i in range(6)])
     records = run_chase(RunConfig(oracle_cap=3), stream)
