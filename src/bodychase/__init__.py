@@ -28,7 +28,6 @@ from .adapters import (
     UpdateEvent,
     loadbalance_body,
     matching_body,
-    mst_separation,
     setcover_body,
 )
 from .certify import (
@@ -67,8 +66,6 @@ from .offline import (
     OfflineError,
     OracleCapExceeded,
     solve_optimal_recourse,
-    stream_from_log,
-    verify_weak_duality,
 )
 from .runner import RunConfig, replicate, run_chase, run_problem
 
@@ -108,7 +105,6 @@ __all__ = [
     "chase_body",
     "loadbalance_body",
     "matching_body",
-    "mst_separation",
     "parse_stream",
     "parse_updates",
     "parse_weights",
@@ -122,8 +118,6 @@ __all__ = [
     "scaled_output",
     "setcover_body",
     "solve_optimal_recourse",
-    "stream_from_log",
-    "verify_weak_duality",
     "write_report",
     "__version__",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "LoadBalanceState",
     "loadbalance_body",
     "MstState",
-    "mst_separation",
 ]
 
 EXHAUSTIVE_JOB_LIMIT = 12
@@ -433,11 +432,3 @@ class MstState:
         if row.value_at(values) > pack_ceiling:
             return row
         return None
-
-
-def mst_separation(state: MstState, x, beta: float, threshold: float):
-    """Single-threshold form: covering below 1 - threshold, packing above
-    1 + threshold."""
-    return state.separation(np.asarray(x.values if hasattr(x, "values") else x,
-                                       dtype=float),
-                            1.0 - threshold, 1.0 + threshold, beta)

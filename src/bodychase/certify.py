@@ -22,16 +22,17 @@ clamp-free logs and refuses others.
 
 Everything is computed per coordinate over its appearances, the steps
 whose support holds it: elsewhere x_i does not move, rbar_i does not
-change and the dual row is identically 0.
+change and the dual row is identically 0. The log stores only its steps;
+`MultiplierLog.entries` derives that per-coordinate view once per horizon.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -87,21 +88,15 @@ class LogStep:
 class MultiplierLog:
     """Ordered record of projections and clamps along one run.
 
-    Each step keeps only its support (see LogStep); `appearances` maps
-    each coordinate to the times of the steps whose support holds it.
-    The log also tracks per-coordinate extreme covering coefficients and
-    the largest covering support size. The coordinate space may grow
-    during a run.
+    The log holds the movement weights and its steps, each on its support
+    only (see LogStep); the coordinate space may grow during a run.
+    Everything per coordinate is derived from the steps by `entries()`.
     """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
         self.steps: list[LogStep] = []
-        self.appearances: dict[int, list[int]] = {}
-        self._cmax: dict[int, float] = {}
-        self._cmin: dict[int, float] = {}
-        self.sparsity = 0  # largest covering support
-        self.freeze_count = 0
+        self._entries = None
 
     @property
     def n(self) -> int:
@@ -111,20 +106,12 @@ class MultiplierLog:
     def horizon(self) -> int:
         return len(self.steps)
 
-    @property
-    def has_freeze(self) -> bool:
-        return self.freeze_count > 0
-
-    @property
-    def aspect_ratio(self) -> float:
-        if not self._cmax:
-            return 0.0
-        return max(self._cmax[i] / self._cmin[i] for i in self._cmax)
-
-    def coeff_max(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[list(self._cmax)] = list(self._cmax.values())
-        return out
+    def entries(self) -> "_Entries":
+        """The steps laid out by coordinate. Steps are only ever appended,
+        so the view is built once per horizon."""
+        if self._entries is None or self._entries.horizon != len(self.steps):
+            self._entries = _Entries(self.steps)
+        return self._entries
 
     def extend_weights(self, weights) -> None:
         weights = np.asarray(weights, dtype=float)
@@ -138,9 +125,6 @@ class MultiplierLog:
             x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
         if not (x_before.shape == x_after.shape == indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
-        t = len(self.steps)
-        for i in indices.tolist():
-            self.appearances.setdefault(i, []).append(t)
         self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
         return self
 
@@ -149,11 +133,6 @@ class MultiplierLog:
         if multiplier < 0.0:
             raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
         kind = StepKind.COVERING if row.kind is Kind.COVERING else StepKind.PACKING
-        if kind is StepKind.COVERING:
-            self.sparsity = max(self.sparsity, row.sparsity)
-            for i, v in zip(row.indices.tolist(), row.coeffs.tolist()):
-                self._cmax[i] = max(self._cmax.get(i, v), v)
-                self._cmin[i] = min(self._cmin.get(i, v), v)
         return self._append(kind, row.indices, row.coeffs, multiplier, x_before, x_after)
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
@@ -161,7 +140,6 @@ class MultiplierLog:
         idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
-        self.freeze_count += 1
         return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
                             np.asarray(x_before, dtype=float)[first],
                             np.asarray(x_after, dtype=float)[first])
@@ -173,16 +151,16 @@ class MovementDuals:
 
     `start[i]` is rbar_i^t up to and including the first appearance of i
     (at every t if i never appears); `after[i][j]` is its value after
-    appearance j, up to and including the next one.
+    appearance j, up to and including the next one, along `entries`.
     """
 
     start: np.ndarray
     after: dict
-    appearances: dict
+    entries: "_Entries"
 
     def at(self, i: int, t: int) -> float:
         """rbar_i^t, for 0 <= t < T."""
-        j = bisect_left(self.appearances.get(i, ()), t)
+        j = bisect_left(self.entries.appearances.get(i, ()), t)
         return float(self.start[i] if j == 0 else self.after[i][j - 1])
 
 
@@ -204,32 +182,53 @@ class DualCertificate:
 
 
 class _Entries:
-    """The log's appearance lists laid end to end, by coordinate then time:
-    per entry the step's kind, the coordinate's coefficient and its values
-    before and after the step."""
+    """A log's steps laid out by coordinate, then time. Per entry: the step's
+    kind, the coordinate's coefficient, its values before and after, and
+    `cmax`, its largest covering coefficient (0 if none). Per step:
+    `step_kind`, and `y` and `z`, the covering and packing multipliers (0
+    elsewhere). Over the log: `sparsity` (largest covering support),
+    `aspect_ratio` (largest cmax/cmin, 0.0 if none) and `freeze_count`."""
 
-    def __init__(self, log: MultiplierLog):
-        self.keys = keys = sorted(log.appearances)
-        times = [log.appearances[i] for i in keys]
-        self.coord = np.repeat(np.array(keys, dtype=np.int64), [len(t) for t in times])
-        self.time = np.fromiter(chain.from_iterable(times), np.int64, self.coord.shape[0])
-        self.first = np.diff(self.coord, prepend=-1) != 0
-        self.last = np.roll(self.first, -1)
-        steps = log.steps
-        self.kind = np.array([s.kind.value for s in steps], dtype="<U1")[self.time]
+    def __init__(self, steps: list[LogStep]):
+        self.horizon = T = len(steps)
+        self.step_kind = step_kind = np.array([s.kind.value for s in steps], dtype="<U1")
+        size = np.fromiter((s.indices.shape[0] for s in steps), np.int64, T)
+        multiplier = np.fromiter((s.multiplier for s in steps), float, T)
+        covering = step_kind == "C"
+        self.y = np.where(covering, multiplier, 0.0)
+        self.z = np.where(step_kind == "P", multiplier, 0.0)
+        self.sparsity = int(size[covering].max()) if covering.any() else 0
+        self.freeze_count = int(np.count_nonzero(step_kind == "F"))
 
         def joined(field, dtype=float):
             return np.concatenate([getattr(s, field) for s in steps] + [np.zeros(0, dtype)])
 
+        # a support names each coordinate once and steps are in time order,
+        # so a stable sort of the flat indices orders by coordinate, then time
         flat = joined("indices", np.int64)
-        step_of = np.repeat(np.arange(len(steps)), [s.indices.shape[0] for s in steps])
-        # supports are sorted, so (step, coordinate) keys ascend along the
-        # concatenated supports and each entry finds its place by bisection
-        span = int(flat.max()) + 1 if flat.size else 1
-        at = np.searchsorted(step_of * span + flat, self.time * span + self.coord)
-        self.coeff = joined("coeffs")[at]
-        self.x_before = joined("x_before")[at]
-        self.x_after = joined("x_after")[at]
+        order = np.argsort(flat, kind="stable")
+        self.coord = flat[order]
+        self.time = np.repeat(np.arange(T), size)[order]
+        self.kind = step_kind[self.time]
+        self.coeff = joined("coeffs")[order]
+        self.x_before = joined("x_before")[order]
+        self.x_after = joined("x_after")[order]
+        self.first = np.diff(self.coord, prepend=-1) != 0
+        self.last = np.roll(self.first, -1)
+        starts = np.flatnonzero(self.first)
+        self.keys = self.coord[starts].tolist()
+        # coefficients are positive, so a coordinate no covering row names gets cmax 0
+        cov = self.kind == "C"
+        top = np.maximum.reduceat(np.where(cov, self.coeff, 0.0), starts)
+        low = np.minimum.reduceat(np.where(cov, self.coeff, np.inf), starts)
+        ratio = (top / low)[top > 0.0]
+        self.aspect_ratio = float(ratio.max()) if ratio.size else 0.0
+        self.cmax = np.repeat(top, np.diff(starts, append=self.coord.size))
+
+    @cached_property
+    def appearances(self) -> dict:
+        """Per appearing coordinate, the times of the steps whose support holds it."""
+        return self.per_coordinate(self.time)
 
     def movement(self, y, z) -> np.ndarray:
         """c_i^t y^t on covering entries, -p_i^t z^t on the others (clamps have c = 0)."""
@@ -237,13 +236,6 @@ class _Entries:
 
     def per_coordinate(self, values: np.ndarray) -> dict:
         return dict(zip(self.keys, np.split(values, np.flatnonzero(self.first)[1:])))
-
-
-def _multipliers(log: MultiplierLog):
-    """Per step, y (covering multipliers, 0 elsewhere) and z (packing)."""
-    y = np.array([s.multiplier if s.kind is StepKind.COVERING else 0.0 for s in log.steps])
-    z = np.array([s.multiplier if s.kind is StepKind.PACKING else 0.0 for s in log.steps])
-    return y, z
 
 
 def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDuals) -> float:
@@ -255,7 +247,7 @@ def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDual
     constraint whose multiplier can absorb any excess.
     """
     n, T = log.n, log.horizon
-    e = _Entries(log)
+    e = log.entries()
     after = np.concatenate([r_bar.after[i] for i in e.keys] + [np.zeros(0)])
     r_now = np.where(e.first, r_bar.start[e.coord], np.roll(after, 1))
     inner = e.time < T - 1
@@ -286,21 +278,20 @@ def build_warmup_dual(log: MultiplierLog, eps: float) -> DualCertificate:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    d = max(1, log.sparsity)
-    A = math.log1p(4.0 * d * max(1.0, log.aspect_ratio) / eps)
-    y, z = _multipliers(log)
-    y_bar = y / A
-    z_bar = z / A
-    e = _Entries(log)
+    e = log.entries()
+    d = max(1, e.sparsity)
+    A = math.log1p(4.0 * d * max(1.0, e.aspect_ratio) / eps)
+    y_bar = e.y / A
+    z_bar = e.z / A
     w = log.weights[e.coord]
-    scale = 4.0 * d * log.coeff_max()[e.coord]
+    scale = 4.0 * d * e.cmax
 
     def r(x):
         return w * (1.0 - np.log1p(scale * x / eps) / A)
 
     start = log.weights.copy()
     start[e.coord[e.first]] = r(e.x_before)[e.first]
-    r_bar = MovementDuals(start, e.per_coordinate(r(e.x_after)), log.appearances)
+    r_bar = MovementDuals(start, e.per_coordinate(r(e.x_after)), e)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     return DualCertificate("warmup", A, y_bar, z_bar, r_bar, None, objective, violation)
@@ -323,10 +314,10 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if log.has_freeze:
+    freezes = log.entries().freeze_count
+    if freezes:
         raise CertificateError(
-            "refined certificate requires a clamp-free log (%d freezes present)"
-            % log.freeze_count
+            "refined certificate requires a clamp-free log (%d freezes present)" % freezes
         )
     T = log.horizon
     ytilde = np.zeros(T)
@@ -344,16 +335,13 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
             threshold = 10.0 * len(support) * c_il / eps
             seen = appearances.get(i, ())
             candidates = [(tau, c) for tau, c in seen if c >= threshold and ytilde[tau] > 0.0]
-            k = len(candidates) - 1
-            while budget > 0.0 and k >= 0:
-                tau, c_tau = candidates[k]
+            for tau, c_tau in reversed(candidates):
+                if budget <= 0.0:
+                    break
                 take = min(ytilde[tau], budget / c_tau)
                 budget -= c_tau * take
-                if take > drops.get(tau, 0.0):
-                    drops[tau] = take
-                if take >= ytilde[tau]:
-                    k -= 1
-                else:
+                drops[tau] = max(drops.get(tau, 0.0), take)
+                if take < ytilde[tau]:
                     break
         ytilde[ell] = y_ell
         for tau, amount in drops.items():
@@ -378,8 +366,8 @@ def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
     T = log.horizon
     # a coordinate's term is 0 off its appearances, so windows of them alone sum to 0
     best = np.full(log.n, 0.0 if T else -np.inf)
-    e = _Entries(log)
-    a = e.movement(ytilde, _multipliers(log)[1]).tolist()
+    e = log.entries()
+    a = e.movement(ytilde, e.z).tolist()
     for i, t, a_t, first, last in zip(e.coord.tolist(), e.time.tolist(), a,
                                       e.first.tolist(), e.last.tolist()):
         if first:
@@ -398,7 +386,7 @@ def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
 
 def check_ineq1(log: MultiplierLog, ytilde: np.ndarray, eps: float):
     """(worst excess over the window bound, offending coordinate)."""
-    d = max(1, log.sparsity)
+    d = max(1, log.entries().sparsity)
     bound = log.weights * math.log1p(40.0 * d * d / (eps * eps))
     if log.horizon == 0:
         return 0.0, -1
@@ -409,8 +397,7 @@ def check_ineq1(log: MultiplierLog, ytilde: np.ndarray, eps: float):
 
 def check_ineq2(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> float:
     """How far sum(ytilde) falls below (1 - eps/10) sum(y); <= 0 is good."""
-    y, _ = _multipliers(log)
-    return float((1.0 - eps / 10.0) * y.sum() - ytilde.sum())
+    return float((1.0 - eps / 10.0) * log.entries().y.sum() - ytilde.sum())
 
 
 def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> DualCertificate:
@@ -423,15 +410,14 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     r_bar <= w_i by the window bound; both are still verified and
     violations abort.
     """
-    if log.has_freeze:
+    e = log.entries()
+    if e.freeze_count:
         raise CertificateError("refined certificate requires a clamp-free log")
-    d = max(1, log.sparsity)
+    d = max(1, e.sparsity)
     A = math.log1p(40.0 * d * d / (eps * eps))
-    _, z = _multipliers(log)
     y_bar = np.asarray(ytilde, dtype=float) / A
-    z_bar = z / A
-    e = _Entries(log)
-    a, last = e.movement(ytilde, z).tolist(), e.last.tolist()
+    z_bar = e.z / A
+    a, last = e.movement(ytilde, e.z).tolist(), e.last.tolist()
     M, carry = [0.0] * len(a), 0.0
     for k in reversed(range(len(a))):
         M[k] = carry = max(0.0, a[k] + (0.0 if last[k] else carry))
@@ -440,7 +426,7 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     start[e.coord[e.first]] = M[e.first] / A
     # after appearance k, M holds its value at the coordinate's next appearance
     after = np.where(e.last, 0.0, np.roll(M, -1)) / A
-    r_bar = MovementDuals(start, e.per_coordinate(after), log.appearances)
+    r_bar = MovementDuals(start, e.per_coordinate(after), e)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     if violation > FEASIBILITY_TOL:
@@ -450,19 +436,17 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
 
 def check_movement_bound(log: MultiplierLog, eps: float) -> float:
     """Worst excess of per-covering-step upward movement over (1 + eps/4) y."""
-    worst = -np.inf
-    for step in log.steps:
-        if step.kind is not StepKind.COVERING:
-            continue
-        up = float(log.weights[step.indices] @ np.clip(step.x_after - step.x_before, 0.0, None))
-        worst = max(worst, up - (1.0 + eps / 4.0) * step.multiplier)
-    return worst if worst > -np.inf else 0.0
+    e = log.entries()
+    moved = log.weights[e.coord] * np.clip(e.x_after - e.x_before, 0.0, None)
+    excess = np.bincount(e.time, moved, e.horizon) - (1.0 + eps / 4.0) * e.y
+    excess = excess[e.step_kind == "C"]
+    return float(excess.max()) if excess.size else 0.0
 
 
 def check_z_bound(log: MultiplierLog, eps: float) -> float:
     """(1 + eps/4) sum(y) - (1 + eps) sum(z); >= 0 up to tol on real runs."""
-    y, z = _multipliers(log)
-    return float((1.0 + eps / 4.0) * y.sum() - (1.0 + eps) * z.sum())
+    e = log.entries()
+    return float((1.0 + eps / 4.0) * e.y.sum() - (1.0 + eps) * e.z.sum())
 
 
 def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, subset) -> float:
@@ -476,23 +460,20 @@ def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, s
     if any(log.steps[tau].kind is not StepKind.COVERING for tau in subset):
         raise ValueError("subset may only contain covering times")
 
-    def on_support(tau, field):
-        step = log.steps[tau]
-        k = int(np.searchsorted(step.indices, i))
-        hit = k < step.indices.shape[0] and step.indices[k] == i
-        return float(getattr(step, field)[k]) if hit else 0.0
+    e = log.entries()
+    lo, hi = np.searchsorted(e.coord, [i, i + 1])
+    coeff = dict(zip(e.time[lo:hi].tolist(), e.coeff[lo:hi].tolist()))
 
     def paid(tau):
-        return on_support(tau, "coeffs") * log.steps[tau].multiplier
+        return coeff.get(tau, 0.0) * log.steps[tau].multiplier
 
     lhs = sum(paid(tau) for tau in subset)
     lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is StepKind.PACKING)
-    cmax_s = max((on_support(tau, "coeffs") for tau in subset), default=0.0)
+    cmax_s = max((coeff.get(tau, 0.0) for tau in subset), default=0.0)
     # x_i after step t: its value after its last appearance up to t
-    times = log.appearances.get(i, [])
-    j = bisect_right(times, t)
-    x_it = on_support(times[j - 1], "x_after") if j else 0.0
-    rhs = float(log.weights[i]) * math.log1p(4.0 * max(1, log.sparsity) * cmax_s * x_it / eps)
+    j = int(np.searchsorted(e.time[lo:hi], t, side="right"))
+    x_it = float(e.x_after[lo + j - 1]) if j else 0.0
+    rhs = float(log.weights[i]) * math.log1p(4.0 * max(1, e.sparsity) * cmax_s * x_it / eps)
     return float(lhs - rhs)
 
 
@@ -526,6 +507,7 @@ def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
     refined construction is unsound there); the theoretical cap then
     falls back to the warmup constant.
     """
+    e = log.entries()
     out = {
         "upward_recourse": ledger.upward_total,
         "l1_recourse": ledger.l1_total,
@@ -536,13 +518,13 @@ def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
         "theoretical_cap": None,
         "A_warmup": None,
         "A_refined": None,
-        "d": log.sparsity,
-        "Delta": log.aspect_ratio,
+        "d": e.sparsity,
+        "Delta": e.aspect_ratio,
     }
     if log.horizon == 0:
         return out
     certs = [build_warmup_dual(log, eps)]
-    if not log.has_freeze:
+    if not e.freeze_count:
         certs.append(build_refined_dual(log, refine_ytilde(log, eps), eps))
     for cert in certs:
         report = certified_report(cert, ledger, eps)

@@ -390,7 +390,11 @@ def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     factor = 1.0 / (1.0 - delta / 10.0)
-    return FractionalPoint(x.values * factor, x.weights)
+    # x is nonnegative and factor positive: one scaled copy, nothing to re-check
+    out = FractionalPoint.__new__(FractionalPoint)
+    out.values = x.values * factor
+    out.weights = x.weights
+    return out
 
 
 def project_and_record(

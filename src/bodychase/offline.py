@@ -40,8 +40,6 @@ __all__ = [
     "build_compressed_lp",
     "solve_recourse_lp",
     "solve_optimal_recourse",
-    "verify_weak_duality",
-    "stream_from_log",
     "VARIABLE_CAP",
 ]
 
@@ -227,22 +225,3 @@ def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP)
     X = lp.trajectory(res.x)
     trajectory = [FractionalPoint(np.clip(X[t], 0.0, None), weights) for t in range(lp.horizon)]
     return opt, trajectory
-
-
-def verify_weak_duality(dual_objective: float, opt_value: float, tol: float = 1e-8) -> bool:
-    return dual_objective <= opt_value + tol * max(1.0, abs(opt_value))
-
-
-def stream_from_log(log) -> list:
-    """Convert a projection log into the equivalent offline stream."""
-    out = []
-    for step in log.steps:
-        if step.kind.value == "F":
-            out.append(Freeze(step.indices.tolist()))
-        else:
-            coeffs = dict(zip(step.indices.tolist(), step.coeffs.tolist()))
-            if step.kind.value == "C":
-                out.append(HalfspaceConstraint.covering(coeffs))
-            else:
-                out.append(HalfspaceConstraint.packing(coeffs))
-    return out

@@ -12,7 +12,7 @@ import numpy as np
 import math
 from dataclasses import dataclass
 
-from bodychase.certify import MultiplierLog, StepKind
+from bodychase.certify import LogStep, MultiplierLog, StepKind
 from bodychase.core import (
     _EXP_CAP,
     _FLOAT_EPS,
@@ -28,7 +28,7 @@ from bodychase.core import (
     packing_violated,
     project_and_record,
 )
-from bodychase.offline import RecourseLP, _constraint_rows, _normalize_stream
+from bodychase.offline import Freeze, RecourseLP, _constraint_rows, _normalize_stream
 from bodychase.simplex import solve_inequality_lp
 
 
@@ -578,9 +578,11 @@ def dense_check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar) -> flo
 
 
 def dense_warmup_r_bar(log: MultiplierLog, eps: float) -> np.ndarray:
-    d = max(1, log.sparsity)
-    A = math.log1p(4.0 * d * max(1.0, log.aspect_ratio) / eps)
-    cmax = log.coeff_max()
+    view = log.entries()
+    d = max(1, view.sparsity)
+    A = math.log1p(4.0 * d * max(1.0, view.aspect_ratio) / eps)
+    cmax = np.zeros(log.n)
+    cmax[view.coord] = view.cmax
     xb = dense_x_before(log)
     w_col = log.weights[:, None]
     return w_col * (1.0 - np.log1p(4.0 * d * cmax[:, None] * xb / eps) / A)
@@ -588,7 +590,7 @@ def dense_warmup_r_bar(log: MultiplierLog, eps: float) -> np.ndarray:
 
 def dense_refined_r_bar(log: MultiplierLog, ytilde, eps: float) -> np.ndarray:
     n, T = log.n, log.horizon
-    d = max(1, log.sparsity)
+    d = max(1, log.entries().sparsity)
     A = math.log1p(40.0 * d * d / (eps * eps))
     C, P, _, z = coeff_matrices(log)
     a = C * ytilde - P * z
@@ -625,3 +627,112 @@ def cold_cover_opt(state):
     res = solve_inequality_lp(state.costs, rows, -np.ones(len(rows)))
     assert res.status == "optimal"
     return float(res.objective), res.iterations
+
+
+# Helpers only the tests use, moved out of the package.
+
+
+def mst_separation(state, x, beta: float, threshold: float):
+    """Single-threshold form: covering below 1 - threshold, packing above
+    1 + threshold."""
+    return state.separation(np.asarray(x.values if hasattr(x, "values") else x,
+                                       dtype=float),
+                            1.0 - threshold, 1.0 + threshold, beta)
+
+
+def verify_weak_duality(dual_objective: float, opt_value: float, tol: float = 1e-8) -> bool:
+    return dual_objective <= opt_value + tol * max(1.0, abs(opt_value))
+
+
+def stream_from_log(log) -> list:
+    """Convert a projection log into the equivalent offline stream."""
+    out = []
+    for step in log.steps:
+        if step.kind.value == "F":
+            out.append(Freeze(step.indices.tolist()))
+        else:
+            coeffs = dict(zip(step.indices.tolist(), step.coeffs.tolist()))
+            if step.kind.value == "C":
+                out.append(HalfspaceConstraint.covering(coeffs))
+            else:
+                out.append(HalfspaceConstraint.packing(coeffs))
+    return out
+
+
+class IncrementalLog:
+    """The multiplier log as it was before its per-coordinate facts were
+    derived from the steps: every append updates the appearance lists,
+    the extreme covering coefficients, the sparsity and the freeze count.
+    The reference the log's `entries()` view is checked against."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.steps: list[LogStep] = []
+        self.appearances: dict[int, list[int]] = {}
+        self._cmax: dict[int, float] = {}
+        self._cmin: dict[int, float] = {}
+        self.sparsity = 0  # largest covering support
+        self.freeze_count = 0
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return len(self.steps)
+
+    @property
+    def has_freeze(self) -> bool:
+        return self.freeze_count > 0
+
+    @property
+    def aspect_ratio(self) -> float:
+        if not self._cmax:
+            return 0.0
+        return max(self._cmax[i] / self._cmin[i] for i in self._cmax)
+
+    def coeff_max(self) -> np.ndarray:
+        out = np.zeros(self.n)
+        out[list(self._cmax)] = list(self._cmax.values())
+        return out
+
+    def extend_weights(self, weights) -> None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape[0] < self.n or not np.array_equal(weights[: self.n], self.weights):
+            raise ValueError("weights may only grow, never change")
+        self.weights = weights
+
+    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after) -> "IncrementalLog":
+        # the engine hands over arrays it built; only other sequences are wrapped
+        if type(x_before) is not np.ndarray or type(x_after) is not np.ndarray:
+            x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
+        if not (x_before.shape == x_after.shape == indices.shape):
+            raise ValueError("x_before and x_after must hold x on the step's support")
+        t = len(self.steps)
+        for i in indices.tolist():
+            self.appearances.setdefault(i, []).append(t)
+        self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
+        return self
+
+    def append_projection(self, row: HalfspaceConstraint, multiplier, x_before, x_after) -> "IncrementalLog":
+        """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
+        if multiplier < 0.0:
+            raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
+        kind = StepKind.COVERING if row.kind is Kind.COVERING else StepKind.PACKING
+        if kind is StepKind.COVERING:
+            self.sparsity = max(self.sparsity, row.sparsity)
+            for i, v in zip(row.indices.tolist(), row.coeffs.tolist()):
+                self._cmax[i] = max(self._cmax.get(i, v), v)
+                self._cmin[i] = min(self._cmin.get(i, v), v)
+        return self._append(kind, row.indices, row.coeffs, multiplier, x_before, x_after)
+
+    def append_freeze(self, indices, x_before, x_after) -> "IncrementalLog":
+        """Record a clamp; x_before and x_after are x at `indices`, in that order."""
+        idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
+        if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
+            raise ValueError("x_before and x_after must hold x at the clamped indices")
+        self.freeze_count += 1
+        return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+                            np.asarray(x_before, dtype=float)[first],
+                            np.asarray(x_after, dtype=float)[first])

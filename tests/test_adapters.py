@@ -15,13 +15,12 @@ from bodychase.adapters import (
     UpdateEvent,
     loadbalance_body,
     matching_body,
-    mst_separation,
     setcover_body,
 )
 from bodychase.core import FractionalPoint
 from bodychase.simplex import solve_inequality_lp
 
-from oracles import cold_cover_opt
+from oracles import cold_cover_opt, mst_separation
 from test_graphs import brute_min_cut
 from test_simplex import enumerate_vertices
 

@@ -42,12 +42,16 @@ from bodychase import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
 rc = cli.main(json.loads(sys.argv[3]))
-print(json.dumps({"rc": rc, "counts": tracer.counts}))
+spans = {name: tracer.name.count(k) for k, name in enumerate(tracer.names)}
+log = tracer.log
+kept = None if log is None else {"steps": len(log.steps), "megabytes": tracing.log_megabytes(log)}
+print(json.dumps({"rc": rc, "counts": tracer.counts, "spans": spans, "log": kept}))
 """
 
 
 def traced_replay(tmp_path, text, argv):
-    """The tracer's counts and the report's records of one CLI replay."""
+    """The tracer's output (counts, spans per name, the log it kept) and
+    the report's records of one CLI replay."""
     updates, report = tmp_path / "u.jsonl", tmp_path / "r.jsonl"
     updates.write_text(text)
     argv = [argv[0], str(updates), *argv[1:], "--no-offline", "--report", str(report)]
@@ -57,11 +61,12 @@ def traced_replay(tmp_path, text, argv):
         capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout)
     assert out["rc"] == 0
-    return out["counts"], [json.loads(line) for line in report.read_text().splitlines()]
+    return out, [json.loads(line) for line in report.read_text().splitlines()]
 
 
 def test_tracer_counts_every_projection(tmp_path):
-    counts, records = traced_replay(tmp_path, MATCHING, ["matching", "--round", "on"])
+    traced, records = traced_replay(tmp_path, MATCHING, ["matching", "--round", "on"])
+    counts = traced["counts"]
     rows = [r for r in records if r["kind"] == "update"]
     projections = sum(r["projections"] for r in rows)
     assert projections > 0
@@ -69,8 +74,20 @@ def test_tracer_counts_every_projection(tmp_path):
     assert counts.get("core.rootfind_iters", 0) == sum(r["rootfind_iterations"] for r in rows)
 
 
+def test_tracer_sees_the_certificate_layer(tmp_path):
+    traced, records = traced_replay(tmp_path, MATCHING, ["matching", "--round", "on"])
+    projections = sum(r["projections"] for r in records if r["kind"] == "update")
+    spans = traced["spans"]
+    # the log's appends are looked up at call time, so every one is a span
+    assert spans.get("certify.log", 0) >= projections > 0
+    assert traced["log"]["steps"] >= projections
+    assert traced["log"]["megabytes"] > 0
+    assert spans.get("certify.warmup", 0) == 1
+
+
 def test_tracer_counts_every_cover_lp_pivot(tmp_path):
-    counts, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
+    traced, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
+    counts = traced["counts"]
     total = records[-1]["lp_pivots"]
     assert total > 0
     assert total == sum(r["lp_pivots"] for r in records if r["kind"] == "update")

@@ -48,15 +48,15 @@ def test_log_extreme_tracking():
     log = MultiplierLog(np.ones(1))
     c1 = HalfspaceConstraint.covering({0: 2.0})
     log.append_projection(c1, 0.8, [0.0], [0.5])
-    assert log.aspect_ratio == 1.0
-    assert log.sparsity == 1
+    assert log.entries().aspect_ratio == 1.0
+    assert log.entries().sparsity == 1
     c2 = HalfspaceConstraint.covering({0: 4.0})
     log.append_projection(c2, 0.1, [0.5], [0.5])
-    assert log.aspect_ratio == 2.0
+    assert log.entries().aspect_ratio == 2.0
     p = HalfspaceConstraint.packing({0: 1.0})
     log.append_projection(p, 0.3, [0.5], [0.4])
-    assert log.aspect_ratio == 2.0
-    assert log.sparsity == 1
+    assert log.entries().aspect_ratio == 2.0
+    assert log.entries().sparsity == 1
     with pytest.raises(ValueError):
         log.append_projection(c1, -0.2, [0.4], [0.5])
 

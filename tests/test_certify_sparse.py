@@ -88,7 +88,7 @@ def test_sparse_warmup_matches_dense_reference_with_freezes(eps):
     for _ in range(20):
         n = int(rng.integers(2, 9))
         log = stream_with_freezes(rng, n, int(rng.integers(4, 41)), eps)
-        assert log.has_freeze
+        assert log.entries().freeze_count > 0
         warm = build_warmup_dual(log, eps)
         assert_matches_dense(log, warm, dense_warmup_r_bar(log, eps))
 
@@ -129,6 +129,6 @@ def test_log_stays_sparse():
         assert step.x_before.shape == step.x_after.shape == step.indices.shape
     floats = sum(s.coeffs.size + s.x_before.size + s.x_after.size for s in log.steps)
     assert floats == 3 * support
-    assert sum(len(times) for times in log.appearances.values()) == support
+    assert sum(len(times) for times in log.entries().appearances.values()) == support
     summary = certify_run(log, ledger, eps)
     assert summary["warmup_bound"] > 0.0

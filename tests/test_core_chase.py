@@ -1,5 +1,7 @@
 """Chase loop over explicit bodies and the output scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,22 @@ def test_scaled_output_examples():
     assert np.array_equal(z.values, np.zeros(3))
     one = scaled_output(FractionalPoint([0.9]), delta=1.0)
     assert one.values[0] == pytest.approx(1.0)
+
+
+def test_scaled_output_copies_the_point_once():
+    x = FractionalPoint(np.random.default_rng(5).uniform(0.0, 2.0, size=10**6))
+    expected = x.values * (1.0 / (1.0 - 0.3 / 10.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = scaled_output(x, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.values.tobytes() == expected.tobytes()
+    assert out.values is not x.values and out.weights is x.weights
+    # the result itself is 7.6 MB; a second copy would double the peak
+    assert peak < 1.2 * out.values.nbytes
 
 
 def random_nonempty_body(rng, n, rows):

@@ -15,11 +15,9 @@ from bodychase.offline import (
     build_compressed_lp,
     solve_optimal_recourse,
     solve_recourse_lp,
-    stream_from_log,
-    verify_weak_duality,
 )
 
-from oracles import build_full_lp, random_mixed_stream
+from oracles import build_full_lp, random_mixed_stream, stream_from_log, verify_weak_duality
 
 C = HalfspaceConstraint.covering
 P = HalfspaceConstraint.packing

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bodychase.adapters import AdapterError, MstState, mst_separation
+from bodychase.adapters import AdapterError, MstState
 from bodychase.core import FractionalPoint, chase_body, scaled_output
 from bodychase.graphs import kruskal_mst
 from bodychase.round_mst import (
