@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,21 +146,23 @@ class MultiplierLog:
 
 @dataclass
 class MovementDuals:
-    """The movement duals rbar_i^t of one certificate, per coordinate.
+    """The movement duals rbar_i^t of one certificate.
 
     `start[i]` is rbar_i^t up to and including the first appearance of i
-    (at every t if i never appears); `after[i][j]` is its value after
-    appearance j, up to and including the next one, along `entries`.
+    (at every t if i never appears); `after[k]` is its value after entry k
+    of `entries`, up to and including the coordinate's next appearance.
     """
 
     start: np.ndarray
-    after: dict
+    after: np.ndarray
     entries: "_Entries"
 
     def at(self, i: int, t: int) -> float:
         """rbar_i^t, for 0 <= t < T."""
-        j = bisect_left(self.entries.appearances.get(i, ()), t)
-        return float(self.start[i] if j == 0 else self.after[i][j - 1])
+        e = self.entries
+        lo, hi = np.searchsorted(e.coord, [i, i + 1])
+        j = int(np.searchsorted(e.time[lo:hi], t))
+        return float(self.start[i] if j == 0 else self.after[lo + j - 1])
 
 
 @dataclass
@@ -228,14 +229,11 @@ class _Entries:
     @cached_property
     def appearances(self) -> dict:
         """Per appearing coordinate, the times of the steps whose support holds it."""
-        return self.per_coordinate(self.time)
+        return dict(zip(self.keys, np.split(self.time, np.flatnonzero(self.first)[1:])))
 
     def movement(self, y, z) -> np.ndarray:
         """c_i^t y^t on covering entries, -p_i^t z^t on the others (clamps have c = 0)."""
         return np.where(self.kind == "C", self.coeff * y[self.time], -(self.coeff * z[self.time]))
-
-    def per_coordinate(self, values: np.ndarray) -> dict:
-        return dict(zip(self.keys, np.split(values, np.flatnonzero(self.first)[1:])))
 
 
 def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDuals) -> float:
@@ -248,7 +246,7 @@ def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDual
     """
     n, T = log.n, log.horizon
     e = log.entries()
-    after = np.concatenate([r_bar.after[i] for i in e.keys] + [np.zeros(0)])
+    after = r_bar.after
     r_now = np.where(e.first, r_bar.start[e.coord], np.roll(after, 1))
     inner = e.time < T - 1
     rows = e.movement(y_bar, z_bar) - r_now + np.where(inner, after, 0.0)
@@ -291,7 +289,7 @@ def build_warmup_dual(log: MultiplierLog, eps: float) -> DualCertificate:
 
     start = log.weights.copy()
     start[e.coord[e.first]] = r(e.x_before)[e.first]
-    r_bar = MovementDuals(start, e.per_coordinate(r(e.x_after)), e)
+    r_bar = MovementDuals(start, r(e.x_after), e)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     return DualCertificate("warmup", A, y_bar, z_bar, r_bar, None, objective, violation)
@@ -426,7 +424,7 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     start[e.coord[e.first]] = M[e.first] / A
     # after appearance k, M holds its value at the coordinate's next appearance
     after = np.where(e.last, 0.0, np.roll(M, -1)) / A
-    r_bar = MovementDuals(start, e.per_coordinate(after), e)
+    r_bar = MovementDuals(start, after, e)
     objective = float(y_bar.sum() - z_bar.sum())
     violation = check_dual_feasibility(log, y_bar, z_bar, r_bar)
     if violation > FEASIBILITY_TOL:

@@ -21,6 +21,10 @@ without a row to satisfy only costs), so its optimum is that of the full
 formulation above, which carries x and l at every step (2nT variables).
 The full form lives in the tests (tests/oracles.py) as the reference the
 equivalence is cross-checked against.
+
+The simplex solves the LP's dual: its right-hand side is the objective,
+the movement weights (0 on x), so y = 0 is a feasible start. An unbounded
+dual means no trajectory exists.
 """
 
 from __future__ import annotations
@@ -195,16 +199,18 @@ def build_compressed_lp(stream, weights) -> RecourseLP:
 
 
 def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
-    res = solve_inequality_lp(lp.objective, lp.lhs, lp.rhs)
-    if res.status == "infeasible":
+    """Solve the LP as its dual, min rhs.y s.t. -lhs^T y <= objective, y >= 0,
+    and read the result back as the primal's: objective, x (the dual's row
+    duals) and row duals (the dual's x)."""
+    dual = solve_inequality_lp(lp.rhs, -lp.lhs.T, lp.objective)
+    if dual.status == "unbounded":
         raise OfflineError("stream admits no feasible trajectory")
-    if res.status != "optimal":
-        raise OfflineError("recourse LP reported %s; it is bounded by construction" % res.status)
-    if res.cs_residual > 1e-6 or res.duality_gap > 1e-6 * (1.0 + abs(res.objective)):
+    if dual.cs_residual > 1e-6 or dual.duality_gap > 1e-6 * (1.0 + abs(dual.objective)):
         raise OfflineError(
-            "simplex self-check failed (cs %.2e, gap %.2e)" % (res.cs_residual, res.duality_gap)
+            "simplex self-check failed (cs %.2e, gap %.2e)" % (dual.cs_residual, dual.duality_gap)
         )
-    return res
+    return SimplexResult("optimal", -dual.objective, dual.duals, dual.x, dual.iterations,
+                         dual.cs_residual, dual.duality_gap)
 
 
 def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP):

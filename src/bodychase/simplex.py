@@ -1,14 +1,15 @@
-"""Dense two-phase tableau simplex for small inequality-form LPs.
+"""Dense one-phase tableau simplex for small inequality-form LPs.
 
-Solves   min c.v   subject to   G v <= h,  v >= 0.
+Solves   min c.v   subject to   G v <= h,  v >= 0,   with h >= 0,
 
-Written for the desk-scale recourse LPs of this package: heavy
-degeneracy (many zero right-hand sides from movement rows) but modest
-size. Dantzig pricing with an automatic permanent switch to Bland's
-rule after a run of non-improving pivots, so termination is guaranteed.
-Row duals are recovered from the optimal basis and returned in the
-sign convention where every multiplier is nonnegative and the dual
-objective is -h.lambda.
+so the slack basis is feasible and one phase from it (or from a given
+basis) suffices. The package's LPs are the set cover dual and the
+offline recourse LP's dual (see `offline`); both have that form.
+Dantzig pricing with an automatic permanent switch to Bland's rule
+after a run of non-improving pivots, so termination is guaranteed under
+heavy degeneracy. Row duals are recovered from the optimal basis and
+returned in the sign convention where every multiplier is nonnegative
+and the dual objective is -h.lambda.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ChaseError
+
 __all__ = ["SimplexError", "SimplexResult", "solve_inequality_lp"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 
-class SimplexError(Exception):
-    pass
+class SimplexError(ChaseError):
+    """The solve failed numerically (pivot budget exhausted)."""
 
 
 @dataclass
@@ -94,8 +97,8 @@ def _run_phase(work, obj, basis, pivot_tol, max_iter):
 
 def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
                         feas_tol=FEAS_TOL, max_iter=None) -> SimplexResult:
-    """`basis`, one column of [G | I] per row, needs h >= 0; phase 2 starts
-    there unless it is singular or infeasible, else at the slack basis."""
+    """Needs h >= 0. The solve starts at `basis`, one column of [G | I] per
+    row, unless it is singular or infeasible, else at the slack basis."""
     c = np.asarray(c, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
@@ -104,30 +107,17 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
         raise ValueError("inconsistent LP shapes")
     if m == 0:
         raise ValueError("LP needs at least one row")
+    if (h < 0.0).any():
+        raise ValueError("LP needs h >= 0, so that its slack basis is feasible")
     if max_iter is None:
         max_iter = 10000 + 20 * (m + n)
     start = None if basis is None else np.asarray(basis, dtype=np.int64)
-    if start is not None and ((h < 0.0).any() or start.shape != (m,)
-                              or start.min() < 0 or start.max() >= n + m):
-        raise ValueError("a starting basis needs h >= 0 and one column of [G | I] per row")
+    if start is not None and (start.shape != (m,) or start.min() < 0 or start.max() >= n + m):
+        raise ValueError("a starting basis needs one column of [G | I] per row")
 
-    # sign-fix rows so every right-hand side is nonnegative
-    sign = np.where(h < 0.0, -1.0, 1.0)
-    A = sign[:, None] * G
-    slack = np.diag(sign)
-    rhs = sign * h
-    art_rows = np.flatnonzero(sign < 0.0)
-    n_art = art_rows.size
-    art = np.zeros((m, n_art))
-    art[art_rows, np.arange(n_art)] = 1.0
-
-    work = np.hstack([A, slack, art, rhs[:, None]])
-    width = n + m + n_art
-    basis = [0] * m
-    for r in range(m):
-        basis[r] = n + r if sign[r] > 0.0 else 0
-    for k, r in enumerate(art_rows):
-        basis[r] = n + m + k
+    eq = np.hstack([G, np.eye(m)])
+    work = np.hstack([eq, h[:, None]])
+    basis = list(range(n, n + m))
     if start is not None:
         try:  # the tableau in that basis, by one linear solve
             table = np.linalg.solve(work[:, start], work)
@@ -138,52 +128,16 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
             table[:, -1] = np.clip(table[:, -1], 0.0, None)
             work, basis = table, start.tolist()
 
-    total_iter = 0
-    if n_art:
-        phase1 = np.zeros(width + 1)
-        phase1[n + m : n + m + n_art] = 1.0
-        for r in range(m):
-            if basis[r] >= n + m:
-                phase1 -= work[r]
-        status, it = _run_phase(work, phase1, basis, pivot_tol, max_iter)
-        total_iter += it
-        if status == "unbounded":
-            raise SimplexError("phase 1 cannot be unbounded; numerical failure")
-        if -phase1[-1] > feas_tol:
-            return SimplexResult("infeasible", np.nan, np.full(n, np.nan),
-                                 np.zeros(m), total_iter, np.nan, np.nan)
-        # clear leftover basic artificials: pivot them out where possible,
-        # drop genuinely redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] < n + m:
-                continue
-            entries = np.abs(work[r, : n + m])
-            j = int(np.argmax(entries))
-            if entries[j] > pivot_tol:
-                _pivot(work, phase1, r, j)
-                basis[r] = j
-            else:
-                keep[r] = False
-        if not keep.all():
-            work = work[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
-    else:
-        keep = np.ones(m, dtype=bool)
-
-    work = np.hstack([work[:, : n + m], work[:, -1:]])
-
     cost = np.zeros(n + m + 1)
     cost[:n] = c
     obj = cost.copy()
-    for r in range(work.shape[0]):
+    for r in range(m):
         if obj[basis[r]] != 0.0:
             obj -= obj[basis[r]] * work[r]
-    status, it = _run_phase(work, obj, basis, pivot_tol, max_iter)
-    total_iter += it
+    status, iterations = _run_phase(work, obj, basis, pivot_tol, max_iter)
     if status == "unbounded":
         return SimplexResult("unbounded", -np.inf, np.full(n, np.nan),
-                             np.zeros(m), total_iter, np.nan, np.nan)
+                             np.zeros(m), iterations, np.nan, np.nan)
 
     x_full = np.zeros(n + m)
     for r, b in enumerate(basis):
@@ -191,24 +145,20 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
     x = x_full[:n]
     objective = float(c @ x)
 
-    # basis duals of the sign-fixed equality system, mapped back to
-    # nonnegative row multipliers of G v <= h
-    rows_kept = np.flatnonzero(keep)
-    eq = np.hstack([A, slack])[rows_kept]
+    # basis duals of the equality system [G | I], negated into nonnegative
+    # row multipliers of G v <= h
     B = eq[:, basis]
-    cb = cost[basis][: len(basis)]
+    cb = cost[basis]
     try:
         y = np.linalg.solve(B.T, cb)
     except np.linalg.LinAlgError:
         y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
-    duals = np.zeros(m)
-    duals[rows_kept] = -sign[rows_kept] * y
-    duals = np.clip(duals, 0.0, None)
+    duals = np.clip(-y, 0.0, None)
 
     slack_primal = h - G @ x
-    cs_rows = float(np.max(np.abs(duals * slack_primal))) if m else 0.0
+    cs_rows = float(np.max(np.abs(duals * slack_primal)))
     reduced = c + G.T @ duals
     cs_cols = float(np.max(np.abs(x * reduced))) if n else 0.0
     cs = max(cs_rows, cs_cols)
     gap = abs(objective - float(-h @ duals))
-    return SimplexResult("optimal", objective, x, duals, total_iter, cs, gap, tuple(basis))
+    return SimplexResult("optimal", objective, x, duals, iterations, cs, gap, tuple(basis))

@@ -3,9 +3,9 @@
 bench/tracing.py patches module attributes (core.project_covering, ...)
 from outside src/. A refactor that stops looking them up at call time
 would leave `--trace 1` counting nothing without any error, so this runs
-the tracer on tiny matching and set cover replays, in a subprocess to keep
-its patches out of the other tests, and checks its counts against the
-report.
+the tracer on tiny matching, set cover and spanning tree replays, in a
+subprocess to keep its patches out of the other tests, and checks its
+counts against the report.
 """
 
 import json
@@ -34,6 +34,15 @@ SETCOVER = "\n".join(json.dumps(r) for r in [
     {"op": "insert", "element": 3},
 ]) + "\n"
 
+MST = "\n".join(json.dumps(r) for r in [
+    {"problem": "mst", "vertices": [0, 1, 2, 3]},
+    {"op": "insert", "u": 0, "v": 1, "cost": 1.0},
+    {"op": "insert", "u": 1, "v": 2, "cost": 2.0},
+    {"op": "insert", "u": 2, "v": 3, "cost": 1.5},
+    {"op": "insert", "u": 0, "v": 2, "cost": 0.5},
+    {"op": "delete", "u": 1, "v": 2},
+]) + "\n"
+
 SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -49,12 +58,14 @@ print(json.dumps({"rc": rc, "counts": tracer.counts, "spans": spans, "log": kept
 """
 
 
-def traced_replay(tmp_path, text, argv):
+def traced_replay(tmp_path, text, argv, offline=False):
     """The tracer's output (counts, spans per name, the log it kept) and
     the report's records of one CLI replay."""
     updates, report = tmp_path / "u.jsonl", tmp_path / "r.jsonl"
     updates.write_text(text)
-    argv = [argv[0], str(updates), *argv[1:], "--no-offline", "--report", str(report)]
+    argv = [argv[0], str(updates), *argv[1:], "--report", str(report)]
+    if not offline:
+        argv.append("--no-offline")
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
          json.dumps(argv)],
@@ -92,3 +103,13 @@ def test_tracer_counts_every_cover_lp_pivot(tmp_path):
     assert total > 0
     assert total == sum(r["lp_pivots"] for r in records if r["kind"] == "update")
     assert counts.get("simplex.adapters_pivots", 0) == total
+
+
+def test_tracer_sees_the_offline_lp(tmp_path):
+    traced, records = traced_replay(tmp_path, MST, ["mst", "--round", "on"], offline=True)
+    counts = traced["counts"]
+    assert records[-1]["offline_opt"] > 0
+    # the solver is looked up at call time, so the one offline solve is a span
+    assert traced["spans"].get("simplex.offline", 0) == 1
+    assert counts.get("simplex.offline_pivots", 0) > 0
+    assert counts.get("offline.lp_vars", 0) > 0

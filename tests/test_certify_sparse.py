@@ -101,9 +101,8 @@ def test_sparse_checker_sees_what_the_dense_one_sees():
     log, _, _, _ = random_mixed_stream(rng, 5, 30, eps)
     cert = build_refined_dual(log, refine_ytilde(log, eps), eps)
     for _ in range(30):
-        i = int(rng.choice(list(cert.r_bar.after)))
-        j = int(rng.integers(0, cert.r_bar.after[i].shape[0]))
-        cert.r_bar.after[i][j] += float(rng.uniform(-0.3, 0.3))
+        k = int(rng.integers(0, cert.r_bar.after.shape[0]))
+        cert.r_bar.after[k] += float(rng.uniform(-0.3, 0.3))
         cert.r_bar.start[int(rng.integers(0, log.n))] += float(rng.uniform(-0.2, 0.2))
         sparse = check_dual_feasibility(log, cert.y_bar, cert.z_bar, cert.r_bar)
         dense = dense_check_dual_feasibility(log, cert.y_bar, cert.z_bar,

@@ -112,6 +112,29 @@ def test_root_finder_failure_exits_1_without_traceback(stream_file, monkeypatch,
     assert captured.out == ""
 
 
+def test_failed_lp_exits_1_without_traceback(stream_file, monkeypatch, capsys):
+    from bodychase import offline
+    from bodychase.simplex import SimplexError
+
+    def fail(*args, **kwargs):
+        raise SimplexError("pivot budget exhausted after 3 iterations")
+
+    monkeypatch.setattr(offline, "solve_inequality_lp", fail)
+    assert main(["offline-opt", stream_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: pivot budget exhausted after 3 iterations\n"
+    assert captured.out == ""
+
+
+def test_contradictory_stream_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("C 0:1; P 0:3\n")
+    assert main(["offline-opt", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: stream admits no feasible trajectory\n"
+    assert captured.out == ""
+
+
 def test_setcover_det_against_updates(cover_file, capsys):
     assert main(["setcover", cover_file, "--round", "det"]) == 0
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]

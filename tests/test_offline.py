@@ -17,7 +17,13 @@ from bodychase.offline import (
     solve_recourse_lp,
 )
 
-from oracles import build_full_lp, random_mixed_stream, stream_from_log, verify_weak_duality
+from oracles import (
+    build_full_lp,
+    random_mixed_stream,
+    stream_from_log,
+    two_phase_lp,
+    verify_weak_duality,
+)
 
 C = HalfspaceConstraint.covering
 P = HalfspaceConstraint.packing
@@ -56,8 +62,11 @@ def test_grouped_rows_share_a_time_step():
 
 
 def test_contradictory_group_is_infeasible():
-    with pytest.raises(OfflineError):
-        solve_optimal_recourse([[C({0: 1.0}), P({0: 3.0})]], np.ones(1))
+    stream, w = [[C({0: 1.0}), P({0: 3.0})]], np.ones(1)
+    lp = build_compressed_lp(stream, w)
+    assert two_phase_lp(lp.objective, lp.lhs, lp.rhs).status == "infeasible"
+    with pytest.raises(OfflineError, match="no feasible trajectory"):
+        solve_optimal_recourse(stream, w)
 
 
 def test_variable_cap():
@@ -136,18 +145,50 @@ def test_full_and_compressed_agree(seed):
     trajectory_is_feasible(stream, traj)
 
 
+def upward_cost(traj, w):
+    ledger = RecourseLedger()
+    prev = FractionalPoint.zeros(w.shape[0], w)
+    for point in traj:
+        ledger.record_step(w, prev.values, point.values)
+        prev = point
+    return ledger.upward_total
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_trajectory_upward_total_matches_optimum(seed):
     rng = np.random.default_rng(4400 + seed)
     stream = random_stream_with_freezes(rng, 5, 14)
     w = rng.uniform(0.5, 2.0, size=5)
     opt, traj = solve_optimal_recourse(stream, w)
-    ledger = RecourseLedger()
-    prev = FractionalPoint.zeros(5, w)
-    for point in traj:
-        ledger.record_step(w, prev.values, point.values)
-        prev = point
-    assert ledger.upward_total == pytest.approx(opt, abs=1e-6 * max(1.0, opt))
+    assert upward_cost(traj, w) == pytest.approx(opt, abs=1e-6 * max(1.0, opt))
+
+
+def assert_matches_two_phase_primal(stream, w):
+    lp = build_compressed_lp(stream, w)
+    primal = two_phase_lp(lp.objective, lp.lhs, lp.rhs)
+    assert primal.status == "optimal"
+    opt, traj = solve_optimal_recourse(stream, w, variable_cap=10000)
+    assert opt == pytest.approx(primal.objective, rel=1e-9, abs=1e-12)
+    trajectory_is_feasible(stream, traj)
+    assert upward_cost(traj, w) == pytest.approx(opt, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.25, 1.0])
+def test_dual_solve_matches_two_phase_primal_on_mixed_streams(eps):
+    # the criterion-2 stream generator at its sizes, fewer streams
+    rng = np.random.default_rng(int(eps * 1000) + 23)
+    for _ in range(12):
+        n = int(rng.integers(2, 9))
+        T = int(rng.integers(10, 51))
+        _, _, rows, w = random_mixed_stream(rng, n, T, eps)
+        assert_matches_two_phase_primal(rows, w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dual_solve_matches_two_phase_primal_with_freezes(seed):
+    rng = np.random.default_rng(5100 + seed)
+    stream = random_stream_with_freezes(rng, 5, 14)
+    assert_matches_two_phase_primal(stream, rng.uniform(0.5, 2.0, size=5))
 
 
 def test_weak_duality_checker_edges():

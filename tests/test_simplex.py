@@ -1,4 +1,4 @@
-"""Dense two-phase simplex against hand solutions and vertex enumeration."""
+"""Dense one-phase simplex against hand solutions and vertex enumeration."""
 
 from itertools import combinations
 
@@ -19,20 +19,23 @@ def test_box_maximum():
 
 
 def test_covering_row_dual():
-    # min x + y subject to x + y >= 1, written as -x - y <= -1
-    res = solve_inequality_lp(np.array([1.0, 1.0]),
-                              np.array([[-1.0, -1.0]]), np.array([-1.0]))
+    # min x + y subject to x + y >= 1, as its dual: min -lam s.t. lam <= 1
+    # twice (one row per primal column), lam >= 0
+    res = solve_inequality_lp(np.array([-1.0]),
+                              np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(1.0, abs=1e-9)
-    assert res.duals[0] == pytest.approx(1.0, abs=1e-9)
+    assert res.objective == pytest.approx(-1.0, abs=1e-9)
+    # the covering row's multiplier, and a primal point on x + y = 1
+    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert (res.duals >= 0.0).all() and res.duals.sum() == pytest.approx(1.0, abs=1e-9)
     # dual objective -h . lambda equals the optimum
-    assert -res.duals @ np.array([-1.0]) == pytest.approx(res.objective, abs=1e-9)
+    assert -res.duals @ np.array([1.0, 1.0]) == pytest.approx(res.objective, abs=1e-9)
 
 
-def test_infeasible_detected():
-    res = solve_inequality_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
-    assert res.status == "infeasible"
-    assert np.isnan(res.objective)
+def test_negative_rhs_rejected():
+    # the slack basis of x <= -1 is infeasible; such LPs are handed over as their dual
+    with pytest.raises(ValueError):
+        solve_inequality_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
 
 def test_unbounded_detected():
@@ -84,9 +87,15 @@ def random_bounded_lp(rng, n):
 
 def test_matches_vertex_enumeration():
     rng = np.random.default_rng(20260817)
+    rejected = 0
     for trial in range(120):
         n = int(rng.integers(1, 4))
         c, G, h = random_bounded_lp(rng, n)
+        if (h < 0).any():
+            with pytest.raises(ValueError):
+                solve_inequality_lp(c, G, h)
+            rejected += 1
+            continue
         res = solve_inequality_lp(c, G, h)
         assert res.status == "optimal", trial
         best = min(c @ v for v in enumerate_vertices(G, h))
@@ -96,6 +105,7 @@ def test_matches_vertex_enumeration():
         assert (c + G.T @ res.duals >= -1e-7).all()
         assert res.duality_gap <= 1e-7 * (1.0 + abs(res.objective))
         assert res.cs_residual <= 1e-7
+    assert rejected == 7
 
 
 def test_rejects_shape_mismatch():
