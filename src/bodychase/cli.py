@@ -32,7 +32,7 @@ from .formats import (
     stream_dimension,
     write_report,
 )
-from .offline import solve_optimal_recourse
+from .offline import lp_report, solve_offline_lp
 from .runner import RunConfig, replicate, run_chase, run_problem
 
 PROBLEMS = ("setcover", "matching", "mst", "loadbalance")
@@ -131,10 +131,10 @@ def _run_offline(args) -> int:
     dim = stream_dimension(stream)
     weights = (np.ones(dim) if args.weights is None
                else parse_weights(args.weights, dim))
-    opt, trajectory = solve_optimal_recourse(stream, weights, variable_cap=args.oracle_cap)
-    record = {"kind": "offline", "opt": opt, "T": len(stream), "n": int(weights.shape[0])}
+    lp, res = solve_offline_lp(stream, weights, variable_cap=args.oracle_cap)
+    record = {"kind": "offline", **lp_report(res), "T": len(stream), "n": int(weights.shape[0])}
     if args.dump_trajectory:
-        record["trajectory"] = [p.values for p in trajectory]
+        record["trajectory"] = [p.values for p in lp.trajectory(res.x)]
     _emit([record], args)
     return 0
 

@@ -42,6 +42,8 @@ __all__ = [
     "OracleCapExceeded",
     "RecourseLP",
     "build_compressed_lp",
+    "lp_report",
+    "solve_offline_lp",
     "solve_recourse_lp",
     "solve_optimal_recourse",
     "VARIABLE_CAP",
@@ -99,8 +101,9 @@ class RecourseLP:
     def variable_count(self) -> int:
         return self.objective.shape[0]
 
-    def trajectory(self, solution: np.ndarray) -> np.ndarray:
-        """(T, n) matrix of the trajectory encoded by an LP solution."""
+    def trajectory(self, solution: np.ndarray) -> list:
+        """The points, one per time step, of the trajectory encoded by an LP
+        solution."""
         X = np.zeros((self.horizon, self.n))
         for i, (times, cols) in self.x_cols.items():
             k = 0
@@ -110,7 +113,8 @@ class RecourseLP:
                     current = solution[cols[k]]
                     k += 1
                 X[t, i] = current
-        return X
+        return [FractionalPoint(np.clip(X[t], 0.0, None), self.weights)
+                for t in range(self.horizon)]
 
 
 def _row_entries(item, n):
@@ -213,12 +217,10 @@ def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
                          dual.cs_residual, dual.duality_gap)
 
 
-def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP):
-    """Optimal offline upward recourse and one optimal trajectory."""
+def solve_offline_lp(stream, weights, *, variable_cap: int = VARIABLE_CAP):
+    """The compressed LP of a stream and its primal-oriented solve."""
     weights = np.asarray(weights, dtype=float)
     steps = _normalize_stream(stream)
-    if not steps:
-        return 0.0, []
     # counted before anything is built: the dense rows are what runs out of memory
     variables = 2 * sum(map(len, _appearances(steps, weights.shape[0]).values()))
     if variables > variable_cap:
@@ -226,8 +228,17 @@ def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP)
             "LP has %d variables, above the cap of %d" % (variables, variable_cap)
         )
     lp = build_compressed_lp(steps, weights)
-    res = solve_recourse_lp(lp)
-    opt = max(0.0, float(res.objective))
-    X = lp.trajectory(res.x)
-    trajectory = [FractionalPoint(np.clip(X[t], 0.0, None), weights) for t in range(lp.horizon)]
-    return opt, trajectory
+    return lp, solve_recourse_lp(lp)
+
+
+def lp_report(res: SimplexResult) -> dict:
+    """The offline record's fields: the optimum, and the pivots,
+    complementary-slackness residual and duality gap of its solve."""
+    return {"opt": max(0.0, float(res.objective)), "pivots": res.iterations,
+            "cs_residual": res.cs_residual, "duality_gap": res.duality_gap}
+
+
+def solve_optimal_recourse(stream, weights, *, variable_cap: int = VARIABLE_CAP):
+    """Optimal offline upward recourse and one optimal trajectory."""
+    lp, res = solve_offline_lp(stream, weights, variable_cap=variable_cap)
+    return lp_report(res)["opt"], lp.trajectory(res.x)

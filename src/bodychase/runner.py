@@ -42,7 +42,7 @@ from .core import (
 )
 from .formats import FormatError, parse_stream, parse_updates, parse_weights, stream_dimension
 from .graphs import is_connected
-from .offline import Freeze, OracleCapExceeded, solve_optimal_recourse
+from .offline import Freeze, OracleCapExceeded, lp_report, solve_offline_lp
 from .round_matching import MaintainedMatching, Stabilizer, maintain_matching, stabilizer_step
 from .round_mst import DynamicTree, MstSampler, mst_sampler_step, repair_tree
 from .round_setcover import CoverState, init_clocks, round_det, round_rand
@@ -111,10 +111,11 @@ def apply_freeze(x: FractionalPoint, indices, ledger=None, log=None) -> Fraction
 
 def _offline_block(stream, weights, cap):
     try:
-        opt, _ = solve_optimal_recourse(stream, weights, variable_cap=cap)
-        return {"kind": "offline", "opt": opt, "skipped": None}
+        _, res = solve_offline_lp(stream, weights, variable_cap=cap)
     except OracleCapExceeded as exc:
-        return {"kind": "offline", "opt": None, "skipped": str(exc)}
+        return {"kind": "offline", "skipped": str(exc), "opt": None,
+                "pivots": None, "cs_residual": None, "duality_gap": None}
+    return {"kind": "offline", "skipped": None, **lp_report(res)}
 
 
 def _ratio_against(upward: float, opt) -> float | None:
@@ -261,6 +262,7 @@ class _ProblemDriver:
             block = _offline_block(self.offline_stream, np.ones(n),
                                    self.config.oracle_cap)
             out["offline_opt"] = block["opt"]
+            out["offline_pivots"] = block["pivots"]
             out["offline_skipped"] = block["skipped"]
             out["ratio_vs_opt"] = _ratio_against(self.ledger.upward_total,
                                                  block["opt"])

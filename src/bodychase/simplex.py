@@ -7,9 +7,10 @@ basis) suffices. The package's LPs are the set cover dual and the
 offline recourse LP's dual (see `offline`); both have that form.
 Dantzig pricing with an automatic permanent switch to Bland's rule
 after a run of non-improving pivots, so termination is guaranteed under
-heavy degeneracy. Row duals are recovered from the optimal basis and
-returned in the sign convention where every multiplier is nonnegative
-and the dual objective is -h.lambda.
+heavy degeneracy. A pivot updates only the rows where its column is
+nonzero, or the whole tableau at once when that is most rows. Row duals
+are the slack columns' final reduced costs: nonnegative multipliers,
+with dual objective -h.lambda.
 """
 
 from __future__ import annotations
@@ -44,9 +45,14 @@ class SimplexResult:
 
 def _pivot(work, obj, row, col):
     work[row] = work[row] / work[row, col]
-    factor = work[:, col].copy()
-    factor[row] = 0.0
-    work -= np.outer(factor, work[row])
+    rows = np.flatnonzero(work[:, col])
+    if 2 * rows.size > work.shape[0]:  # a dense column: update the whole tableau
+        factor = work[:, col].copy()
+        factor[row] = 0.0
+        work -= np.outer(factor, work[row])
+    else:  # the other rows would lose exactly 0 * x
+        rows = rows[rows != row]
+        work[rows] -= np.outer(work[rows, col], work[row])
     if obj[col] != 0.0:
         obj -= obj[col] * work[row]
 
@@ -115,8 +121,10 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
     if start is not None and (start.shape != (m,) or start.min() < 0 or start.max() >= n + m):
         raise ValueError("a starting basis needs one column of [G | I] per row")
 
-    eq = np.hstack([G, np.eye(m)])
-    work = np.hstack([eq, h[:, None]])
+    work = np.zeros((m, n + m + 1))
+    work[:, :n] = G
+    np.fill_diagonal(work[:, n:n + m], 1.0)
+    work[:, -1] = h
     basis = list(range(n, n + m))
     if start is not None:
         try:  # the tableau in that basis, by one linear solve
@@ -128,9 +136,8 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
             table[:, -1] = np.clip(table[:, -1], 0.0, None)
             work, basis = table, start.tolist()
 
-    cost = np.zeros(n + m + 1)
-    cost[:n] = c
-    obj = cost.copy()
+    obj = np.zeros(n + m + 1)
+    obj[:n] = c
     for r in range(m):
         if obj[basis[r]] != 0.0:
             obj -= obj[basis[r]] * work[r]
@@ -140,20 +147,10 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
                              np.zeros(m), iterations, np.nan, np.nan)
 
     x_full = np.zeros(n + m)
-    for r, b in enumerate(basis):
-        x_full[b] = work[r, -1]
+    x_full[basis] = work[:, -1]
     x = x_full[:n]
     objective = float(c @ x)
-
-    # basis duals of the equality system [G | I], negated into nonnegative
-    # row multipliers of G v <= h
-    B = eq[:, basis]
-    cb = cost[basis]
-    try:
-        y = np.linalg.solve(B.T, cb)
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
-    duals = np.clip(-y, 0.0, None)
+    duals = np.clip(obj[n:n + m], 0.0, None)
 
     slack_primal = h - G @ x
     cs_rows = float(np.max(np.abs(duals * slack_primal)))

@@ -35,7 +35,6 @@ from bodychase.simplex import (
     PIVOT_TOL,
     SimplexError,
     SimplexResult,
-    _pivot,
     _run_phase,
 )
 
@@ -622,6 +621,32 @@ def dense_max_window_sums(log: MultiplierLog, ytilde) -> np.ndarray:
     return best
 
 
+def dense_pivot(work, obj, row, col):
+    """The simplex pivot as it was before it updated only the rows the pivot
+    column changes: the whole tableau loses one outer product."""
+    work[row] = work[row] / work[row, col]
+    factor = work[:, col].copy()
+    factor[row] = 0.0
+    work -= np.outer(factor, work[row])
+    if obj[col] != 0.0:
+        obj -= obj[col] * work[row]
+
+
+def lu_duals(c, G, basis):
+    """Nonnegative row multipliers of G v <= h from an optimal basis of
+    [G | I], by one linear solve with the basis: how `solve_inequality_lp`
+    recovered its duals before it read them off the final objective row."""
+    m, n = G.shape
+    basis = list(basis)
+    B = np.hstack([G, np.eye(m)])[:, basis]
+    cb = np.concatenate([c, np.zeros(m)])[basis]
+    try:
+        y = np.linalg.solve(B.T, cb)
+    except np.linalg.LinAlgError:
+        y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
+    return np.clip(-y, 0.0, None)
+
+
 def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
                  feas_tol=FEAS_TOL, max_iter=None) -> SimplexResult:
     """The two-phase simplex `simplex.solve_inequality_lp` was before it
@@ -695,7 +720,7 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
             entries = np.abs(work[r, : n + m])
             j = int(np.argmax(entries))
             if entries[j] > pivot_tol:
-                _pivot(work, phase1, r, j)
+                dense_pivot(work, phase1, r, j)
                 basis[r] = j
             else:
                 keep[r] = False

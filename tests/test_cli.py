@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bodychase.cli import main
+from bodychase.formats import parse_stream
+from bodychase.offline import build_compressed_lp, solve_recourse_lp
 
 STREAM = "C 0:1 1:2\nC 2:1\nF 1\nP 0:1 2:0.5\n"
 
@@ -79,6 +82,12 @@ def test_offline_opt_with_trajectory(stream_file, capsys):
     assert main(["offline-opt", stream_file, "--dump-trajectory"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["opt"] == pytest.approx(1.5)
+    # what the solve cost, as the solver reports it
+    stream = parse_stream(stream_file)
+    res = solve_recourse_lp(build_compressed_lp(stream, np.ones(record["n"])))
+    assert record["pivots"] == res.iterations > 0
+    assert record["cs_residual"] == res.cs_residual
+    assert record["duality_gap"] == res.duality_gap
     assert len(record["trajectory"]) == 4
     # clamp at t=2 forces coordinate 1 to zero
     assert record["trajectory"][2][1] == pytest.approx(0.0, abs=1e-9)

@@ -7,6 +7,7 @@ import pytest
 
 from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import parse_stream
+from bodychase.offline import build_compressed_lp, solve_recourse_lp
 from bodychase.runner import RunConfig, apply_freeze, replicate, run_chase, run_problem
 from bodychase.core import FractionalPoint
 
@@ -38,6 +39,18 @@ def test_empty_stream():
     assert s["upward_recourse"] == 0.0
     assert s["offline_opt"] == 0.0
     assert s["ratio_vs_opt"] == 1.0
+    block = rows_of(records, "offline")[0]
+    assert (block["pivots"], block["cs_residual"], block["duality_gap"]) == (0, 0.0, 0.0)
+
+
+def test_offline_block_reports_the_solve():
+    stream = parse_stream(["C 0:1 1:2", "P 0:1", "C 1:1 2:1", "F 1", "C 0:2 2:1"])
+    block = rows_of(run_chase(RunConfig(eps=0.5), stream), "offline")[0]
+    res = solve_recourse_lp(build_compressed_lp(stream, np.ones(3)))
+    assert res.iterations > 0
+    assert block == {"kind": "offline", "skipped": None, "opt": max(0.0, res.objective),
+                     "pivots": res.iterations, "cs_residual": res.cs_residual,
+                     "duality_gap": res.duality_gap}
 
 
 def test_freeze_line_clamps_and_blocks_refined():
@@ -170,6 +183,35 @@ def test_setcover_rows_report_cover_lp_pivots():
                            ("matching", {"problem": "matching"},
                             _events("matching", [("insert", {"u": 0, "v": 1})])))
     assert all("lp_pivots" not in r for r in matching)
+
+
+MST_HEADER = {"problem": "mst", "vertices": [0, 1, 2, 3]}
+MST_EVENTS = [("insert", {"u": 0, "v": 1, "cost": 1.0}),
+              ("insert", {"u": 1, "v": 2, "cost": 2.0}),
+              ("insert", {"u": 2, "v": 3, "cost": 1.5}),
+              ("insert", {"u": 0, "v": 2, "cost": 0.5}),
+              ("delete", {"u": 1, "v": 2})]
+
+
+def test_replay_summary_reports_offline_pivots(monkeypatch):
+    from bodychase import runner
+
+    seen = []
+    block = runner._offline_block
+
+    def keep(stream, weights, cap):
+        seen.append((stream, weights))
+        return block(stream, weights, cap)
+
+    monkeypatch.setattr(runner, "_offline_block", keep)
+    updates = ("mst", MST_HEADER, _events("mst", MST_EVENTS))
+    s = summary_of(run_problem(RunConfig(problem="mst"), updates))
+    (stream, weights), = seen
+    lp_res = solve_recourse_lp(build_compressed_lp(stream, weights))
+    assert s["offline_pivots"] == lp_res.iterations > 0
+    assert s["offline_opt"] == max(0.0, lp_res.objective)
+    skipped = summary_of(run_problem(RunConfig(problem="mst", oracle_cap=1), updates))
+    assert skipped["offline_pivots"] is None and skipped["offline_opt"] is None
 
 
 def test_replicate_runs_neither_certify_nor_solve_offline(monkeypatch):
@@ -316,6 +358,7 @@ def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
     stream = parse_stream(["C %d:1" % i for i in range(6)])
     block = runner._offline_block(stream, np.ones(6), 3)
     assert block == {"kind": "offline", "opt": None,
-                     "skipped": "LP has 12 variables, above the cap of 3"}
+                     "skipped": "LP has 12 variables, above the cap of 3",
+                     "pivots": None, "cs_residual": None, "duality_gap": None}
     with pytest.raises(offline.OracleCapExceeded):
         offline.solve_optimal_recourse(stream, np.ones(6), variable_cap=3)

@@ -1,11 +1,17 @@
-"""Dense one-phase simplex against hand solutions and vertex enumeration."""
+"""Dense one-phase simplex against hand solutions, vertex enumeration and
+the dense pivot and LU dual recovery it replaced."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from bodychase import simplex
+from bodychase.offline import build_compressed_lp
 from bodychase.simplex import SimplexError, solve_inequality_lp
+
+from oracles import dense_pivot, lu_duals, random_mixed_stream
 
 
 def test_box_maximum():
@@ -150,3 +156,73 @@ def test_basis_needs_nonnegative_h_and_one_column_per_row():
     for basis in ([0, 1], [2], [-1]):
         with pytest.raises(ValueError):
             solve_inequality_lp(c, G, np.array([1.0]), basis=basis)
+
+
+def differential_lps():
+    """The random LPs of the tests above (same seeds and counts) and the
+    offline recourse LPs of mixed streams, in the dual form `offline`
+    solves them in."""
+    for seed, trials in ((20260817, 120), (7, 30)):
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            c, G, h = random_bounded_lp(rng, int(rng.integers(1, 4)))
+            if not (h < 0).any():
+                yield c, G, h
+    rng = np.random.default_rng(61)
+    for eps in (0.25, 1.0):
+        for _ in range(6):
+            n, T = int(rng.integers(2, 9)), int(rng.integers(10, 51))
+            _, _, rows, w = random_mixed_stream(rng, n, T, eps)
+            lp = build_compressed_lp(rows, w)
+            yield lp.rhs, -lp.lhs.T, lp.objective
+
+
+def test_every_pivot_equals_the_dense_pivot(monkeypatch):
+    pivot = simplex._pivot
+    dense_columns = []
+
+    def checked(work, obj, row, col):
+        dense_columns.append(2 * np.count_nonzero(work[:, col]) > work.shape[0])
+        ref_work, ref_obj = work.copy(), obj.copy()
+        dense_pivot(ref_work, ref_obj, row, col)
+        pivot(work, obj, row, col)
+        assert np.array_equal(work, ref_work) and np.array_equal(obj, ref_obj)
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    for c, G, h in differential_lps():
+        solve_inequality_lp(c, G, h)
+    # both the whole-tableau and the row-subset update ran
+    assert any(dense_columns) and not all(dense_columns)
+
+
+def test_solve_matches_dense_pivot_and_lu_duals(monkeypatch):
+    lps = list(differential_lps())
+    results = [solve_inequality_lp(c, G, h) for c, G, h in lps]
+    monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+    for (c, G, h), res in zip(lps, results):
+        ref = solve_inequality_lp(c, G, h)
+        assert np.array_equal(res.x, ref.x) and res.objective == ref.objective
+        assert res.basis == ref.basis and res.iterations == ref.iterations
+        lu = lu_duals(c, G, res.basis)
+        assert np.max(np.abs(res.duals - lu)) <= 1e-9 * max(1.0, np.max(np.abs(lu)))
+
+
+def test_sparse_column_pivot_allocates_no_tableau():
+    # m = 2000 rows, n + m + 1 = 4001 columns, 3 nonzeros in the pivot column
+    m = n = 2000
+    work = np.zeros((m, n + m + 1))
+    np.fill_diagonal(work[:, n:], 1.0)
+    work[:, -1] = 1.0
+    col = 5
+    work[[3, 700, 1999], col] = [2.0, -1.0, 0.5]
+    obj = np.zeros(n + m + 1)
+    obj[col] = -1.0
+    tracemalloc.start()
+    try:
+        simplex._pivot(work, obj, 3, col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * work.nbytes
+    assert work[3, col] == 1.0 and work[700, col] == 0.0 and work[1999, col] == 0.0
+    assert work[700, -1] == 1.5 and work[1999, -1] == 0.75 and obj[-1] == 0.5
