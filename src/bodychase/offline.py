@@ -22,9 +22,12 @@ formulation above, which carries x and l at every step (2nT variables).
 The full form lives in the tests (tests/oracles.py) as the reference the
 equivalence is cross-checked against.
 
-The simplex solves the LP's dual: its right-hand side is the objective,
-the movement weights (0 on x), so y = 0 is a feasible start. An unbounded
-dual means no trajectory exists.
+The LP is built sparse, as (row, column, value) triplets, in one pass
+over the stream, so its size and the variable cap are known before any
+dense work; only `solve_recourse_lp` densifies it. The simplex solves
+the LP's dual: its right-hand side is the objective, the movement
+weights (0 on x), so y = 0 is a feasible start. An unbounded dual means
+no trajectory exists.
 """
 
 from __future__ import annotations
@@ -36,18 +39,9 @@ import numpy as np
 from .core import ChaseError, FractionalPoint, HalfspaceConstraint, Kind
 from .simplex import SimplexResult, solve_inequality_lp
 
-__all__ = [
-    "Freeze",
-    "OfflineError",
-    "OracleCapExceeded",
-    "RecourseLP",
-    "build_compressed_lp",
-    "lp_report",
-    "solve_offline_lp",
-    "solve_recourse_lp",
-    "solve_optimal_recourse",
-    "VARIABLE_CAP",
-]
+__all__ = ["Freeze", "OfflineError", "OracleCapExceeded", "RecourseLP", "Triplets",
+           "build_compressed_lp", "lp_report", "solve_offline_lp", "solve_recourse_lp",
+           "solve_optimal_recourse", "VARIABLE_CAP"]
 
 VARIABLE_CAP = 4000
 
@@ -57,7 +51,7 @@ class OfflineError(ChaseError):
 
 
 class OracleCapExceeded(OfflineError):
-    """The LP would have more variables than the cap; nothing was built."""
+    """The LP has more variables than the cap; it was not solved."""
 
 
 @dataclass(frozen=True)
@@ -85,17 +79,37 @@ def _normalize_stream(stream):
     return steps
 
 
+@dataclass(frozen=True)
+class Triplets:
+    """A sparse matrix as (row, column, value) triplets, no two at one cell."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.values
+        return dense
+
+
 @dataclass
 class RecourseLP:
     horizon: int
     n: int
     weights: np.ndarray
     objective: np.ndarray
-    lhs: np.ndarray
+    lhs: Triplets
     rhs: np.ndarray
-    row_kinds: list
-    # per coordinate: (the times it appears at, its x columns at those times)
-    x_cols: dict = field(repr=False, default_factory=dict)
+    # per x column: the coordinate and the time step it stands for; a
+    # coordinate's columns are numbered in time order
+    x_coord: np.ndarray = field(repr=False)
+    x_time: np.ndarray = field(repr=False)
 
     @property
     def variable_count(self) -> int:
@@ -103,110 +117,74 @@ class RecourseLP:
 
     def trajectory(self, solution: np.ndarray) -> list:
         """The points, one per time step, of the trajectory encoded by an LP
-        solution."""
-        X = np.zeros((self.horizon, self.n))
-        for i, (times, cols) in self.x_cols.items():
-            k = 0
-            current = 0.0
-            for t in range(self.horizon):
-                while k < len(times) and times[k] <= t:
-                    current = solution[cols[k]]
-                    k += 1
-                X[t, i] = current
+        solution: each x value holds until its coordinate's next column."""
+        nx = self.x_coord.shape[0]
+        last = np.full((self.horizon, self.n), -1)  # -1 reads the 0 appended below
+        last[self.x_time, self.x_coord] = np.arange(nx)
+        X = np.append(solution[:nx], 0.0)[np.maximum.accumulate(last, axis=0)]
         return [FractionalPoint(np.clip(X[t], 0.0, None), self.weights)
                 for t in range(self.horizon)]
 
 
-def _row_entries(item, n):
-    if isinstance(item, Freeze):
-        for i in item.indices:
-            if i >= n:
-                raise OfflineError("freeze names coordinate %d beyond dimension %d" % (i, n))
-        return item.indices
-    if item.max_index >= n:
-        raise OfflineError(
-            "row names coordinate %d beyond dimension %d" % (item.max_index, n)
-        )
-    return item.indices.tolist()
-
-
-def _constraint_rows(steps, n, nvar, col):
-    """Dense covering, packing and clamp rows; x_i^t is column col(i, t)."""
-    rows, rhs, kinds = [], [], []
-    for t, group in enumerate(steps):
-        for item in group:
-            entries = _row_entries(item, n)
-            if isinstance(item, Freeze):
-                for i in entries:
-                    row = np.zeros(nvar)
-                    row[col(i, t)] = 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-                    kinds.append("freeze")
-                continue
-            sign, kind = (-1.0, "cover") if item.kind is Kind.COVERING else (1.0, "pack")
-            row = np.zeros(nvar)
-            for i, v in zip(entries, item.coeffs):
-                row[col(i, t)] = sign * v
-            rows.append(row)
-            rhs.append(sign)
-            kinds.append(kind)
-    return rows, rhs, kinds
-
-
-def _appearances(steps, n) -> dict[int, list[int]]:
-    """Per coordinate, the time steps at which a row or clamp names it."""
-    appearances: dict[int, list[int]] = {}
-    for t, group in enumerate(steps):
-        for item in group:
-            for i in _row_entries(item, n):
-                seq = appearances.setdefault(int(i), [])
-                if not seq or seq[-1] != t:
-                    seq.append(t)
-    return appearances
-
-
 def build_compressed_lp(stream, weights) -> RecourseLP:
+    """One pass over the steps emits each row's (row, coordinate, time,
+    value) entries and right-hand side: a covering row negated to <= -1,
+    a packing row as is, one 0 <= 0 clamp row per frozen index. The x
+    columns are the distinct (coordinate, time) pairs in that order; each
+    gets an upward-movement column l and a movement row
+    x - x_prev - l <= 0, where x_prev is the coordinate's previous column."""
     weights = np.asarray(weights, dtype=float)
     steps = _normalize_stream(stream)
     T, n = len(steps), weights.shape[0]
 
-    appearances = _appearances(steps, n)
-    x_cols, col_at, nx = {}, {}, 0
-    for i, times in sorted(appearances.items()):
-        x_cols[i] = (times, np.arange(nx, nx + len(times)))
-        col_at.update(((i, t), nx + k) for k, t in enumerate(times))
-        nx += len(times)
-    # one upward-movement variable per x variable, same order
-    nvar = 2 * nx
-    c = np.zeros(nvar)
-    for i, (times, cols) in x_cols.items():
-        c[nx + cols] = weights[i]
+    row, coord, time, value, rhs = [], [], [], [], []
+    for t, group in enumerate(steps):
+        for item in group:
+            if isinstance(item, Freeze):  # one x <= 0 row per index
+                what, top, idx = "freeze", max(item.indices, default=-1), list(item.indices)
+                row += range(len(rhs), len(rhs) + len(idx))
+                value += [1.0] * len(idx)
+                rhs += [0.0] * len(idx)
+            else:
+                what, top, idx = "row", item.max_index, item.indices.tolist()
+                sign = -1.0 if item.kind is Kind.COVERING else 1.0
+                row += [len(rhs)] * len(idx)
+                value += (sign * item.coeffs).tolist()
+                rhs.append(sign)
+            if top >= n:
+                raise OfflineError("%s names coordinate %d beyond dimension %d" % (what, top, n))
+            coord += idx
+            time += [t] * len(idx)
+    m = len(rhs)
+    if m == 0:  # nothing is named: one void row over one void column
+        none = np.zeros(0, dtype=np.int64)
+        return RecourseLP(T, n, weights, np.zeros(1), Triplets((1, 1), none, none, np.zeros(0)),
+                          np.zeros(1), none, none)
 
-    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: col_at[(i, t)])
-    for i, (times, cols) in sorted(x_cols.items()):
-        for k in range(len(times)):
-            row = np.zeros(nvar)
-            row[cols[k]] = 1.0
-            if k > 0:
-                row[cols[k - 1]] = -1.0
-            row[nx + cols[k]] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            kinds.append("move")
-    if not rows:
-        rows = [np.zeros(max(nvar, 1))]
-        rhs = [0.0]
-        kinds = ["void"]
-        c = np.zeros(max(nvar, 1))
-    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds, x_cols)
+    coord = np.array(coord, dtype=np.int64)
+    keys, x_of = np.unique(coord * T + np.array(time, dtype=np.int64), return_inverse=True)
+    x_coord, x_time = np.divmod(keys, T)
+    nx = keys.shape[0]
+    x = np.arange(nx)
+    # the previous column of the same coordinate, where there is one
+    chained = np.flatnonzero(x_coord[1:] == x_coord[:-1]) + 1
+    lhs = Triplets(
+        (m + nx, 2 * nx),
+        np.concatenate([row, m + x, m + chained, m + x]),
+        np.concatenate([x_of, x, chained - 1, nx + x]),
+        np.concatenate([value, np.ones(nx), np.full(chained.shape[0], -1.0),
+                        np.full(nx, -1.0)]),
+    )
+    objective = np.concatenate([np.zeros(nx), weights[x_coord]])
+    return RecourseLP(T, n, weights, objective, lhs, np.concatenate([rhs, np.zeros(nx)]),
+                      x_coord, x_time)
 
 
 def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
     """Solve the LP as its dual, min rhs.y s.t. -lhs^T y <= objective, y >= 0,
     and read the result back as the primal's: objective, x (the dual's row
     duals) and row duals (the dual's x)."""
-    dual = solve_inequality_lp(lp.rhs, -lp.lhs.T, lp.objective)
+    dual = solve_inequality_lp(lp.rhs, -lp.lhs.toarray().T, lp.objective)
     if dual.status == "unbounded":
         raise OfflineError("stream admits no feasible trajectory")
     if dual.cs_residual > 1e-6 or dual.duality_gap > 1e-6 * (1.0 + abs(dual.objective)):
@@ -219,15 +197,12 @@ def solve_recourse_lp(lp: RecourseLP) -> SimplexResult:
 
 def solve_offline_lp(stream, weights, *, variable_cap: int = VARIABLE_CAP):
     """The compressed LP of a stream and its primal-oriented solve."""
-    weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
-    # counted before anything is built: the dense rows are what runs out of memory
-    variables = 2 * sum(map(len, _appearances(steps, weights.shape[0]).values()))
-    if variables > variable_cap:
+    lp = build_compressed_lp(stream, weights)
+    # checked on the sparse LP: the dense solve is what runs out of memory
+    if lp.variable_count > variable_cap:
         raise OracleCapExceeded(
-            "LP has %d variables, above the cap of %d" % (variables, variable_cap)
+            "LP has %d variables, above the cap of %d" % (lp.variable_count, variable_cap)
         )
-    lp = build_compressed_lp(steps, weights)
     return lp, solve_recourse_lp(lp)
 
 

@@ -5,12 +5,14 @@ Solves   min c.v   subject to   G v <= h,  v >= 0,   with h >= 0,
 so the slack basis is feasible and one phase from it (or from a given
 basis) suffices. The package's LPs are the set cover dual and the
 offline recourse LP's dual (see `offline`); both have that form.
-Dantzig pricing with an automatic permanent switch to Bland's rule
-after a run of non-improving pivots, so termination is guaranteed under
-heavy degeneracy. A pivot updates only the rows where its column is
-nonzero, or the whole tableau at once when that is most rows. Row duals
-are the slack columns' final reduced costs: nonnegative multipliers,
-with dual objective -h.lambda.
+Dantzig pricing with an automatic switch to Bland's rule after a run of
+non-improving pivots, so termination is guaranteed under heavy
+degeneracy. A pivot updates only the rows where its column is nonzero,
+or the whole tableau at once when that is most rows. A pivot tiny
+against its column is likely round-off, so the tableau is first rebuilt
+from the inputs at the current basis, by the same linear solve a warm
+start uses. Row duals are the slack columns' final reduced costs:
+nonnegative multipliers, with dual objective -h.lambda.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = ["SimplexError", "SimplexResult", "solve_inequality_lp"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+MIN_PIVOT_RATIO = 1e-6  # smaller pivots, against their column, refresh the tableau
 
 
 class SimplexError(ChaseError):
@@ -57,30 +60,61 @@ def _pivot(work, obj, row, col):
         obj -= obj[col] * work[row]
 
 
-def _run_phase(work, obj, basis, pivot_tol, max_iter):
+def _tableau(c, G, h, basis=None):
+    """The tableau [G | I | h] and its objective row [c | 0 | 0], reduced
+    to `basis`, one column of [G | I] per row, by one linear solve; None
+    if that basis is singular or infeasible. No basis: the slack basis."""
+    m, n = G.shape
+    work = np.zeros((m, n + m + 1))
+    work[:, :n] = G
+    np.fill_diagonal(work[:, n:n + m], 1.0)
+    work[:, -1] = h
+    obj = np.zeros(n + m + 1)
+    obj[:n] = c
+    if basis is None:
+        return work, obj
+    try:
+        work = np.linalg.solve(work[:, basis], work)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(work).all() or (work[:, -1] < -FEAS_TOL).any():
+        return None
+    work[:, basis] = np.eye(m)
+    work[:, -1] = np.clip(work[:, -1], 0.0, None)
+    for r, b in enumerate(basis):
+        if obj[b] != 0.0:
+            obj -= obj[b] * work[r]
+    return work, obj
+
+
+def _run_phase(work, obj, basis, max_iter, refresh=None):
     """Minimize until no negative reduced cost remains.
 
-    Returns (status, iterations). Switches to Bland's rule permanently
-    after 50 pivots without objective improvement.
+    Returns (status, pivots). Switches to Bland's rule after 50 pivots
+    without objective improvement. A pivot below MIN_PIVOT_RATIO of its
+    column's largest entry may be round-off: then `refresh(basis)`, if
+    given, rebuilds (work, obj) (None if it cannot), and the pricing
+    starts over from Dantzig's rule, at most once between two pivots, so
+    a genuinely small pivot is still taken.
     """
     m = work.shape[0]
-    bland = False
-    stall = 0
-    for it in range(max_iter):
+    bland, stall, pivots = False, 0, 0
+    refreshed = -1  # the pivot count at the last refresh
+    while pivots < max_iter:
         reduced = obj[:-1]
         if bland:
-            negs = np.flatnonzero(reduced < -pivot_tol)
+            negs = np.flatnonzero(reduced < -PIVOT_TOL)
             if negs.size == 0:
-                return "optimal", it
+                return "optimal", pivots
             col = int(negs[0])
         else:
             col = int(np.argmin(reduced))
-            if reduced[col] >= -pivot_tol:
-                return "optimal", it
+            if reduced[col] >= -PIVOT_TOL:
+                return "optimal", pivots
         colvec = work[:, col]
-        eligible = colvec > pivot_tol
+        eligible = colvec > PIVOT_TOL
         if not eligible.any():
-            return "unbounded", it
+            return "unbounded", pivots
         ratios = np.full(m, np.inf)
         ratios[eligible] = work[eligible, -1] / colvec[eligible]
         best = float(ratios.min())
@@ -89,9 +123,18 @@ def _run_phase(work, obj, basis, pivot_tol, max_iter):
             row = int(ties[np.argmin(np.asarray(basis)[ties])])
         else:
             row = int(ties[np.argmax(colvec[ties])])
+        if (refresh is not None and refreshed < pivots
+                and colvec[row] < MIN_PIVOT_RATIO * np.abs(colvec).max()):
+            refreshed = pivots
+            table = refresh(basis)
+            if table is not None:  # pricing starts over on the clean tableau
+                work[:], obj[:] = table
+                bland, stall = False, 0
+                continue
         before = obj[-1]
         _pivot(work, obj, row, col)
         basis[row] = col
+        pivots += 1
         if obj[-1] <= before + 1e-12 * (1.0 + abs(before)):
             stall += 1
             if stall >= 50:
@@ -101,8 +144,7 @@ def _run_phase(work, obj, basis, pivot_tol, max_iter):
     raise SimplexError("pivot budget exhausted after %d iterations" % max_iter)
 
 
-def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
-                        feas_tol=FEAS_TOL, max_iter=None) -> SimplexResult:
+def solve_inequality_lp(c, G, h, *, basis=None) -> SimplexResult:
     """Needs h >= 0. The solve starts at `basis`, one column of [G | I] per
     row, unless it is singular or infeasible, else at the slack basis."""
     c = np.asarray(c, dtype=float)
@@ -115,33 +157,15 @@ def solve_inequality_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
         raise ValueError("LP needs at least one row")
     if (h < 0.0).any():
         raise ValueError("LP needs h >= 0, so that its slack basis is feasible")
-    if max_iter is None:
-        max_iter = 10000 + 20 * (m + n)
     start = None if basis is None else np.asarray(basis, dtype=np.int64)
     if start is not None and (start.shape != (m,) or start.min() < 0 or start.max() >= n + m):
         raise ValueError("a starting basis needs one column of [G | I] per row")
 
-    work = np.zeros((m, n + m + 1))
-    work[:, :n] = G
-    np.fill_diagonal(work[:, n:n + m], 1.0)
-    work[:, -1] = h
-    basis = list(range(n, n + m))
-    if start is not None:
-        try:  # the tableau in that basis, by one linear solve
-            table = np.linalg.solve(work[:, start], work)
-        except np.linalg.LinAlgError:  # singular
-            table = None
-        if table is not None and np.isfinite(table).all() and (table[:, -1] >= -feas_tol).all():
-            table[:, start] = np.eye(m)
-            table[:, -1] = np.clip(table[:, -1], 0.0, None)
-            work, basis = table, start.tolist()
-
-    obj = np.zeros(n + m + 1)
-    obj[:n] = c
-    for r in range(m):
-        if obj[basis[r]] != 0.0:
-            obj -= obj[basis[r]] * work[r]
-    status, iterations = _run_phase(work, obj, basis, pivot_tol, max_iter)
+    table = None if start is None else _tableau(c, G, h, start)
+    basis = list(range(n, n + m)) if table is None else start.tolist()
+    work, obj = _tableau(c, G, h) if table is None else table
+    status, iterations = _run_phase(work, obj, basis, 10000 + 20 * (m + n),
+                                    lambda basis: _tableau(c, G, h, basis))
     if status == "unbounded":
         return SimplexResult("unbounded", -np.inf, np.full(n, np.nan),
                              np.zeros(m), iterations, np.nan, np.nan)

@@ -29,7 +29,7 @@ from bodychase.core import (
     packing_violated,
     project_and_record,
 )
-from bodychase.offline import Freeze, RecourseLP, _constraint_rows, _normalize_stream
+from bodychase.offline import Freeze, OfflineError, RecourseLP, Triplets, _normalize_stream
 from bodychase.simplex import (
     FEAS_TOL,
     PIVOT_TOL,
@@ -205,6 +205,92 @@ def grid_recourse_dp(stream, weights, cells=64):
     return float(V.min())
 
 
+def _row_entries(item, n):
+    if isinstance(item, Freeze):
+        for i in item.indices:
+            if i >= n:
+                raise OfflineError("freeze names coordinate %d beyond dimension %d" % (i, n))
+        return item.indices
+    if item.max_index >= n:
+        raise OfflineError(
+            "row names coordinate %d beyond dimension %d" % (item.max_index, n)
+        )
+    return item.indices.tolist()
+
+
+def _constraint_rows(steps, n, nvar, col):
+    """Dense covering, packing and clamp rows; x_i^t is column col(i, t)."""
+    rows, rhs = [], []
+    for t, group in enumerate(steps):
+        for item in group:
+            entries = _row_entries(item, n)
+            if isinstance(item, Freeze):
+                for i in entries:
+                    row = np.zeros(nvar)
+                    row[col(i, t)] = 1.0
+                    rows.append(row)
+                    rhs.append(0.0)
+                continue
+            sign = -1.0 if item.kind is Kind.COVERING else 1.0
+            row = np.zeros(nvar)
+            for i, v in zip(entries, item.coeffs):
+                row[col(i, t)] = sign * v
+            rows.append(row)
+            rhs.append(sign)
+    return rows, rhs
+
+
+def dense_compressed_lp(stream, weights):
+    """`offline.build_compressed_lp` as it was built densely, one zero row
+    per constraint: the reference for its one-pass sparse build. Returns
+    (objective, lhs, rhs, x_coord, x_time), the last two naming each x
+    column's coordinate and time step."""
+    weights = np.asarray(weights, dtype=float)
+    steps = _normalize_stream(stream)
+    n = weights.shape[0]
+
+    appearances: dict[int, list[int]] = {}
+    for t, group in enumerate(steps):
+        for item in group:
+            for i in _row_entries(item, n):
+                seq = appearances.setdefault(int(i), [])
+                if not seq or seq[-1] != t:
+                    seq.append(t)
+    x_cols, col_at, nx = {}, {}, 0
+    for i, times in sorted(appearances.items()):
+        x_cols[i] = (times, np.arange(nx, nx + len(times)))
+        col_at.update(((i, t), nx + k) for k, t in enumerate(times))
+        nx += len(times)
+    nvar = 2 * nx
+    c = np.zeros(nvar)
+    for i, (times, cols) in x_cols.items():
+        c[nx + cols] = weights[i]
+
+    rows, rhs = _constraint_rows(steps, n, nvar, lambda i, t: col_at[(i, t)])
+    for i, (times, cols) in sorted(x_cols.items()):
+        for k in range(len(times)):
+            row = np.zeros(nvar)
+            row[cols[k]] = 1.0
+            if k > 0:
+                row[cols[k - 1]] = -1.0
+            row[nx + cols[k]] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+    if not rows:
+        rows = [np.zeros(max(nvar, 1))]
+        rhs = [0.0]
+        c = np.zeros(max(nvar, 1))
+    layout = sorted(col_at.items(), key=lambda item: item[1])
+    x_coord = np.array([i for (i, _), _ in layout], dtype=np.int64)
+    x_time = np.array([t for (_, t), _ in layout], dtype=np.int64)
+    return c, np.array(rows), np.array(rhs), x_coord, x_time
+
+
+def triplets_of(dense) -> Triplets:
+    rows, cols = np.nonzero(dense)
+    return Triplets(dense.shape, rows, cols, dense[rows, cols])
+
+
 def build_full_lp(stream, weights) -> RecourseLP:
     """The recourse LP exactly as stated in bodychase.offline: x_i^t and
     l_i^t for every coordinate at every step (2nT variables). The
@@ -221,7 +307,7 @@ def build_full_lp(stream, weights) -> RecourseLP:
     for t in range(T):
         c[nx + t * n : nx + (t + 1) * n] = weights
 
-    rows, rhs, kinds = _constraint_rows(steps, n, nvar, lambda i, t: x_at[t, i])
+    rows, rhs = _constraint_rows(steps, n, nvar, lambda i, t: x_at[t, i])
     for t in range(T):
         for i in range(n):
             row = np.zeros(nvar)
@@ -231,9 +317,8 @@ def build_full_lp(stream, weights) -> RecourseLP:
             row[nx + t * n + i] = -1.0
             rows.append(row)
             rhs.append(0.0)
-            kinds.append("move")
-    x_cols = {i: (list(range(T)), x_at[:, i]) for i in range(n)}
-    return RecourseLP(T, n, weights, c, np.array(rows), np.array(rhs), kinds, x_cols)
+    return RecourseLP(T, n, weights, c, triplets_of(np.array(rows)), np.array(rhs),
+                      np.tile(np.arange(n), T), np.repeat(np.arange(T), n))
 
 
 def applied(x_prev, row, res) -> np.ndarray:
@@ -647,8 +732,7 @@ def lu_duals(c, G, basis):
     return np.clip(-y, 0.0, None)
 
 
-def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
-                 feas_tol=FEAS_TOL, max_iter=None) -> SimplexResult:
+def two_phase_lp(c, G, h, *, basis=None) -> SimplexResult:
     """The two-phase simplex `simplex.solve_inequality_lp` was before it
     required h >= 0: rows with h < 0 are sign-flipped and start on artificial
     columns, which phase 1 drives out; it reports "infeasible" LPs.
@@ -663,8 +747,7 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
         raise ValueError("inconsistent LP shapes")
     if m == 0:
         raise ValueError("LP needs at least one row")
-    if max_iter is None:
-        max_iter = 10000 + 20 * (m + n)
+    max_iter = 10000 + 20 * (m + n)
     start = None if basis is None else np.asarray(basis, dtype=np.int64)
     if start is not None and ((h < 0.0).any() or start.shape != (m,)
                               or start.min() < 0 or start.max() >= n + m):
@@ -692,7 +775,7 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
             table = np.linalg.solve(work[:, start], work)
         except np.linalg.LinAlgError:  # singular
             table = None
-        if table is not None and np.isfinite(table).all() and (table[:, -1] >= -feas_tol).all():
+        if table is not None and np.isfinite(table).all() and (table[:, -1] >= -FEAS_TOL).all():
             table[:, start] = np.eye(m)
             table[:, -1] = np.clip(table[:, -1], 0.0, None)
             work, basis = table, start.tolist()
@@ -704,11 +787,11 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
         for r in range(m):
             if basis[r] >= n + m:
                 phase1 -= work[r]
-        status, it = _run_phase(work, phase1, basis, pivot_tol, max_iter)
+        status, it = _run_phase(work, phase1, basis, max_iter)
         total_iter += it
         if status == "unbounded":
             raise SimplexError("phase 1 cannot be unbounded; numerical failure")
-        if -phase1[-1] > feas_tol:
+        if -phase1[-1] > FEAS_TOL:
             return SimplexResult("infeasible", np.nan, np.full(n, np.nan),
                                  np.zeros(m), total_iter, np.nan, np.nan)
         # clear leftover basic artificials: pivot them out where possible,
@@ -719,7 +802,7 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
                 continue
             entries = np.abs(work[r, : n + m])
             j = int(np.argmax(entries))
-            if entries[j] > pivot_tol:
+            if entries[j] > PIVOT_TOL:
                 dense_pivot(work, phase1, r, j)
                 basis[r] = j
             else:
@@ -738,7 +821,7 @@ def two_phase_lp(c, G, h, *, basis=None, pivot_tol=PIVOT_TOL,
     for r in range(work.shape[0]):
         if obj[basis[r]] != 0.0:
             obj -= obj[basis[r]] * work[r]
-    status, it = _run_phase(work, obj, basis, pivot_tol, max_iter)
+    status, it = _run_phase(work, obj, basis, max_iter)
     total_iter += it
     if status == "unbounded":
         return SimplexResult("unbounded", -np.inf, np.full(n, np.nan),

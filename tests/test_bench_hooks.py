@@ -113,3 +113,7 @@ def test_tracer_sees_the_offline_lp(tmp_path):
     assert traced["spans"].get("simplex.offline", 0) == 1
     assert counts.get("simplex.offline_pivots", 0) == records[-1]["offline_pivots"] > 0
     assert counts.get("offline.lp_vars", 0) > 0
+    # the sparse build is one span, sized by its rows and its nonzeros
+    assert traced["spans"].get("offline.build", 0) == 1
+    assert counts.get("offline.lp_rows", 0) > 0
+    assert counts.get("offline.lp_mb", 0) > 0

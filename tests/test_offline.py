@@ -19,6 +19,7 @@ from bodychase.offline import (
 
 from oracles import (
     build_full_lp,
+    dense_compressed_lp,
     random_mixed_stream,
     stream_from_log,
     two_phase_lp,
@@ -64,7 +65,7 @@ def test_grouped_rows_share_a_time_step():
 def test_contradictory_group_is_infeasible():
     stream, w = [[C({0: 1.0}), P({0: 3.0})]], np.ones(1)
     lp = build_compressed_lp(stream, w)
-    assert two_phase_lp(lp.objective, lp.lhs, lp.rhs).status == "infeasible"
+    assert two_phase_lp(lp.objective, lp.lhs.toarray(), lp.rhs).status == "infeasible"
     with pytest.raises(OfflineError, match="no feasible trajectory"):
         solve_optimal_recourse(stream, w)
 
@@ -145,6 +146,54 @@ def test_full_and_compressed_agree(seed):
     trajectory_is_feasible(stream, traj)
 
 
+def grouped_stream_with_repeated_freezes(rng, n, T):
+    """Freeze streams whose steps are cut into groups of 1-3 items, with
+    a clamp in some groups naming one coordinate twice."""
+    items = random_stream_with_freezes(rng, n, T)
+    stream = []
+    while items:
+        k = int(rng.integers(1, 4))
+        group, items = items[:k], items[k:]
+        if rng.random() < 0.3:
+            i = int(rng.integers(n))
+            group.append(Freeze([i, i, int(rng.integers(n))]))
+        stream.append(group)
+    return stream
+
+
+def differential_streams():
+    rng = np.random.default_rng(61)  # the mixed-stream LPs of test_simplex
+    for eps in (0.25, 1.0):
+        for _ in range(6):
+            n, T = int(rng.integers(2, 9)), int(rng.integers(10, 51))
+            _, _, rows, w = random_mixed_stream(rng, n, T, eps)
+            yield rows, w
+    rng = np.random.default_rng(7300)
+    for _ in range(12):
+        yield random_stream_with_freezes(rng, 5, 14), rng.uniform(0.5, 2.0, size=5)
+        yield grouped_stream_with_repeated_freezes(rng, 5, 14), rng.uniform(0.5, 2.0, size=5)
+    for empty in ([], [[]], [Freeze([])]):
+        yield empty, np.ones(3)
+
+
+def test_sparse_build_equals_the_dense_build():
+    for stream, w in differential_streams():
+        lp = build_compressed_lp(stream, w)
+        c, lhs, rhs, x_coord, x_time = dense_compressed_lp(stream, w)
+        assert lp.lhs.shape == lhs.shape
+        assert np.array_equal(lp.lhs.toarray(), lhs)
+        assert np.array_equal(lp.rhs, rhs) and np.array_equal(lp.objective, c)
+        assert np.array_equal(lp.x_coord, x_coord) and np.array_equal(lp.x_time, x_time)
+        # the forward fill holds each x value until its coordinate's next column
+        solution = np.random.default_rng(5).uniform(-0.5, 1.0, size=lp.variable_count)
+        X = np.zeros((lp.horizon, lp.n))
+        for col, (i, t) in enumerate(zip(x_coord, x_time)):
+            X[t:, i] = solution[col]
+        traj = lp.trajectory(solution)
+        assert len(traj) == lp.horizon
+        assert all(np.array_equal(p.values, np.clip(X[t], 0.0, None)) for t, p in enumerate(traj))
+
+
 def upward_cost(traj, w):
     ledger = RecourseLedger()
     prev = FractionalPoint.zeros(w.shape[0], w)
@@ -165,7 +214,7 @@ def test_trajectory_upward_total_matches_optimum(seed):
 
 def assert_matches_two_phase_primal(stream, w):
     lp = build_compressed_lp(stream, w)
-    primal = two_phase_lp(lp.objective, lp.lhs, lp.rhs)
+    primal = two_phase_lp(lp.objective, lp.lhs.toarray(), lp.rhs)
     assert primal.status == "optimal"
     opt, traj = solve_optimal_recourse(stream, w, variable_cap=10000)
     assert opt == pytest.approx(primal.objective, rel=1e-9, abs=1e-12)

@@ -1,5 +1,6 @@
 """End-to-end drivers: chase runs, problem replays, replication."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import parse_stream
 from bodychase.offline import build_compressed_lp, solve_recourse_lp
 from bodychase.runner import RunConfig, apply_freeze, replicate, run_chase, run_problem
-from bodychase.core import FractionalPoint
+from bodychase.core import FractionalPoint, HalfspaceConstraint
 
 
 def summary_of(records):
@@ -349,12 +350,13 @@ def test_oracle_cap_skips_offline_block():
 
 
 def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
+    # the cap is checked on the sparse LP, before the solve densifies it
     from bodychase import offline, runner
 
-    def build(stream, weights):
-        raise AssertionError("an LP above the cap was built")
+    def solve(lp):
+        raise AssertionError("an LP above the cap was densified")
 
-    monkeypatch.setattr(offline, "build_compressed_lp", build)
+    monkeypatch.setattr(offline, "solve_recourse_lp", solve)
     stream = parse_stream(["C %d:1" % i for i in range(6)])
     block = runner._offline_block(stream, np.ones(6), 3)
     assert block == {"kind": "offline", "opt": None,
@@ -362,3 +364,15 @@ def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
                      "pivots": None, "cs_residual": None, "duality_gap": None}
     with pytest.raises(offline.OracleCapExceeded):
         offline.solve_optimal_recourse(stream, np.ones(6), variable_cap=3)
+
+    # 10,000 variables: dense, the constraint matrix alone would be 800 MB
+    n = 5000
+    stream = [HalfspaceConstraint.covering({i: 1.0}) for i in range(n)]
+    tracemalloc.start()
+    try:
+        block = runner._offline_block(stream, np.ones(n), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block["skipped"] == "LP has 10000 variables, above the cap of 4000"
+    assert peak < 10 * 2**20

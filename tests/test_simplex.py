@@ -174,7 +174,7 @@ def differential_lps():
             n, T = int(rng.integers(2, 9)), int(rng.integers(10, 51))
             _, _, rows, w = random_mixed_stream(rng, n, T, eps)
             lp = build_compressed_lp(rows, w)
-            yield lp.rhs, -lp.lhs.T, lp.objective
+            yield lp.rhs, -lp.lhs.toarray().T, lp.objective
 
 
 def test_every_pivot_equals_the_dense_pivot(monkeypatch):
@@ -226,3 +226,61 @@ def test_sparse_column_pivot_allocates_no_tableau():
     assert peak < 0.01 * work.nbytes
     assert work[3, col] == 1.0 and work[700, col] == 0.0 and work[1999, col] == 0.0
     assert work[700, -1] == 1.5 and work[1999, -1] == 0.75 and obj[-1] == 0.5
+
+
+def test_genuinely_small_pivot_is_taken_after_one_refresh(monkeypatch):
+    # min -x  s.t.  1e-7 x <= 1e-8,  x <= 1: the ratio test picks the 1e-7
+    # entry, a millionth of its column's largest; the refresh finds it again
+    refreshes = []
+    tableau = simplex._tableau
+
+    def counted(c, G, h, basis=None):
+        refreshes.append(basis is not None)
+        return tableau(c, G, h, basis)
+
+    monkeypatch.setattr(simplex, "_tableau", counted)
+    res = solve_inequality_lp(np.array([-1.0]), np.array([[1e-7], [1.0]]), np.array([1e-8, 1.0]))
+    assert res.status == "optimal" and res.iterations == 1
+    assert res.objective == pytest.approx(-0.1, rel=1e-12)
+    assert sum(refreshes) == 1
+
+
+def test_round_off_pivot_refreshes_the_tableau(tmp_path, monkeypatch):
+    # The offline LP of this spanning tree replay (1,586 variables) meets a
+    # round-off pivot of 1.3e-9 at its 388th pivot: taken, it blows the
+    # tableau up until the pivot budget runs out, after about 6 minutes.
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    from bodychase import offline
+    from bodychase.cli import main
+
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path, report = tmp_path / "mst.jsonl", tmp_path / "report.jsonl"
+    path.write_text(gen.mst_text(np.random.default_rng([1, 99]), 8, 12, 70))
+
+    refreshes, solved = [], []
+    tableau, solve = simplex._tableau, offline.solve_recourse_lp
+
+    def counted(c, G, h, basis=None):
+        refreshes.append(basis is not None)
+        return tableau(c, G, h, basis)
+
+    def kept(lp):
+        solved.append(solve(lp))
+        return solved[-1]
+
+    monkeypatch.setattr(simplex, "_tableau", counted)
+    monkeypatch.setattr(offline, "solve_recourse_lp", kept)
+    assert main(["mst", str(path), "--round", "on", "--no-certify", "--report", str(report)]) == 0
+    summary = json.loads(report.read_text().splitlines()[-1])
+    assert any(refreshes)
+    (res,) = solved
+    assert res.objective == pytest.approx(15.0, abs=1e-9)
+    assert summary["offline_opt"] == res.objective
+    assert res.cs_residual <= 1e-6
+    assert res.duality_gap <= 1e-6 * (1.0 + res.objective)
