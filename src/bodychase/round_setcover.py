@@ -50,8 +50,8 @@ class CoverState:
 
 
 def init_clocks(instance: SetCoverState, seed: int, alpha: float, n: int) -> np.ndarray:
-    """One exponential clock per set, rate log(alpha * n), drawn from
-    per-set substreams so replay does not depend on arrival order."""
+    """One exponential clock per set, rate log(alpha * n), from the set's own
+    keyed stream (-log1p(-u) / rate), so replay ignores arrival order."""
     rate = math.log(alpha * n)
     if rate <= 0:
         raise AdapterError("alpha * n must exceed 1 for the clock rate")

@@ -4,8 +4,8 @@ run_chase feeds a raw constraint stream to the projection engine and
 optionally certifies the run and solves the offline benchmark LP.
 run_problem replays a combinatorial update sequence through its adapter,
 chases the emitted body after every update, and hands the fractional
-point to the configured rounding layer. replicate repeats a randomized
-run across consecutive seeds and aggregates the rounding statistics.
+point to the configured rounding layer. replicate rounds one chase under
+consecutive seeds and aggregates the rounding statistics.
 
 Reports are lists of plain dict records (see formats.write_report); all
 iteration is in sorted order and nothing nondeterministic (time, pids,
@@ -87,12 +87,10 @@ def _meta(config: RunConfig, extra=None) -> dict:
     return record
 
 
-def _grown(x: FractionalPoint, dim: int, weights=None) -> FractionalPoint:
-    if x.dim == dim:
-        return x
+def _grown(x: FractionalPoint, dim: int) -> FractionalPoint:
     values = np.zeros(dim)
     values[: x.dim] = x.values
-    w = np.ones(dim) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(dim)
     w[: x.dim] = x.weights
     return FractionalPoint(values, w)
 
@@ -288,10 +286,16 @@ def run_problem(config: RunConfig, updates) -> list:
 
     A `str` for `updates` is read as a file path, not as update text.
     """
+    records, (summary,) = _replay(config, updates, [config.seed])
+    return records + [summary]
+
+
+def _replay(config: RunConfig, updates, seeds):
+    """Chase every update once and round it per seed. Returns the meta and
+    update records (rounding fields of the last seed), one summary per seed."""
     if isinstance(updates, str):
-        problem, header, events = parse_updates(updates)
-    else:
-        problem, header, events = updates
+        updates = parse_updates(updates)
+    problem, header, events = updates
     if config.problem not in ("chase", problem):
         raise FormatError("config problem %r does not match file problem %r"
                           % (config.problem, problem))
@@ -301,7 +305,7 @@ def run_problem(config: RunConfig, updates) -> list:
     driver = _ProblemDriver(config)
     records = [_meta(config, {"updates": len(events)})]
 
-    rounding = _init_rounding(problem, state, header, config)
+    roundings = [_init_rounding(problem, state, header, config, seed) for seed in seeds]
     mst_started = False
 
     for index, event in enumerate(events):
@@ -348,25 +352,25 @@ def run_problem(config: RunConfig, updates) -> list:
         row["upward_step"] = chased["upward_step"]
         row["l1_step"] = chased["l1_step"]
         row["rootfind_iterations"] = chased["rootfind_iterations"]
-        _round_step(problem, state, driver, config, rounding, row)
+        for rounding in roundings:
+            _round_step(problem, state, driver, config, rounding, row)
         records.append(row)
 
     summary = driver.summary()
     if problem == "setcover":
         summary["lp_pivots"] = sum(r["lp_pivots"] for r in records[1:])
-    summary.update(_round_summary(problem, config, rounding))
-    records.append(summary)
-    return records
+    return records, [{**summary, **_round_summary(problem, rounding)}
+                     for rounding in roundings]
 
 
-def _init_rounding(problem, state, header, config: RunConfig):
+def _init_rounding(problem, state, header, config: RunConfig, seed: int):
     mode = config.round_mode
     if mode == "none":
         return None
     if problem == "setcover":
         cover = CoverState(state)
         if mode == "rand":
-            cover.clocks = init_clocks(state, config.seed, config.alpha,
+            cover.clocks = init_clocks(state, seed, config.alpha,
                                        state.dimension)
         elif mode != "det":
             raise FormatError("setcover round mode must be none, det, or rand")
@@ -380,12 +384,12 @@ def _init_rounding(problem, state, header, config: RunConfig):
         n = header.get("n")
         if n is None:
             raise FormatError("matching header needs \"n\" when rounding is on")
-        stab = Stabilizer(state, config.alpha, config.delta, int(n), config.seed)
+        stab = Stabilizer(state, config.alpha, config.delta, int(n), seed)
         return (stab, MaintainedMatching(config.delta))
     if problem == "mst":
         if mode != "on":
             raise FormatError("mst round mode must be none or on")
-        sampler = MstSampler(state, config.alpha, config.delta, config.seed,
+        sampler = MstSampler(state, config.alpha, config.delta, seed,
                              config.gamma)
         return (sampler, DynamicTree(state.vertices, state.costs))
     if problem == "loadbalance":
@@ -427,7 +431,7 @@ def _round_step(problem, state, driver, config: RunConfig, rounding, row) -> Non
         row["fractional_cost"] = frac
 
 
-def _round_summary(problem, config: RunConfig, rounding) -> dict:
+def _round_summary(problem, rounding) -> dict:
     if rounding is None:
         return {}
     if problem == "setcover":
@@ -452,8 +456,8 @@ def _is_number(v) -> bool:
 
 
 def replicate(config: RunConfig, updates) -> list:
-    """config.runs independent seeded repetitions; aggregates the rounding
-    metrics only, so the runs neither certify nor solve the offline LP."""
+    """config.runs seeded roundings of one chase; aggregates the rounding
+    metrics only, so the run neither certifies nor solves the offline LP."""
     runs = config.runs
     if runs < 2:
         raise FormatError("replicate needs runs >= 2")
@@ -464,20 +468,18 @@ def replicate(config: RunConfig, updates) -> list:
                "tree_cost", "tree_recourse", "sample_recourse",
                "upward_recourse", "l1_recourse")
     config = replace(config, certify=False, offline=False)
+    seeds = [config.seed + r for r in range(runs)]
     values: dict = {}
-    for r in range(runs):
-        report = run_problem(replace(config, seed=config.seed + r), updates)
-        summary = report[-1]
+    for summary in _replay(config, updates, seeds)[1]:
         for key in tracked:
             if key in summary and _is_number(summary[key]):
                 values.setdefault(key, []).append(float(summary[key]))
-    out = {"kind": "aggregate", "runs": runs,
-           "seeds": [config.seed + r for r in range(runs)]}
+    out = {"kind": "aggregate", "runs": runs, "seeds": seeds}
     for key, vals in sorted(values.items()):
         arr = np.array(vals)
         out[key + "_mean"] = float(arr.mean())
         if len(arr) > 1:
             out[key + "_se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    # the runs checked config.problem against the file's; echo the file's
+    # the replay checked config.problem against the file's; echo the file's
     # problem, and so its default beta
     return [_meta(replace(config, problem=updates[0]), {"replications": runs}), out]

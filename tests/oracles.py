@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from bodychase.certify import LogStep, MultiplierLog, StepKind
 from bodychase.core import (
@@ -29,7 +29,9 @@ from bodychase.core import (
     packing_violated,
     project_and_record,
 )
+from bodychase.formats import FormatError, parse_updates
 from bodychase.offline import Freeze, OfflineError, RecourseLP, Triplets, _normalize_stream
+from bodychase.runner import _is_number, _meta, run_problem
 from bodychase.simplex import (
     FEAS_TOL,
     PIVOT_TOL,
@@ -978,3 +980,33 @@ class IncrementalLog:
         return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
                             np.asarray(x_before, dtype=float)[first],
                             np.asarray(x_after, dtype=float)[first])
+
+
+def per_run_replicate(config, updates) -> list:
+    """replicate as one full run_problem per seed: the reference for the
+    single-chase replicate, whose aggregate must match it byte for byte."""
+    runs = config.runs
+    if runs < 2:
+        raise FormatError("replicate needs runs >= 2")
+    if isinstance(updates, str):
+        updates = parse_updates(updates)
+    tracked = ("cover_cost", "cover_recourse", "matching_size",
+               "matching_recourse", "stabilizer_copy_recourse",
+               "tree_cost", "tree_recourse", "sample_recourse",
+               "upward_recourse", "l1_recourse")
+    config = replace(config, certify=False, offline=False)
+    values: dict = {}
+    for r in range(runs):
+        report = run_problem(replace(config, seed=config.seed + r), updates)
+        summary = report[-1]
+        for key in tracked:
+            if key in summary and _is_number(summary[key]):
+                values.setdefault(key, []).append(float(summary[key]))
+    out = {"kind": "aggregate", "runs": runs,
+           "seeds": [config.seed + r for r in range(runs)]}
+    for key, vals in sorted(values.items()):
+        arr = np.array(vals)
+        out[key + "_mean"] = float(arr.mean())
+        if len(arr) > 1:
+            out[key + "_se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
+    return [_meta(replace(config, problem=updates[0]), {"replications": runs}), out]

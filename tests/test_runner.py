@@ -1,5 +1,6 @@
 """End-to-end drivers: chase runs, problem replays, replication."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -376,3 +377,61 @@ def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
         tracemalloc.stop()
     assert block["skipped"] == "LP has 10000 variables, above the cap of 4000"
     assert peak < 10 * 2**20
+
+
+def _bench_updates(problem, seed):
+    """A small replay from the benchmark's generator, parsed."""
+    import importlib.util
+    from pathlib import Path
+
+    from bodychase.formats import parse_updates
+
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = np.random.default_rng([seed, 12])
+    if problem == "setcover":
+        text = gen.setcover_text(rng, 12, 4, 20, 8, 30)
+    elif problem == "matching":
+        text = gen.matching_text(rng, 3, 3, 6, 30)
+    else:
+        text = gen.mst_text(rng, 5, 6, 20)
+    return parse_updates(text.splitlines())
+
+
+@pytest.mark.parametrize("problem, mode", [("setcover", "rand"), ("matching", "on"),
+                                           ("mst", "on")])
+def test_replicate_aggregate_is_byte_identical_to_per_run_replays(problem, mode):
+    from bodychase.formats import dump_records
+    from oracles import per_run_replicate
+
+    for seed in (1, 2):
+        updates = _bench_updates(problem, seed)
+        cfg = RunConfig(round_mode=mode, seed=10 * seed, runs=4)
+        got = dump_records(replicate(cfg, updates))
+        assert got == dump_records(per_run_replicate(cfg, updates))
+        # the seeds were rounded apart (MST rounding does not vary on these inputs)
+        varies = {"setcover": "cover_recourse_se",
+                  "matching": "stabilizer_copy_recourse_se"}.get(problem)
+        if varies:
+            assert json.loads(got.splitlines()[-1])[varies] > 0
+
+
+@pytest.mark.parametrize("problem, mode", [("setcover", "rand"), ("matching", "on"),
+                                           ("mst", "on")])
+def test_replicate_chases_once(monkeypatch, problem, mode):
+    from bodychase import core
+
+    updates = _bench_updates(problem, 1)
+    calls = []
+    for name in ("project_covering", "project_packing"):
+        def counted(*args, _fn=getattr(core, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(core, name, counted)
+    run_problem(RunConfig(round_mode=mode, certify=False, offline=False), updates)
+    once = len(calls)
+    assert once > 0
+    replicate(RunConfig(round_mode=mode, runs=3), updates)
+    assert len(calls) == 2 * once
