@@ -24,6 +24,9 @@ Everything is computed per coordinate over its appearances, the steps
 whose support holds it: elsewhere x_i does not move, rbar_i does not
 change and the dual row is identically 0. The log stores only its steps;
 `MultiplierLog.entries` derives that per-coordinate view once per horizon.
+The refined certificate reads only the view: its damping scan walks the
+coordinates' runs, and one backward pass of suffix sums over the runs
+gives both its movement duals and the window bound it is checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +55,6 @@ __all__ = [
     "max_window_sums",
     "check_ineq1",
     "check_ineq2",
-    "check_movement_bound",
-    "check_z_bound",
-    "check_subset_lemma",
     "FEASIBILITY_TOL",
 ]
 
@@ -217,7 +216,6 @@ class _Entries:
         self.first = np.diff(self.coord, prepend=-1) != 0
         self.last = np.roll(self.first, -1)
         starts = np.flatnonzero(self.first)
-        self.keys = self.coord[starts].tolist()
         # coefficients are positive, so a coordinate no covering row names gets cmax 0
         cov = self.kind == "C"
         top = np.maximum.reduceat(np.where(cov, self.coeff, 0.0), starts)
@@ -225,11 +223,6 @@ class _Entries:
         ratio = (top / low)[top > 0.0]
         self.aspect_ratio = float(ratio.max()) if ratio.size else 0.0
         self.cmax = np.repeat(top, np.diff(starts, append=self.coord.size))
-
-    @cached_property
-    def appearances(self) -> dict:
-        """Per appearing coordinate, the times of the steps whose support holds it."""
-        return dict(zip(self.keys, np.split(self.time, np.flatnonzero(self.first)[1:])))
 
     def movement(self, y, z) -> np.ndarray:
         """c_i^t y^t on covering entries, -p_i^t z^t on the others (clamps have c = 0)."""
@@ -305,47 +298,47 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     any coordinate charged to it. The result keeps at least a
     (1 - eps/10) fraction of the multiplier mass while every window sum
     of c_i ytilde - p_i z stays below w_i log(1 + 40 d^2/eps^2). Both
-    facts are verified before returning.
+    facts are verified before returning. A coordinate's earlier times are
+    the entries before it in its run of the log's view.
 
     Only valid for clamp-free logs: a freeze resets a coordinate without
     a packing payment, which breaks the window bound.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    freezes = log.entries().freeze_count
-    if freezes:
+    e = log.entries()
+    if e.freeze_count:
         raise CertificateError(
-            "refined certificate requires a clamp-free log (%d freezes present)" % freezes
+            "refined certificate requires a clamp-free log (%d freezes present)" % e.freeze_count
         )
-    T = log.horizon
-    ytilde = np.zeros(T)
-    appearances: dict[int, list[tuple[int, float]]] = {}
-    for ell, step in enumerate(log.steps):
-        if step.kind is not StepKind.COVERING:
-            continue
-        y_ell = step.multiplier
+    # the view ordered by time: each step's support is one slice of it
+    by_step = np.argsort(e.time, kind="stable").tolist()
+    cuts = np.concatenate(([0], np.cumsum(np.bincount(e.time, minlength=e.horizon)))).tolist()
+    time, coeff, first, y = e.time.tolist(), e.coeff.tolist(), e.first.tolist(), e.y.tolist()
+    ytilde = [0.0] * e.horizon
+    for ell in np.flatnonzero(e.step_kind == "C").tolist():
+        support = by_step[cuts[ell]:cuts[ell + 1]]
         drops: dict[int, float] = {}
-        support = list(zip(step.indices.tolist(), step.coeffs.tolist()))
-        for i, c_il in support:
-            budget = c_il * y_ell
-            if budget <= 0.0:
-                continue
-            threshold = 10.0 * len(support) * c_il / eps
-            seen = appearances.get(i, ())
-            candidates = [(tau, c) for tau, c in seen if c >= threshold and ytilde[tau] > 0.0]
-            for tau, c_tau in reversed(candidates):
-                if budget <= 0.0:
-                    break
+        for k in support:
+            budget = coeff[k] * y[ell]
+            threshold = 10.0 * len(support) * coeff[k] / eps
+            j = k
+            # the coordinate's earlier times, latest first; packing times keep
+            # ytilde 0, so only covering ones are ever lowered
+            while budget > 0.0 and not first[j]:
+                j -= 1
+                tau, c_tau = time[j], coeff[j]
+                if c_tau < threshold or ytilde[tau] <= 0.0:
+                    continue
                 take = min(ytilde[tau], budget / c_tau)
                 budget -= c_tau * take
                 drops[tau] = max(drops.get(tau, 0.0), take)
                 if take < ytilde[tau]:
                     break
-        ytilde[ell] = y_ell
+        ytilde[ell] = y[ell]
         for tau, amount in drops.items():
             ytilde[tau] = max(0.0, ytilde[tau] - amount)
-        for i, c_il in support:
-            appearances.setdefault(i, []).append((ell, c_il))
+    ytilde = np.array(ytilde, dtype=float)
 
     excess1, where1 = check_ineq1(log, ytilde, eps)
     if excess1 > FEASIBILITY_TOL:
@@ -358,27 +351,29 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     return ytilde
 
 
+def _suffix_sums(e: "_Entries", ytilde) -> np.ndarray:
+    """S_k = a_k + max(0, S_{k+1}) backward over each coordinate's run,
+    the second term 0 on its last entry, with a = c ytilde on covering
+    entries and -p z on packing ones: the largest sum of a window of the
+    run's terms that starts at entry k."""
+    a, last = e.movement(ytilde, e.z).tolist(), e.last.tolist()
+    S, carry = [0.0] * len(a), 0.0
+    for k in reversed(range(len(a))):
+        S[k] = carry = a[k] + (carry if carry > 0.0 and not last[k] else 0.0)
+    return np.array(S, dtype=float)
+
+
 def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
     """Per coordinate, the maximum over nonempty time windows [s, t] of
-    sum of c_i^tau ytilde^tau minus p_i^tau z^tau."""
+    sum of c_i^tau ytilde^tau minus p_i^tau z^tau: the largest of its run's
+    suffix sums, or 0 from a window over a step that does not name it."""
     T = log.horizon
-    # a coordinate's term is 0 off its appearances, so windows of them alone sum to 0
     best = np.full(log.n, 0.0 if T else -np.inf)
     e = log.entries()
-    a = e.movement(ytilde, e.z).tolist()
-    for i, t, a_t, first, last in zip(e.coord.tolist(), e.time.tolist(), a,
-                                      e.first.tolist(), e.last.tolist()):
-        if first:
-            cur = top = -math.inf
-            prev = -1
-        if t > prev + 1:
-            cur = max(cur, 0.0)
-            top = max(top, cur)
-        cur = cur + a_t if cur > 0.0 else a_t
-        top = max(top, cur)
-        prev = t
-        if last:
-            best[i] = max(top, cur, 0.0) if t < T - 1 else top
+    starts = np.flatnonzero(e.first)
+    top = np.maximum.reduceat(_suffix_sums(e, ytilde), starts)
+    covers_all = np.diff(starts, append=e.coord.size) == T
+    best[e.coord[starts]] = np.where(covers_all, top, np.maximum(top, 0.0))
     return best
 
 
@@ -401,12 +396,12 @@ def check_ineq2(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> float:
 def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> DualCertificate:
     """Certificate with scaling A = log(1 + 40 d^2 / eps^2).
 
-    The movement duals come from the backward suffix-maximum recurrence
-    M_i^t = max(0, a_t + M_i^{t+1}) with a_t = c_i^t ytilde^t on covering
-    steps and -p_i^t z^t on packing steps (0 off the support of step t);
-    r_bar = M / A. Row feasibility then holds by construction and
-    r_bar <= w_i by the window bound; both are still verified and
-    violations abort.
+    The movement duals are r_bar = M / A, where M, the positive part of the
+    suffix sums `max_window_sums` reads, is M_i^t = max(0, a_t + M_i^{t+1})
+    with a_t = c_i^t ytilde^t on covering steps and -p_i^t z^t on packing
+    steps (0 off the support of step t). Row feasibility then holds by
+    construction and r_bar <= w_i by the window bound; both are still
+    verified and violations abort.
     """
     e = log.entries()
     if e.freeze_count:
@@ -415,11 +410,7 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     A = math.log1p(40.0 * d * d / (eps * eps))
     y_bar = np.asarray(ytilde, dtype=float) / A
     z_bar = e.z / A
-    a, last = e.movement(ytilde, e.z).tolist(), e.last.tolist()
-    M, carry = [0.0] * len(a), 0.0
-    for k in reversed(range(len(a))):
-        M[k] = carry = max(0.0, a[k] + (0.0 if last[k] else carry))
-    M = np.array(M)
+    M = np.maximum(_suffix_sums(e, ytilde), 0.0)
     start = np.zeros(log.n)
     start[e.coord[e.first]] = M[e.first] / A
     # after appearance k, M holds its value at the coordinate's next appearance
@@ -430,49 +421,6 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     if violation > FEASIBILITY_TOL:
         raise CertificateError("refined dual infeasible by %.3e" % violation)
     return DualCertificate("refined", A, y_bar, z_bar, r_bar, np.asarray(ytilde, float), objective, violation)
-
-
-def check_movement_bound(log: MultiplierLog, eps: float) -> float:
-    """Worst excess of per-covering-step upward movement over (1 + eps/4) y."""
-    e = log.entries()
-    moved = log.weights[e.coord] * np.clip(e.x_after - e.x_before, 0.0, None)
-    excess = np.bincount(e.time, moved, e.horizon) - (1.0 + eps / 4.0) * e.y
-    excess = excess[e.step_kind == "C"]
-    return float(excess.max()) if excess.size else 0.0
-
-
-def check_z_bound(log: MultiplierLog, eps: float) -> float:
-    """(1 + eps/4) sum(y) - (1 + eps) sum(z); >= 0 up to tol on real runs."""
-    e = log.entries()
-    return float((1.0 + eps / 4.0) * e.y.sum() - (1.0 + eps) * e.z.sum())
-
-
-def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, subset) -> float:
-    """lhs - rhs of the subset bound; <= tol expected.
-
-    subset must be covering times within [s, t] (0-based, inclusive).
-    """
-    subset = sorted(int(tau) for tau in subset)
-    if any(tau < s or tau > t for tau in subset):
-        raise ValueError("subset must lie inside [s, t]")
-    if any(log.steps[tau].kind is not StepKind.COVERING for tau in subset):
-        raise ValueError("subset may only contain covering times")
-
-    e = log.entries()
-    lo, hi = np.searchsorted(e.coord, [i, i + 1])
-    coeff = dict(zip(e.time[lo:hi].tolist(), e.coeff[lo:hi].tolist()))
-
-    def paid(tau):
-        return coeff.get(tau, 0.0) * log.steps[tau].multiplier
-
-    lhs = sum(paid(tau) for tau in subset)
-    lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is StepKind.PACKING)
-    cmax_s = max((coeff.get(tau, 0.0) for tau in subset), default=0.0)
-    # x_i after step t: its value after its last appearance up to t
-    j = int(np.searchsorted(e.time[lo:hi], t, side="right"))
-    x_it = float(e.x_after[lo + j - 1]) if j else 0.0
-    rhs = float(log.weights[i]) * math.log1p(4.0 * max(1, e.sparsity) * cmax_s * x_it / eps)
-    return float(lhs - rhs)
 
 
 def _ratio(upward: float, bound: float):
@@ -501,9 +449,9 @@ def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) 
 def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
     """Summary record combining both certificates.
 
-    The refined fields are null when the log contains freezes (the
-    refined construction is unsound there); the theoretical cap then
-    falls back to the warmup constant.
+    The refined fields, `refined_max_violation` among them, are null when
+    the log contains freezes (the refined construction is unsound there);
+    the theoretical cap then falls back to the warmup constant.
     """
     e = log.entries()
     out = {
@@ -516,6 +464,8 @@ def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
         "theoretical_cap": None,
         "A_warmup": None,
         "A_refined": None,
+        "warmup_max_violation": None,
+        "refined_max_violation": None,
         "d": e.sparsity,
         "Delta": e.aspect_ratio,
     }
@@ -530,4 +480,5 @@ def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
         out["ratio_" + cert.scheme] = report["ratio"]
         out["A_" + cert.scheme] = report["A"]
         out["theoretical_cap"] = report["theoretical_cap"]
+        out[cert.scheme + "_max_violation"] = cert.max_violation
     return out

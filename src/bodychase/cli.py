@@ -33,7 +33,7 @@ from .formats import (
     write_report,
 )
 from .offline import lp_report, solve_offline_lp
-from .runner import RunConfig, replicate, run_chase, run_problem
+from .runner import ROUND_MODES, RunConfig, replicate, run_chase, run_problem
 
 PROBLEMS = ("setcover", "matching", "mst", "loadbalance")
 
@@ -88,8 +88,6 @@ SUBCOMMANDS = {
                   "--delta --seed --report --alpha --beta --gamma --f --runs"),
 }
 INPUT_HELP = {"stream": "constraint stream file", "updates": "JSON-lines update file"}
-ROUND_MODES = {"setcover": ("none", "det", "rand"), "matching": ("none", "on"),
-               "mst": ("none", "on")}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,9 +47,12 @@ from .round_matching import MaintainedMatching, Stabilizer, maintain_matching, s
 from .round_mst import DynamicTree, MstSampler, mst_sampler_step, repair_tree
 from .round_setcover import CoverState, init_clocks, round_det, round_rand
 
-__all__ = ["RunConfig", "run_chase", "run_problem", "replicate", "BETA_DEFAULTS"]
+__all__ = ["RunConfig", "run_chase", "run_problem", "replicate", "BETA_DEFAULTS", "ROUND_MODES"]
 
 BETA_DEFAULTS = {"setcover": 2.0, "matching": 1.0, "mst": 2.0, "loadbalance": 2.0}
+# the rounding modes each problem takes; a problem not listed is fractional only
+ROUND_MODES = {"setcover": ("none", "det", "rand"), "matching": ("none", "on"),
+               "mst": ("none", "on")}
 
 
 @dataclass
@@ -365,6 +368,10 @@ def _replay(config: RunConfig, updates, seeds):
 
 def _init_rounding(problem, state, header, config: RunConfig, seed: int):
     mode = config.round_mode
+    allowed = ROUND_MODES.get(problem, ("none",))
+    if mode not in allowed:
+        raise FormatError("%s round mode must be one of %s (got %r)"
+                          % (problem, ", ".join(allowed), mode))
     if mode == "none":
         return None
     if problem == "setcover":
@@ -372,29 +379,19 @@ def _init_rounding(problem, state, header, config: RunConfig, seed: int):
         if mode == "rand":
             cover.clocks = init_clocks(state, seed, config.alpha,
                                        state.dimension)
-        elif mode != "det":
-            raise FormatError("setcover round mode must be none, det, or rand")
         if config.f is not None and config.f < state.frequency():
             raise AdapterError("f=%d below the instance frequency %d"
                                % (config.f, state.frequency()))
         return cover
     if problem == "matching":
-        if mode != "on":
-            raise FormatError("matching round mode must be none or on")
         n = header.get("n")
         if n is None:
             raise FormatError("matching header needs \"n\" when rounding is on")
         stab = Stabilizer(state, config.alpha, config.delta, int(n), seed)
         return (stab, MaintainedMatching(config.delta))
-    if problem == "mst":
-        if mode != "on":
-            raise FormatError("mst round mode must be none or on")
-        sampler = MstSampler(state, config.alpha, config.delta, seed,
-                             config.gamma)
-        return (sampler, DynamicTree(state.vertices, state.costs))
-    if problem == "loadbalance":
-        raise FormatError("load balancing is fractional only")
-    return None
+    sampler = MstSampler(state, config.alpha, config.delta, seed,
+                         config.gamma)
+    return (sampler, DynamicTree(state.vertices, state.costs))
 
 
 def _round_step(problem, state, driver, config: RunConfig, rounding, row) -> None:

@@ -13,7 +13,15 @@ import numpy as np
 import math
 from dataclasses import dataclass, replace
 
-from bodychase.certify import LogStep, MultiplierLog, StepKind
+from bodychase.certify import (
+    FEASIBILITY_TOL,
+    CertificateError,
+    LogStep,
+    MultiplierLog,
+    StepKind,
+    check_ineq1,
+    check_ineq2,
+)
 from bodychase.core import (
     _EXP_CAP,
     _FLOAT_EPS,
@@ -611,8 +619,9 @@ def copying_project_and_record(x_prev, row, eps, ledger=None, log=None):
 
 
 # ---------------------------------------------------------------------------
-# Dense (n, T) reference for the certificate layer: the computations the
-# per-coordinate certificates replaced, kept to check them against.
+# Dense (n, T) and list-based references for the certificate layer: the
+# computations the per-coordinate certificates replaced, kept to check
+# them against.
 
 
 def coeff_matrices(log: MultiplierLog):
@@ -706,6 +715,147 @@ def dense_max_window_sums(log: MultiplierLog, ytilde) -> np.ndarray:
         cur = np.where(cur > 0.0, cur + a[:, t], a[:, t])
         best = np.maximum(best, cur)
     return best
+
+
+def list_refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
+    """Damped covering multipliers per the budgeted back-scan, as
+    `certify.refine_ytilde` computed them before it walked the log's view:
+    from its own per-coordinate lists of (time, coefficient).
+
+    Processing covering times in order, each support coordinate spends a
+    budget c_i^l * y^l on earlier covering times whose coefficient on i
+    is at least 10 d^l c_i^l / eps, always consuming the latest candidate
+    first; each earlier time is then lowered by the largest consumption
+    any coordinate charged to it. The result keeps at least a
+    (1 - eps/10) fraction of the multiplier mass while every window sum
+    of c_i ytilde - p_i z stays below w_i log(1 + 40 d^2/eps^2). Both
+    facts are verified before returning.
+
+    Only valid for clamp-free logs: a freeze resets a coordinate without
+    a packing payment, which breaks the window bound.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    freezes = log.entries().freeze_count
+    if freezes:
+        raise CertificateError(
+            "refined certificate requires a clamp-free log (%d freezes present)" % freezes
+        )
+    T = log.horizon
+    ytilde = np.zeros(T)
+    appearances: dict[int, list[tuple[int, float]]] = {}
+    for ell, step in enumerate(log.steps):
+        if step.kind is not StepKind.COVERING:
+            continue
+        y_ell = step.multiplier
+        drops: dict[int, float] = {}
+        support = list(zip(step.indices.tolist(), step.coeffs.tolist()))
+        for i, c_il in support:
+            budget = c_il * y_ell
+            if budget <= 0.0:
+                continue
+            threshold = 10.0 * len(support) * c_il / eps
+            seen = appearances.get(i, ())
+            candidates = [(tau, c) for tau, c in seen if c >= threshold and ytilde[tau] > 0.0]
+            for tau, c_tau in reversed(candidates):
+                if budget <= 0.0:
+                    break
+                take = min(ytilde[tau], budget / c_tau)
+                budget -= c_tau * take
+                drops[tau] = max(drops.get(tau, 0.0), take)
+                if take < ytilde[tau]:
+                    break
+        ytilde[ell] = y_ell
+        for tau, amount in drops.items():
+            ytilde[tau] = max(0.0, ytilde[tau] - amount)
+        for i, c_il in support:
+            appearances.setdefault(i, []).append((ell, c_il))
+
+    excess1, where1 = check_ineq1(log, ytilde, eps)
+    if excess1 > FEASIBILITY_TOL:
+        raise CertificateError(
+            "window sum bound violated by %.3e at coordinate %d" % (excess1, where1)
+        )
+    deficit = check_ineq2(log, ytilde, eps)
+    if deficit > FEASIBILITY_TOL:
+        raise CertificateError("ytilde mass dropped below (1 - eps/10) by %.3e" % deficit)
+    return ytilde
+
+
+def list_refined_movement(log: MultiplierLog, ytilde, eps: float):
+    """(r_bar.start, r_bar.after) of the refined certificate by the suffix
+    maximum loop `certify.build_refined_dual` ran before it shared one
+    backward pass with `max_window_sums`."""
+    e = log.entries()
+    d = max(1, e.sparsity)
+    A = math.log1p(40.0 * d * d / (eps * eps))
+    a, last = e.movement(ytilde, e.z).tolist(), e.last.tolist()
+    M, carry = [0.0] * len(a), 0.0
+    for k in reversed(range(len(a))):
+        M[k] = carry = max(0.0, a[k] + (0.0 if last[k] else carry))
+    M = np.array(M)
+    start = np.zeros(log.n)
+    start[e.coord[e.first]] = M[e.first] / A
+    after = np.where(e.last, 0.0, np.roll(M, -1)) / A
+    return start, after
+
+
+# ---------------------------------------------------------------------------
+# Lemma checks on a log, and the view's appearance times: read only by tests.
+
+
+def appearances(view) -> dict:
+    """Per appearing coordinate, the times of the steps whose support holds it."""
+    return dict(zip(view.coord[view.first].tolist(),
+                    np.split(view.time, np.flatnonzero(view.first)[1:])))
+
+
+def check_movement_bound(log: MultiplierLog, eps: float) -> float:
+    """Worst excess of per-covering-step upward movement over (1 + eps/4) y."""
+    e = log.entries()
+    moved = log.weights[e.coord] * np.clip(e.x_after - e.x_before, 0.0, None)
+    excess = np.bincount(e.time, moved, e.horizon) - (1.0 + eps / 4.0) * e.y
+    excess = excess[e.step_kind == "C"]
+    return float(excess.max()) if excess.size else 0.0
+
+
+def check_z_bound(log: MultiplierLog, eps: float) -> float:
+    """(1 + eps/4) sum(y) - (1 + eps) sum(z); >= 0 up to tol on real runs."""
+    e = log.entries()
+    return float((1.0 + eps / 4.0) * e.y.sum() - (1.0 + eps) * e.z.sum())
+
+
+def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, subset) -> float:
+    """lhs - rhs of the subset bound; <= tol expected.
+
+    subset must be covering times within [s, t] (0-based, inclusive).
+    """
+    subset = sorted(int(tau) for tau in subset)
+    if any(tau < s or tau > t for tau in subset):
+        raise ValueError("subset must lie inside [s, t]")
+    if any(log.steps[tau].kind is not StepKind.COVERING for tau in subset):
+        raise ValueError("subset may only contain covering times")
+
+    e = log.entries()
+    lo, hi = np.searchsorted(e.coord, [i, i + 1])
+    coeff = dict(zip(e.time[lo:hi].tolist(), e.coeff[lo:hi].tolist()))
+
+    def paid(tau):
+        return coeff.get(tau, 0.0) * log.steps[tau].multiplier
+
+    lhs = sum(paid(tau) for tau in subset)
+    lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is StepKind.PACKING)
+    cmax_s = max((coeff.get(tau, 0.0) for tau in subset), default=0.0)
+    # x_i after step t: its value after its last appearance up to t
+    j = int(np.searchsorted(e.time[lo:hi], t, side="right"))
+    x_it = float(e.x_after[lo + j - 1]) if j else 0.0
+    rhs = float(log.weights[i]) * math.log1p(4.0 * max(1, e.sparsity) * cmax_s * x_it / eps)
+    return float(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# Simplex, adapter and runner references: the pivot, duals and phases
+# the one-phase simplex replaced, and the slow paths of the layers above.
 
 
 def dense_pivot(work, obj, row, col):

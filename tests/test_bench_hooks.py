@@ -96,6 +96,15 @@ def test_tracer_sees_the_certificate_layer(tmp_path):
     assert spans.get("certify.warmup", 0) == 1
 
 
+def test_tracer_sees_both_certificates(tmp_path):
+    # the set cover replay is clamp-free, so its run builds the refined
+    # certificate too: refine_ytilde and build_refined_dual are one span each
+    traced, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
+    assert records[-1]["refined_bound"] is not None
+    assert traced["spans"].get("certify.warmup", 0) == 1
+    assert traced["spans"].get("certify.refined", 0) == 2
+
+
 def test_tracer_counts_every_cover_lp_pivot(tmp_path):
     traced, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
     counts = traced["counts"]

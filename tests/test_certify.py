@@ -25,12 +25,15 @@ from bodychase.certify import (
     check_dual_feasibility,
     check_ineq1,
     check_ineq2,
+    max_window_sums,
+)
+from oracles import (
     check_movement_bound,
     check_subset_lemma,
     check_z_bound,
-    max_window_sums,
+    coeff_matrices,
+    random_mixed_stream,
 )
-from oracles import coeff_matrices, random_mixed_stream
 
 
 def run_single_covering():

@@ -19,6 +19,7 @@ from bodychase.certify import check_dual_feasibility, max_window_sums
 from bodychase.runner import apply_freeze
 
 from oracles import (
+    appearances,
     coeff_matrices,
     dense_check_dual_feasibility,
     dense_max_window_sums,
@@ -128,6 +129,6 @@ def test_log_stays_sparse():
         assert step.x_before.shape == step.x_after.shape == step.indices.shape
     floats = sum(s.coeffs.size + s.x_before.size + s.x_after.size for s in log.steps)
     assert floats == 3 * support
-    assert sum(len(times) for times in log.entries().appearances.values()) == support
+    assert sum(len(times) for times in appearances(log.entries()).values()) == support
     summary = certify_run(log, ledger, eps)
     assert summary["warmup_bound"] > 0.0

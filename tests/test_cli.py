@@ -168,6 +168,19 @@ def test_replicate_outputs_aggregate(cover_file, capsys):
     assert agg["runs"] == 3
 
 
+def test_round_modes_outside_the_table_exit_2(cover_file, tmp_path, capsys):
+    assert main(["replicate", cover_file, "--round", "on", "--runs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "none, det, rand" in err
+    jobs = tmp_path / "lb.jsonl"
+    jobs.write_text(json.dumps({"problem": "loadbalance", "machines": ["m0"]}) + "\n"
+                    + json.dumps({"op": "insert", "job": "j", "loads": {"m0": 1.0}}) + "\n")
+    assert main(["replicate", str(jobs), "--round", "det", "--runs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "loadbalance round mode must be one of none" in captured.err
+    assert captured.out == ""
+
+
 def test_matching_updates_via_cli(tmp_path, capsys):
     p = tmp_path / "m.jsonl"
     p.write_text("\n".join([
