@@ -223,10 +223,18 @@ class _Entries:
         ratio = (top / low)[top > 0.0]
         self.aspect_ratio = float(ratio.max()) if ratio.size else 0.0
         self.cmax = np.repeat(top, np.diff(starts, append=self.coord.size))
+        self._suffix = (None, None)  # (ytilde's bytes, its suffix sums)
 
     def movement(self, y, z) -> np.ndarray:
         """c_i^t y^t on covering entries, -p_i^t z^t on the others (clamps have c = 0)."""
         return np.where(self.kind == "C", self.coeff * y[self.time], -(self.coeff * z[self.time]))
+
+    def suffix_sums(self, ytilde) -> np.ndarray:
+        """`_suffix_sums` of the last ytilde: a window check and the duals share one pass."""
+        key = np.asarray(ytilde, dtype=float).tobytes()
+        if self._suffix[0] != key:
+            self._suffix = (key, _suffix_sums(self, ytilde))
+        return self._suffix[1]
 
 
 def check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar: MovementDuals) -> float:
@@ -371,7 +379,7 @@ def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
     best = np.full(log.n, 0.0 if T else -np.inf)
     e = log.entries()
     starts = np.flatnonzero(e.first)
-    top = np.maximum.reduceat(_suffix_sums(e, ytilde), starts)
+    top = np.maximum.reduceat(e.suffix_sums(ytilde), starts)
     covers_all = np.diff(starts, append=e.coord.size) == T
     best[e.coord[starts]] = np.where(covers_all, top, np.maximum(top, 0.0))
     return best
@@ -410,7 +418,7 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     A = math.log1p(40.0 * d * d / (eps * eps))
     y_bar = np.asarray(ytilde, dtype=float) / A
     z_bar = e.z / A
-    M = np.maximum(_suffix_sums(e, ytilde), 0.0)
+    M = np.maximum(e.suffix_sums(ytilde), 0.0)
     start = np.zeros(log.n)
     start[e.coord[e.first]] = M[e.first] / A
     # after appearance k, M holds its value at the coordinate's next appearance

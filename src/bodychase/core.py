@@ -19,7 +19,8 @@ multiplier; the optimum has the multiplicative closed form
     packing:   x_i = x_i_prev * exp(-p_i * z / w_i)
 
 which the root finder inverts by safeguarded Newton steps on the log of
-the row's value, falling back to bisection of a doubling bracket.
+the row's value, falling back to bisection of a doubling bracket.  A row
+with one rate r = c_i / w_i never reaches it: its step is one rescale.
 
 The projectors move nothing: they return the support's new values
 (`ProjectionResult.after`).  The engine (`project_and_record`, and so
@@ -62,8 +63,7 @@ __all__ = [
 # guards against reprojecting rows that are tight up to roundoff.
 VIOLATION_SLACK = 1e-12
 
-# Exponent cap: keeps the bracketing phase finite when the trial
-# multiplier overshoots.  Monotonicity of the restriction is preserved.
+# Exponent cap: keeps bracketing finite when a trial multiplier overshoots; g stays monotone.
 _EXP_CAP = 700.0
 
 _FLOAT_EPS = float(np.finfo(float).eps)
@@ -261,14 +261,14 @@ def _root(g, total, rhs, tol, max_iter, increasing):
 
     g(t) returns the residual and its slope.  g + total is a positive sum
     of exponentials of affine functions, so h = log((g + total) / total)
-    is convex with the same root, and linear when the row's rates are
-    equal.  Newton steps on h start at t = 0.  Every point evaluated
-    narrows the bracket [lo, hi] by the sign of g; a step that leaves
-    (lo, hi), or a zero or infinite slope, falls back to the midpoint, or
-    to doubling from 1 while hi is open.  Stops once |g| <= tol * rhs.
-    After max_iter evaluations, or once the bracket is exhausted, the best
-    point is accepted only within a factor 1e3 of the target, otherwise
-    the call fails.  Returns (root, |g(root)|, evaluations after t = 0).
+    is convex with the same root (linear for one rate, but one-rate rows
+    take `_project`'s closed form and never get here).  Newton steps on h
+    start at t = 0.  Each point evaluated narrows the bracket [lo, hi] by
+    the sign of g; a step that leaves (lo, hi), or a zero or infinite
+    slope, falls back to the midpoint, or to doubling from 1 while hi is
+    open.  Stops once |g| <= tol * rhs.  After max_iter evaluations, or once
+    the bracket is exhausted, the best point is accepted only within 1e3 of
+    the target, else the call fails.  Returns (root, |g(root)|, evaluations).
     """
     t, lo, hi = 0.0, 0.0, math.inf
     gt, slope = g(t)
@@ -309,30 +309,32 @@ def _project(x_prev, row, eps, tol, max_iter) -> ProjectionResult:
     xs = x_prev.values[row.indices]
     if row.kind is Kind.COVERING:
         sign, level, shift = 1.0, 1.0, eps / (4.0 * row.sparsity * cvec)
-        violated = covering_violated(start)
+        violated, base, const = covering_violated(start), xs + shift, float(cvec @ shift)
     else:
-        sign, level, shift = -1.0, 1.0 + eps, 0.0
-        violated = packing_violated(start, eps)
+        sign, level, shift, const = -1.0, 1.0 + eps, 0.0, 0.0
+        violated, base = packing_violated(start, eps), xs
     if not violated:
         raise NotViolatedError("row not violated: value %.17g, bound %.17g" % (start, level))
-    base = xs + shift if sign > 0 else xs
     rate = cvec / x_prev.weights[row.indices]
-    # the exponents sign * rate * t are <= 0 for packing; only covering
-    # ones can reach the cap
-    top = float(rate.max()) if sign > 0 else 0.0
-    mass = cvec * base
-    const = float(cvec @ shift) if sign > 0 else 0.0
+    top = float(rate.max())
+    if top == rate.min():  # one rate r: exp(sign * r * t) is one factor K
+        K = (level + const) / (start + const)
+        t, new_sub, iters = sign * math.log(K) / top, base * K, 1
+        resid = abs(float(cvec @ new_sub) - const - level)
+    else:
+        mass = cvec * base
 
-    def residual(t: float):
-        st = sign * t
-        uncapped = st * top < _EXP_CAP
-        exponent = rate * st if uncapped else np.minimum(rate * st, _EXP_CAP)
-        terms = mass * np.exp(exponent) if st else mass  # exp(0) is exactly 1
-        slope = sign * float(terms @ rate) if uncapped else math.inf
-        return float(terms.sum()) - const - level, slope
+        def residual(t: float):
+            st = sign * t
+            # packing exponents are <= 0, so only covering ones reach the cap
+            uncapped = st * top < _EXP_CAP
+            exponent = rate * st if uncapped else np.minimum(rate * st, _EXP_CAP)
+            terms = mass * np.exp(exponent) if st else mass  # exp(0) is exactly 1
+            slope = sign * float(terms @ rate) if uncapped else math.inf
+            return float(terms.sum()) - const - level, slope
 
-    t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
-    new_sub = base * np.exp(rate * (sign * t))
+        t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+        new_sub = base * np.exp(rate * (sign * t))
     after = np.maximum(new_sub - shift, xs) if sign > 0 else np.minimum(new_sub, xs)
     return ProjectionResult(after, float(t), iters, resid)
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
 The references do not call into the solver's numerics, except the
-copying engine step, which shares core's root finder, and the two-phase
+copying engine step, which shares core's root finder and one-rate closed
+form (and can be held to the root finder alone), and the two-phase
 simplex, which shares simplex's pivot and pricing loop: the point is to
 confirm the fast paths against slow, transparent computations.
 """
@@ -543,10 +544,12 @@ def bisect_project_packing(
 # Copying engine step: the step the in-place engine in core replaced, which
 # builds a whole new point per row and records the ledger step with clip
 # and abs. Kept as the bit-for-bit reference for the fused step; it shares
-# core._root, so it checks everything around the root finder.
+# core._root and core's one-rate closed form, so it checks everything
+# around them. With closed_form=False every row goes through the Newton
+# root finder: the reference for the closed form itself.
 
 
-def _copying_project(x_prev, row, shift, sign, level, tol, max_iter) -> PointResult:
+def _copying_project(x_prev, row, shift, sign, level, tol, max_iter, closed_form) -> PointResult:
     idx = row.indices
     cvec = row.coeffs
     xs = x_prev.values[idx]
@@ -565,14 +568,21 @@ def _copying_project(x_prev, row, shift, sign, level, tol, max_iter) -> PointRes
         slope = sign * float(terms @ rate) if st * top < _EXP_CAP else math.inf
         return float(terms.sum()) - const - level, slope
 
-    t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
-    new_sub = base * np.exp(rate * (sign * t)) - shift
+    if closed_form and rate.max() == rate.min():
+        K = (level + const) / (row.value_at(x_prev.values) + const)
+        new_sub = base * K - shift
+        t, iters = sign * math.log(K) / float(rate.max()), 1
+        resid = abs(float(cvec @ (base * K)) - const - level)
+    else:
+        t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+        new_sub = base * np.exp(rate * (sign * t)) - shift
     values = x_prev.values.copy()
     values[idx] = np.maximum(new_sub, xs) if sign > 0 else np.minimum(new_sub, xs)
     return PointResult(FractionalPoint(values, x_prev.weights), float(t), iters, resid)
 
 
-def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200) -> PointResult:
+def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200,
+                             closed_form=True) -> PointResult:
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
     if not (0.0 < eps <= 1.0):
@@ -581,10 +591,11 @@ def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200) -> Poin
     if not covering_violated(start):
         raise NotViolatedError("row already satisfied: value %.17g" % start)
     shift = eps / (4.0 * c.sparsity * c.coeffs)
-    return _copying_project(x_prev, c, shift, 1.0, 1.0, tol, max_iter)
+    return _copying_project(x_prev, c, shift, 1.0, 1.0, tol, max_iter, closed_form)
 
 
-def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200) -> PointResult:
+def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200,
+                            closed_form=True) -> PointResult:
     if p.kind is not Kind.PACKING:
         raise ConstraintError("project_packing needs a packing row")
     if eps < 0.0:
@@ -595,7 +606,15 @@ def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200) -> Point
         raise NotViolatedError(
             "packing row not violated: value %.17g <= %.17g" % (start, rhs)
         )
-    return _copying_project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter)
+    return _copying_project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter, closed_form)
+
+
+def newton_project(x_prev, row, eps) -> PointResult:
+    """The projection of a violated row by the Newton root finder alone,
+    whatever its rates: the reference for core's one-rate closed form."""
+    if row.kind is Kind.COVERING:
+        return copying_project_covering(x_prev, row, eps, closed_form=False)
+    return copying_project_packing(x_prev, row, eps, closed_form=False)
 
 
 def copying_project_and_record(x_prev, row, eps, ledger=None, log=None):

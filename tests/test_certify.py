@@ -182,6 +182,25 @@ def test_zero_multiplier_arrivals_are_recorded():
     assert log.steps[0].multiplier == 0.0
 
 
+def assert_certifies_cleanly(log, ledger, eps):
+    """The lemmas and both certificates of one random log; returns ytilde."""
+    # movement and multiplier-sum lemmas on the raw log
+    assert check_movement_bound(log, eps) <= 1e-9
+    assert check_z_bound(log, eps) >= -1e-9
+    warm = build_warmup_dual(log, eps)
+    assert warm.max_violation <= FEASIBILITY_TOL
+    ytilde = refine_ytilde(log, eps)
+    assert np.all(ytilde >= -1e-15)
+    refined = build_refined_dual(log, ytilde, eps)
+    assert refined.max_violation <= FEASIBILITY_TOL
+    assert refined.objective >= -1e-9
+    # realized recourse against the certified cap
+    cap = (2.0 + eps) * (1.0 + eps) / eps * refined.scaling
+    if refined.certified_bound > 0.0:
+        assert ledger.upward_total / refined.certified_bound <= cap * (1.0 + 1e-9)
+    return ytilde
+
+
 @pytest.mark.parametrize("eps", [0.25, 1.0])
 def test_random_streams_certify_cleanly(eps):
     rng = np.random.default_rng(77)
@@ -189,20 +208,23 @@ def test_random_streams_certify_cleanly(eps):
         n = int(rng.integers(2, 9))
         T = int(rng.integers(5, 51))
         log, ledger, _, w = random_mixed_stream(rng, n, T, eps)
-        # movement and multiplier-sum lemmas on the raw log
-        assert check_movement_bound(log, eps) <= 1e-9
-        assert check_z_bound(log, eps) >= -1e-9
-        warm = build_warmup_dual(log, eps)
-        assert warm.max_violation <= FEASIBILITY_TOL
-        ytilde = refine_ytilde(log, eps)
-        assert np.all(ytilde >= -1e-15)
-        refined = build_refined_dual(log, ytilde, eps)
-        assert refined.max_violation <= FEASIBILITY_TOL
-        assert refined.objective >= -1e-9
-        # realized recourse against the certified cap
-        cap = (2.0 + eps) * (1.0 + eps) / eps * refined.scaling
-        if refined.certified_bound > 0.0:
-            assert ledger.upward_total / refined.certified_bound <= cap * (1.0 + 1e-9)
+        assert_certifies_cleanly(log, ledger, eps)
+
+
+# refine_ytilde lowers an earlier multiplier only where that row's coefficient
+# is at least 10 d / eps times the current one, which coefficients drawn from
+# the default [1, 8] never reach: this corpus runs the back-scan
+@pytest.mark.parametrize("eps", [0.25, 1.0])
+def test_wide_coefficient_streams_certify_cleanly_with_damping(eps):
+    rng = np.random.default_rng(78)
+    damped = 0
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        T = int(rng.integers(5, 51))
+        log, ledger, _, _ = random_mixed_stream(rng, n, T, eps, coeff_lo=0.01, coeff_hi=100.0)
+        ytilde = assert_certifies_cleanly(log, ledger, eps)
+        damped += bool(np.any(ytilde != log.entries().y))
+    assert damped >= 1
 
 
 def test_subset_lemma_sampled():

@@ -15,6 +15,7 @@ from bodychase import (
     certify_run,
     refine_ytilde,
 )
+from bodychase import certify
 from bodychase.certify import FEASIBILITY_TOL, max_window_sums
 from bodychase.cli import main
 
@@ -70,6 +71,28 @@ def all_packing_log(T=4):
         log.append_projection(row, 0.5, x, x * 0.5)
         x = x * 0.5
     return log
+
+
+def test_a_certificate_runs_its_suffix_pass_once(monkeypatch):
+    rng = np.random.default_rng(1415)
+    log, ledger, _, _ = random_mixed_stream(rng, 8, 60, 0.5, 0.01, 100.0)
+    expected = json.dumps(certify_run(log, ledger, 0.5))
+    passes = []
+
+    def counted(e, ytilde, _pass=certify._suffix_sums):
+        passes.append(len(ytilde))
+        return _pass(e, ytilde)
+
+    monkeypatch.setattr(certify, "_suffix_sums", counted)
+    log._entries = None  # a fresh view, holding no sums yet
+    assert json.dumps(certify_run(log, ledger, 0.5)) == expected
+    assert passes == [log.horizon]
+    # another ytilde is not served the kept sums
+    ytilde = refine_ytilde(log, 0.5)
+    assert len(passes) == 1
+    np.testing.assert_allclose(max_window_sums(log, 0.5 * ytilde),
+                               dense_max_window_sums(log, 0.5 * ytilde), rtol=1e-12, atol=0.0)
+    assert len(passes) == 2
 
 
 def test_window_over_every_step_stays_negative():
