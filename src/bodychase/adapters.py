@@ -192,26 +192,26 @@ class MatchingState:
     def optimum(self) -> int:
         return len(maximum_matching(sorted(self.live))) // 2
 
-    def vertices(self):
-        return sorted({v for e in self.live for v in e})
-
 
 def matching_body(state: MatchingState, beta: float) -> BodySnapshot:
     if not 0.0 < beta <= 1.0:
         raise AdapterError("beta must lie in (0, 1] for matching")
     opt = state.optimum()
+    live = sorted(state.live)
     covering = []
     if opt > 0:
         scale = 1.0 / (beta * opt)
         covering.append(
             HalfspaceConstraint.covering(
-                {state.coords[e]: scale for e in sorted(state.live)}
+                {state.coords[e]: scale for e in live}
             )
         )
-    packing = []
-    for v in state.vertices():
-        incident = {state.coords[e]: 1.0 for e in sorted(state.live) if v in e}
-        packing.append(HalfspaceConstraint.packing(incident))
+    # one pass over the live edges gives every vertex its incident coordinates
+    incident: dict = {}
+    for e in live:
+        for v in e:
+            incident.setdefault(v, {})[state.coords[e]] = 1.0
+    packing = [HalfspaceConstraint.packing(incident[v]) for v in sorted(incident)]
     frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
     return BodySnapshot(tuple(covering), tuple(packing), frozen, state.dimension,
                         {"opt": float(opt), "beta": beta})

@@ -22,8 +22,9 @@ clamp-free logs and refuses others.
 
 Everything is computed per coordinate over its appearances, the steps
 whose support holds it: elsewhere x_i does not move, rbar_i does not
-change and the dual row is identically 0. The log stores only its steps;
-`MultiplierLog.entries` derives that per-coordinate view once per horizon.
+change and the dual row is identically 0. The log stores only its steps,
+and in its ledger their recourse; `MultiplierLog.entries` derives that
+per-coordinate view once per horizon.
 The refined certificate reads only the view: its damping scan walks the
 coordinates' runs, and one backward pass of suffix sums over the runs
 gives both its movement duals and the window bound it is checked against.
@@ -89,11 +90,13 @@ class MultiplierLog:
     The log holds the movement weights and its steps, each on its support
     only (see LogStep); the coordinate space may grow during a run.
     Everything per coordinate is derived from the steps by `entries()`.
+    `ledger` records the recourse of every appended step, at the log's weights.
     """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
         self.steps: list[LogStep] = []
+        self.ledger = RecourseLedger()
         self._entries = None
 
     @property
@@ -123,6 +126,8 @@ class MultiplierLog:
             x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
         if not (x_before.shape == x_after.shape == indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
+        sign = 1 if kind is StepKind.COVERING else -1
+        self.ledger.record_step(self.weights[indices], x_before, x_after, sign)
         self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
         return self
 
@@ -454,14 +459,14 @@ def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) 
     }
 
 
-def certify_run(log: MultiplierLog, ledger: RecourseLedger, eps: float) -> dict:
-    """Summary record combining both certificates.
+def certify_run(log: MultiplierLog, eps: float) -> dict:
+    """Summary record combining both certificates, against the log's ledger.
 
     The refined fields, `refined_max_violation` among them, are null when
     the log contains freezes (the refined construction is unsound there);
     the theoretical cap then falls back to the warmup constant.
     """
-    e = log.entries()
+    e, ledger = log.entries(), log.ledger
     out = {
         "upward_recourse": ledger.upward_total,
         "l1_recourse": ledger.l1_total,

@@ -22,11 +22,12 @@ which the root finder inverts by safeguarded Newton steps on the log of
 the row's value, falling back to bisection of a doubling bracket.  A row
 with one rate r = c_i / w_i never reaches it: its step is one rescale.
 
-The projectors move nothing: they return the support's new values
-(`ProjectionResult.after`).  The engine (`project_and_record`, and so
-`chase_body`) owns the point and writes them into its `values` in place,
-so a step costs the row's support d, not the dimension n.  A caller that
-keeps a point across engine steps keeps a copy of its values.
+The projectors move nothing: they read the row's support once and return
+its values before and after (`ProjectionResult`).  The engine
+(`project_and_record`, and so `chase_body`) writes them into the point's
+`values` in place, so a step costs the support d, not the dimension n, and
+records the step in a `certify.MultiplierLog`, which keeps the run's
+`RecourseLedger`.  A caller that keeps a point across steps copies it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ VIOLATION_SLACK = 1e-12
 _EXP_CAP = 700.0
 
 _FLOAT_EPS = float(np.finfo(float).eps)
+
+# `_root`'s relative stopping tolerance and its cap on evaluations.
+_ROOT_TOL = 1e-12
+_ROOT_MAX_ITER = 200
 
 
 class Kind(enum.Enum):
@@ -204,10 +209,11 @@ class HalfspaceConstraint:
 class ProjectionResult:
     """Outcome of a single halfspace projection.
 
-    `after` holds the row's support coordinates after the step, in the
-    order of the row's indices; no other coordinate moves.
+    `before` and `after` hold the row's support coordinates around the
+    step, in the order of the row's indices; no other coordinate moves.
     """
 
+    before: np.ndarray
     after: np.ndarray
     multiplier: float
     iterations: int
@@ -256,7 +262,7 @@ def packing_violated(value: float, eps: float) -> bool:
     return value > (1.0 + eps) * (1.0 + VIOLATION_SLACK)
 
 
-def _root(g, total, rhs, tol, max_iter, increasing):
+def _root(g, total, rhs, increasing):
     """Root in [0, inf) of the monotone residual g, which is not yet 0 at 0.
 
     g(t) returns the residual and its slope.  g + total is a positive sum
@@ -266,15 +272,15 @@ def _root(g, total, rhs, tol, max_iter, increasing):
     start at t = 0.  Each point evaluated narrows the bracket [lo, hi] by
     the sign of g; a step that leaves (lo, hi), or a zero or infinite
     slope, falls back to the midpoint, or to doubling from 1 while hi is
-    open.  Stops once |g| <= tol * rhs.  After max_iter evaluations, or once
-    the bracket is exhausted, the best point is accepted only within 1e3 of
-    the target, else the call fails.  Returns (root, |g(root)|, evaluations).
+    open.  Stops once |g| <= _ROOT_TOL * rhs.  After _ROOT_MAX_ITER
+    evaluations, or on an exhausted bracket, the best point is accepted only
+    within 1e3 of the target, else the call fails.  Returns (root, |g|, evaluations).
     """
     t, lo, hi = 0.0, 0.0, math.inf
     gt, slope = g(t)
     best, best_g = t, gt
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _ROOT_MAX_ITER:
         level = gt + total
         # an infinite slope gives nxt = t, an end of the bracket, so it falls back
         nxt = t - math.log1p(gt / total) * level / slope if level > 0.0 and slope else math.nan
@@ -284,29 +290,33 @@ def _root(g, total, rhs, tol, max_iter, increasing):
         gt, slope = g(t)
         if abs(gt) < abs(best_g):
             best, best_g = t, gt
-        if abs(gt) <= tol * rhs:
+        if abs(gt) <= _ROOT_TOL * rhs:
             return t, abs(gt), iterations
         lo, hi = (t, hi) if (gt < 0.0) == increasing else (lo, t)
         if hi - lo <= _FLOAT_EPS * max(1.0, lo):
             break
-    if abs(best_g) <= 1e3 * tol * rhs:
+    if abs(best_g) <= 1e3 * _ROOT_TOL * rhs:
         return best, abs(best_g), iterations
     raise ConvergenceError(
         "multiplier search stalled: residual %.3e after %d iterations" % (best_g, iterations)
     )
 
 
-def _project(x_prev, row, eps, tol, max_iter) -> ProjectionResult:
+def _project(x_prev, row, eps) -> ProjectionResult:
     """Support values (x + s) * exp(sign * rate * t) - s of a violated row.
 
     rate = coeffs / weights, s is the covering shift (0 for packing) and
     sign is +1 for covering, -1 for packing; t >= 0 makes the row's value
     equal `level` (1, or 1 + eps for packing).  The result is clamped so a
     covering step only moves coordinates up and a packing step only down.
+    The support is gathered once; the row's value is read off the gather.
     """
-    cvec = row.coeffs
-    start = row.value_at(x_prev.values)
-    xs = x_prev.values[row.indices]
+    cvec, idx, values = row.coeffs, row.indices, x_prev.values
+    if row.max_index >= values.shape[0]:
+        raise DimensionMismatch("constraint touches coordinate %d but the point has dimension %d"
+                                % (row.max_index, values.shape[0]))
+    xs = values[idx]
+    start = float(xs @ cvec)
     if row.kind is Kind.COVERING:
         sign, level, shift = 1.0, 1.0, eps / (4.0 * row.sparsity * cvec)
         violated, base, const = covering_violated(start), xs + shift, float(cvec @ shift)
@@ -315,14 +325,13 @@ def _project(x_prev, row, eps, tol, max_iter) -> ProjectionResult:
         violated, base = packing_violated(start, eps), xs
     if not violated:
         raise NotViolatedError("row not violated: value %.17g, bound %.17g" % (start, level))
-    rate = cvec / x_prev.weights[row.indices]
-    top = float(rate.max())
-    if top == rate.min():  # one rate r: exp(sign * r * t) is one factor K
+    rate = cvec / x_prev.weights[idx]
+    if (rate == rate[0]).all():  # one rate r: exp(sign * r * t) is one factor K
         K = (level + const) / (start + const)
-        t, new_sub, iters = sign * math.log(K) / top, base * K, 1
+        t, new_sub, iters = sign * math.log(K) / float(rate[0]), base * K, 1
         resid = abs(float(cvec @ new_sub) - const - level)
     else:
-        mass = cvec * base
+        mass, top = cvec * base, float(rate.max())
 
         def residual(t: float):
             st = sign * t
@@ -333,41 +342,35 @@ def _project(x_prev, row, eps, tol, max_iter) -> ProjectionResult:
             slope = sign * float(terms @ rate) if uncapped else math.inf
             return float(terms.sum()) - const - level, slope
 
-        t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+        t, resid, iters = _root(residual, level + const, level, sign > 0)
         new_sub = base * np.exp(rate * (sign * t))
     after = np.maximum(new_sub - shift, xs) if sign > 0 else np.minimum(new_sub, xs)
-    return ProjectionResult(after, float(t), iters, resid)
+    return ProjectionResult(xs, after, float(t), iters, resid)
 
 
 def project_covering(
     x_prev: FractionalPoint,
     c: HalfspaceConstraint,
     eps: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> ProjectionResult:
     """Project onto a violated covering halfspace `<c, x> >= 1`.
 
     Only coordinates on the row's support move, and they only move up.
-    Returns their new values together with the nonnegative multiplier y
-    of the tight constraint, the root-finder iteration count, and the
-    final absolute residual |<c, x> - 1|.  `x_prev` is left unchanged.
+    Returns their values before and after, together with the nonnegative
+    multiplier y of the tight constraint, the root-finder iteration count,
+    and the final absolute residual |<c, x> - 1|.  `x_prev` is left unchanged.
     """
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    return _project(x_prev, c, eps, tol, max_iter)
+    return _project(x_prev, c, eps)
 
 
 def project_packing(
     x_prev: FractionalPoint,
     p: HalfspaceConstraint,
     eps: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> ProjectionResult:
     """Project onto `<p, x> <= 1 + eps` from a point that violates it.
 
@@ -379,7 +382,7 @@ def project_packing(
         raise ConstraintError("project_packing needs a packing row")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    return _project(x_prev, p, eps, tol, max_iter)
+    return _project(x_prev, p, eps)
 
 
 def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
@@ -403,7 +406,6 @@ def project_and_record(
     x: FractionalPoint,
     row: HalfspaceConstraint,
     eps: float,
-    ledger: RecourseLedger | None = None,
     log=None,
 ) -> tuple[FractionalPoint, ProjectionResult | None]:
     """One step of the engine: project onto `row` if it is violated, and record.
@@ -413,22 +415,18 @@ def project_and_record(
     scanned; a caller that keeps the point from before the step copies it.
     A satisfied row leaves the point alone (result None) and is still
     recorded, as a zero-multiplier step: its body row binds the offline
-    benchmark, so the certificate log must carry it.  The ledger and the
-    log get the step on the row's support, the only coordinates it can
-    move, as the same `before` and `after` arrays.
+    benchmark, so the certificate log must carry it.  The log, and so its
+    recourse ledger, gets the step on the row's support, the only
+    coordinates it can move, as the projection's `before` and `after`.
     """
-    covering = row.kind is Kind.COVERING
-    project = project_covering if covering else project_packing
+    project = project_covering if row.kind is Kind.COVERING else project_packing
     try:
         res = project(x, row, eps)
     except NotViolatedError:
         res = None
-    idx = row.indices
-    before = x.values[idx]
+    before = x.values[row.indices] if res is None else res.before
     after = before if res is None else res.after
-    x.values[idx] = after
-    if ledger is not None:
-        ledger.record_step(x.weights[idx], before, after, 1 if covering else -1)
+    x.values[row.indices] = after
     if log is not None:
         log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
     return x, res
@@ -480,7 +478,6 @@ def chase_body(
     delta: float,
     eps: float | None = None,
     *,
-    ledger: RecourseLedger | None = None,
     log=None,
     max_rounds: int = 10000,
 ) -> tuple[FractionalPoint, list[ChaseStep]]:
@@ -494,9 +491,9 @@ def chase_body(
     when full covering feasibility is required downstream.
 
     `x_prev` is moved in place and returned (see `project_and_record`).
-    Projections are appended to `ledger` and `log` when given.  Exceeding
-    `max_rounds` raises InfeasibleBodyError carrying the last violated
-    row: the body is empty or too tight for the tolerance.
+    Projections are appended to `log`, and so to its ledger, when given.
+    Exceeding `max_rounds` raises InfeasibleBodyError carrying the last
+    violated row: the body is empty or too tight for the tolerance.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
@@ -516,7 +513,7 @@ def chase_body(
         row = find(x.values, cover_floor, pack_ceiling)
         if row is None:
             return x, trace
-        x, res = project_and_record(x, row, eps, ledger, log)
+        x, res = project_and_record(x, row, eps, log)
         if res is None:
             raise NotViolatedError("oracle returned a satisfied row %r" % row)
         trace.append(ChaseStep(row, res))

@@ -48,6 +48,7 @@ class MstSampler:
         self.fallback: set = set()
         self.combined: set = set()
         self.fallback_fired = False
+        self.fractional_cost = 0.0
         self.sample_step_recourse = 0
         self.sample_recourse_total = 0
 
@@ -66,7 +67,8 @@ def mst_sampler_step(x, sampler: MstSampler):
     """Resample against the current point; returns the combined-set delta.
 
     The fallback fires when the sampled edges do not span the vertex set
-    or their tree costs more than (2+delta) times the fractional cost.
+    or their tree costs more than (2+delta) times the fractional cost,
+    kept as `sampler.fractional_cost` (summed over the sorted live edges).
     """
     values = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
     inst = sampler.instance
@@ -79,13 +81,13 @@ def mst_sampler_step(x, sampler: MstSampler):
     sampler.sample_recourse_total += sampler.sample_step_recourse
     sampler.sampled = sampled
 
-    frac_cost = sum(inst.costs[e] * float(values[inst.coords[e]]) for e in live)
+    sampler.fractional_cost = sum(inst.costs[e] * float(values[inst.coords[e]]) for e in live)
     fallback = set()
     fired = False
     try:
         cost, _ = kruskal_mst(inst.vertices,
                               [(u, v, inst.costs[(u, v)]) for u, v in sampled])
-        fired = cost > (2.0 + sampler.delta) * frac_cost + 1e-12
+        fired = cost > (2.0 + sampler.delta) * sampler.fractional_cost + 1e-12
     except GraphError:
         fired = True
     if fired:
@@ -116,7 +118,8 @@ class DynamicTree:
         self.step_recourse = 0
 
     def tree_cost(self) -> float:
-        return float(sum(self.costs[e] for e in self.tree))
+        # sorted, so the sum does not depend on the set's hash order
+        return float(sum(self.costs[e] for e in sorted(self.tree)))
 
     def _adj(self, edge_set):
         adj = {v: [] for v in self.vertices}

@@ -35,7 +35,6 @@ from .certify import MultiplierLog, certify_run
 from .core import (
     ChaseError,
     FractionalPoint,
-    RecourseLedger,
     chase_body,
     project_and_record,
     scaled_output,
@@ -98,16 +97,14 @@ def _grown(x: FractionalPoint, dim: int) -> FractionalPoint:
     return FractionalPoint(values, w)
 
 
-def apply_freeze(x: FractionalPoint, indices, ledger=None, log=None) -> FractionalPoint:
-    """Clamp coordinates to zero, recording the move and the clamp event."""
+def apply_freeze(x: FractionalPoint, indices, log=None) -> FractionalPoint:
+    """Clamp coordinates to zero in place and record the clamp in `log`; returns `x`."""
     idx = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
-    values = x.values.copy()
-    values[idx] = 0.0
-    if ledger is not None:
-        ledger.record_step(x.weights[idx], x.values[idx], values[idx], -1)
+    before = x.values[idx]
+    x.values[idx] = 0.0
     if log is not None:
-        log.append_freeze(idx, x.values[idx], values[idx])
-    return FractionalPoint(values, x.weights)
+        log.append_freeze(idx, before, np.zeros(idx.shape[0]))
+    return x
 
 
 def _offline_block(stream, weights, cap):
@@ -149,7 +146,6 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
     dim = max(dim, w.shape[0])
     eps = config.effective_eps()
     x = FractionalPoint.zeros(dim, w)
-    ledger = RecourseLedger()
     log = MultiplierLog(w)
     records = [_meta(config, {"n": dim, "T": len(stream)})]
     iterations, worst = 0, 0.0
@@ -157,28 +153,28 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
         group = item if isinstance(item, list) else [item]
         for member in group:
             if isinstance(member, Freeze):
-                x = apply_freeze(x, member.indices, ledger, log)
+                x = apply_freeze(x, member.indices, log)
                 tag, multiplier, res = "F", None, None
             else:
-                x, res = project_and_record(x, member, eps, ledger, log)
+                x, res = project_and_record(x, member, eps, log)
                 tag, multiplier = member.kind.value, log.steps[-1].multiplier
             if res is not None:
                 iterations += res.iterations
                 worst = max(worst, res.residual)
             records.append({"kind": "step", "t": t, "tag": tag,
                             "support": len(member.indices), "multiplier": multiplier,
-                            "upward_step": ledger.steps[-1][0],
-                            "l1_step": ledger.steps[-1][1],
+                            "upward_step": log.ledger.steps[-1][0],
+                            "l1_step": log.ledger.steps[-1][1],
                             "rootfind_iterations": 0 if res is None else res.iterations})
     summary = {"kind": "summary",
-               "upward_recourse": ledger.upward_total,
-               "l1_recourse": ledger.l1_total,
+               "upward_recourse": log.ledger.upward_total,
+               "l1_recourse": log.ledger.l1_total,
                "final_point": x.values,
                "T": len(stream),
                "rootfind_iterations": iterations,
                "max_projection_residual": worst}
     if config.certify:
-        cert = certify_run(log, ledger, eps)
+        cert = certify_run(log, eps)
         records.append({"kind": "certificate", **cert})
         summary["warmup_bound"] = cert["warmup_bound"]
         summary["refined_bound"] = cert["refined_bound"]
@@ -187,7 +183,7 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
         block = _offline_block(stream, w, config.oracle_cap)
         records.append(block)
         summary["offline_opt"] = block["opt"]
-        summary["ratio_vs_opt"] = _ratio_against(ledger.upward_total, block["opt"])
+        summary["ratio_vs_opt"] = _ratio_against(log.ledger.upward_total, block["opt"])
     records.append(summary)
     return records
 
@@ -197,7 +193,6 @@ class _ProblemDriver:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.ledger = RecourseLedger()
         self.log = MultiplierLog(np.ones(0))
         self.x = FractionalPoint.zeros(0, np.ones(0))
         self.offline_stream = []
@@ -213,16 +208,15 @@ class _ProblemDriver:
     def clamp(self, frozen) -> list:
         newly = [i for i in frozen if i < self.x.dim and self.x.values[i] > 0.0]
         if newly:
-            self.x = apply_freeze(self.x, newly, self.ledger, self.log)
+            self.x = apply_freeze(self.x, newly, self.log)
         self.frozen_now = tuple(sorted(frozen))
         return newly
 
     def chase(self, oracle):
-        before_up = self.ledger.upward_total
-        before_l1 = self.ledger.l1_total
+        before_up = self.log.ledger.upward_total
+        before_l1 = self.log.ledger.l1_total
         self.x, steps = chase_body(
-            self.x, oracle, self.config.delta, self.config.eps,
-            ledger=self.ledger, log=self.log,
+            self.x, oracle, self.config.delta, self.config.eps, log=self.log,
         )
         iterations = sum(s.result.iterations for s in steps)
         self.rootfind_iterations += iterations
@@ -230,8 +224,8 @@ class _ProblemDriver:
             [self.max_projection_residual] + [s.result.residual for s in steps])
         return {
             "projections": len(steps),
-            "upward_step": self.ledger.upward_total - before_up,
-            "l1_step": self.ledger.l1_total - before_l1,
+            "upward_step": self.log.ledger.upward_total - before_up,
+            "l1_step": self.log.ledger.l1_total - before_l1,
             "rootfind_iterations": iterations,
             "rows": [s.constraint for s in steps],
         }
@@ -247,14 +241,14 @@ class _ProblemDriver:
     def summary(self) -> dict:
         n = self.x.dim
         out = {"kind": "summary",
-               "upward_recourse": self.ledger.upward_total,
-               "l1_recourse": self.ledger.l1_total,
+               "upward_recourse": self.log.ledger.upward_total,
+               "l1_recourse": self.log.ledger.l1_total,
                "n": n,
                "rootfind_iterations": self.rootfind_iterations,
                "max_projection_residual": self.max_projection_residual}
         eps = self.config.effective_eps()
         if self.config.certify:
-            cert = certify_run(self.log, self.ledger, eps)
+            cert = certify_run(self.log, eps)
             out["warmup_bound"] = cert["warmup_bound"]
             out["refined_bound"] = cert["refined_bound"]
             out["ratio_warmup"] = cert["ratio_warmup"]
@@ -265,7 +259,7 @@ class _ProblemDriver:
             out["offline_opt"] = block["opt"]
             out["offline_pivots"] = block["pivots"]
             out["offline_skipped"] = block["skipped"]
-            out["ratio_vs_opt"] = _ratio_against(self.ledger.upward_total,
+            out["ratio_vs_opt"] = _ratio_against(self.log.ledger.upward_total,
                                                  block["opt"])
         return out
 
@@ -423,9 +417,7 @@ def _round_step(problem, state, driver, config: RunConfig, rounding, row) -> Non
         row["fallback_fired"] = sampler.fallback_fired
         row["tree_cost"] = tree.tree_cost()
         row["tree_recourse_step"] = sum(per_unit)
-        frac = sum(state.costs[e] * scaled.values[state.coords[e]]
-                   for e in state.live)
-        row["fractional_cost"] = frac
+        row["fractional_cost"] = sampler.fractional_cost
 
 
 def _round_summary(problem, rounding) -> dict:

@@ -32,7 +32,6 @@ from bodychase.core import (
     HalfspaceConstraint,
     Kind,
     NotViolatedError,
-    RecourseLedger,
     _root,
     covering_violated,
     packing_violated,
@@ -140,12 +139,11 @@ def random_mixed_stream(rng, n, T, eps, coeff_lo=1.0, coeff_hi=8.0,
 
     Coefficients are drawn honestly from [coeff_lo, coeff_hi]; rows the
     point already satisfies become zero-multiplier log entries, exactly
-    as a real run records them. Returns (log, ledger, rows, weights).
+    as a real run records them. Returns (log, log.ledger, rows, weights).
     """
     w = rng.uniform(0.5, 2.0, size=n)
     x = FractionalPoint.zeros(n, w)
     log = MultiplierLog(w)
-    ledger = RecourseLedger()
     rows = []
     for step in range(T):
         live = np.flatnonzero(x.values > 1e-9)
@@ -161,9 +159,9 @@ def random_mixed_stream(rng, n, T, eps, coeff_lo=1.0, coeff_hi=8.0,
             row = HalfspaceConstraint.packing(coeffs)
         else:
             row = HalfspaceConstraint.covering(coeffs)
-        x = project_and_record(x, row, eps, ledger, log)[0]
+        x = project_and_record(x, row, eps, log)[0]
         rows.append(row)
-    return log, ledger, rows, w
+    return log, log.ledger, rows, w
 
 
 def _axis_relax(V, axis, step_cost):
@@ -549,7 +547,7 @@ def bisect_project_packing(
 # root finder: the reference for the closed form itself.
 
 
-def _copying_project(x_prev, row, shift, sign, level, tol, max_iter, closed_form) -> PointResult:
+def _copying_project(x_prev, row, shift, sign, level, closed_form) -> PointResult:
     idx = row.indices
     cvec = row.coeffs
     xs = x_prev.values[idx]
@@ -574,15 +572,14 @@ def _copying_project(x_prev, row, shift, sign, level, tol, max_iter, closed_form
         t, iters = sign * math.log(K) / float(rate.max()), 1
         resid = abs(float(cvec @ (base * K)) - const - level)
     else:
-        t, resid, iters = _root(residual, level + const, level, tol, max_iter, sign > 0)
+        t, resid, iters = _root(residual, level + const, level, sign > 0)
         new_sub = base * np.exp(rate * (sign * t)) - shift
     values = x_prev.values.copy()
     values[idx] = np.maximum(new_sub, xs) if sign > 0 else np.minimum(new_sub, xs)
     return PointResult(FractionalPoint(values, x_prev.weights), float(t), iters, resid)
 
 
-def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200,
-                             closed_form=True) -> PointResult:
+def copying_project_covering(x_prev, c, eps, *, closed_form=True) -> PointResult:
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
     if not (0.0 < eps <= 1.0):
@@ -591,11 +588,10 @@ def copying_project_covering(x_prev, c, eps, *, tol=1e-12, max_iter=200,
     if not covering_violated(start):
         raise NotViolatedError("row already satisfied: value %.17g" % start)
     shift = eps / (4.0 * c.sparsity * c.coeffs)
-    return _copying_project(x_prev, c, shift, 1.0, 1.0, tol, max_iter, closed_form)
+    return _copying_project(x_prev, c, shift, 1.0, 1.0, closed_form)
 
 
-def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200,
-                            closed_form=True) -> PointResult:
+def copying_project_packing(x_prev, p, eps, *, closed_form=True) -> PointResult:
     if p.kind is not Kind.PACKING:
         raise ConstraintError("project_packing needs a packing row")
     if eps < 0.0:
@@ -606,7 +602,7 @@ def copying_project_packing(x_prev, p, eps, *, tol=1e-12, max_iter=200,
         raise NotViolatedError(
             "packing row not violated: value %.17g <= %.17g" % (start, rhs)
         )
-    return _copying_project(x_prev, p, 0.0, -1.0, rhs, tol, max_iter, closed_form)
+    return _copying_project(x_prev, p, 0.0, -1.0, rhs, closed_form)
 
 
 def newton_project(x_prev, row, eps) -> PointResult:

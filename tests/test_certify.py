@@ -11,7 +11,6 @@ from bodychase import (
     FractionalPoint,
     HalfspaceConstraint,
     MultiplierLog,
-    RecourseLedger,
     build_refined_dual,
     build_warmup_dual,
     certified_report,
@@ -41,10 +40,9 @@ def run_single_covering():
     w = np.ones(1)
     x = FractionalPoint.zeros(1, w)
     log = MultiplierLog(w)
-    ledger = RecourseLedger()
     row = HalfspaceConstraint.covering({0: 2.0})
-    x = project_and_record(x, row, 1.0, ledger=ledger, log=log)[0]
-    return x, log, ledger
+    x = project_and_record(x, row, 1.0, log=log)[0]
+    return x, log, log.ledger
 
 
 def test_log_extreme_tracking():
@@ -83,13 +81,12 @@ def test_warmup_packing_only_clamps_to_zero():
     w = np.ones(2)
     x = FractionalPoint([2.0, 1.0], w)
     log = MultiplierLog(w)
-    ledger = RecourseLedger()
     row = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
-    project_and_record(x, row, 0.5, ledger=ledger, log=log)
+    project_and_record(x, row, 0.5, log=log)
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.objective < 0.0
     assert cert.certified_bound == 0.0
-    report = certified_report(cert, ledger, eps=0.5)
+    report = certified_report(cert, log.ledger, eps=0.5)
     assert report["ratio"] is None  # no upward movement either
 
 
@@ -147,17 +144,15 @@ def test_freeze_blocks_refined_but_not_warmup():
     w = np.ones(1)
     x = FractionalPoint.zeros(1, w)
     log = MultiplierLog(w)
-    ledger = RecourseLedger()
-    x = project_and_record(x, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)[0]
+    x = project_and_record(x, HalfspaceConstraint.covering({0: 1.0}), 0.5, log=log)[0]
     frozen = FractionalPoint.zeros(1, w)
-    ledger.record_step(w, x.values, frozen.values)
     log.append_freeze([0], x.values, frozen.values)
-    x = project_and_record(frozen, HalfspaceConstraint.covering({0: 1.0}), 0.5, ledger=ledger, log=log)[0]
+    x = project_and_record(frozen, HalfspaceConstraint.covering({0: 1.0}), 0.5, log=log)[0]
     with pytest.raises(CertificateError):
         refine_ytilde(log, eps=0.5)
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.max_violation <= FEASIBILITY_TOL
-    summary = certify_run(log, ledger, eps=0.5)
+    summary = certify_run(log, eps=0.5)
     assert summary["refined_bound"] is None
     assert summary["ratio_refined"] is None
     assert summary["warmup_bound"] > 0.0
@@ -165,7 +160,7 @@ def test_freeze_blocks_refined_but_not_warmup():
 
 
 def test_certify_run_empty_log():
-    summary = certify_run(MultiplierLog(np.ones(2)), RecourseLedger(), eps=0.5)
+    summary = certify_run(MultiplierLog(np.ones(2)), eps=0.5)
     assert summary["upward_recourse"] == 0.0
     assert summary["warmup_bound"] == 0.0
     assert summary["ratio_warmup"] is None

@@ -10,7 +10,6 @@ import pytest
 from bodychase import (
     HalfspaceConstraint,
     MultiplierLog,
-    RecourseLedger,
     build_refined_dual,
     certify_run,
     refine_ytilde,
@@ -75,8 +74,8 @@ def all_packing_log(T=4):
 
 def test_a_certificate_runs_its_suffix_pass_once(monkeypatch):
     rng = np.random.default_rng(1415)
-    log, ledger, _, _ = random_mixed_stream(rng, 8, 60, 0.5, 0.01, 100.0)
-    expected = json.dumps(certify_run(log, ledger, 0.5))
+    log, _, _, _ = random_mixed_stream(rng, 8, 60, 0.5, 0.01, 100.0)
+    expected = json.dumps(certify_run(log, 0.5))
     passes = []
 
     def counted(e, ytilde, _pass=certify._suffix_sums):
@@ -85,7 +84,7 @@ def test_a_certificate_runs_its_suffix_pass_once(monkeypatch):
 
     monkeypatch.setattr(certify, "_suffix_sums", counted)
     log._entries = None  # a fresh view, holding no sums yet
-    assert json.dumps(certify_run(log, ledger, 0.5)) == expected
+    assert json.dumps(certify_run(log, 0.5)) == expected
     assert passes == [log.horizon]
     # another ytilde is not served the kept sums
     ytilde = refine_ytilde(log, 0.5)
@@ -148,7 +147,7 @@ def test_reports_carry_the_certificates_self_check(tmp_path):
 
 
 def test_no_self_check_without_a_certificate(tmp_path):
-    empty = certify_run(MultiplierLog(np.ones(2)), RecourseLedger(), eps=0.5)
+    empty = certify_run(MultiplierLog(np.ones(2)), eps=0.5)
     assert empty["warmup_max_violation"] is None
     assert empty["refined_max_violation"] is None
     # replay summaries keep their fields

@@ -8,7 +8,6 @@ from bodychase import (
     FractionalPoint,
     HalfspaceConstraint,
     MultiplierLog,
-    RecourseLedger,
     build_refined_dual,
     build_warmup_dual,
     certify_run,
@@ -36,12 +35,12 @@ def stream_with_freezes(rng, n, T, eps):
     """Random rows with a clamp of one live coordinate every few steps."""
     w = rng.uniform(0.5, 2.0, size=n)
     x = FractionalPoint.zeros(n, w)
-    log, ledger = MultiplierLog(w), RecourseLedger()
+    log = MultiplierLog(w)
     for t in range(T):
         live = np.flatnonzero(x.values > 1e-9)
         if live.size and t % 4 == 3:
             x = apply_freeze(x, rng.choice(live, size=min(2, live.size), replace=False),
-                             ledger, log)
+                             log)
             continue
         sup = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
         coeffs = {int(i): float(rng.uniform(1.0, 8.0)) for i in sup}
@@ -49,7 +48,7 @@ def stream_with_freezes(rng, n, T, eps):
             row = HalfspaceConstraint.packing({int(i): coeffs.get(int(i), 2.0) for i in live[:3]})
         else:
             row = HalfspaceConstraint.covering(coeffs)
-        x = project_and_record(x, row, eps, ledger=ledger, log=log)[0]
+        x = project_and_record(x, row, eps, log=log)[0]
     return log
 
 
@@ -116,19 +115,19 @@ def test_log_stays_sparse():
     n, eps = 10**5, 0.5
     w = np.ones(n)
     x = FractionalPoint.zeros(n, w)
-    log, ledger = MultiplierLog(w), RecourseLedger()
+    log = MultiplierLog(w)
     support = 0
     for t in range(40):
         sup = rng.choice(n, size=int(rng.integers(1, 9)), replace=False)
         row = HalfspaceConstraint.covering({int(i): float(rng.uniform(1.0, 4.0)) for i in sup})
-        x = project_and_record(x, row, eps, ledger=ledger, log=log)[0]
+        x = project_and_record(x, row, eps, log=log)[0]
         support += sup.size
-    x = apply_freeze(x, np.flatnonzero(x.values)[:3], ledger, log)
+    x = apply_freeze(x, np.flatnonzero(x.values)[:3], log)
     support += 3
     for step in log.steps:
         assert step.x_before.shape == step.x_after.shape == step.indices.shape
     floats = sum(s.coeffs.size + s.x_before.size + s.x_after.size for s in log.steps)
     assert floats == 3 * support
     assert sum(len(times) for times in appearances(log.entries()).values()) == support
-    summary = certify_run(log, ledger, eps)
+    summary = certify_run(log, eps)
     assert summary["warmup_bound"] > 0.0

@@ -10,9 +10,9 @@ from bodychase import (
     HalfspaceConstraint,
     InfeasibleBodyError,
     Kind,
+    MultiplierLog,
     NotViolatedError,
     PositiveBody,
-    RecourseLedger,
     chase_body,
     scaled_output,
 )
@@ -87,9 +87,10 @@ def test_ledger_accumulates_trace_movement():
         ],
         packing=[HalfspaceConstraint.packing({0: 1.0, 2: 1.0})],
     )
-    ledger = RecourseLedger()
-    x, trace = chase_body(FractionalPoint.zeros(3), body, delta=0.4, ledger=ledger)
-    assert len(ledger.steps) == len(trace)
+    log = MultiplierLog(np.ones(3))
+    x, trace = chase_body(FractionalPoint.zeros(3), body, delta=0.4, log=log)
+    ledger = log.ledger
+    assert len(ledger.steps) == len(trace) == log.horizon
     assert ledger.upward_total == pytest.approx(sum(s[0] for s in ledger.steps))
     assert ledger.l1_total >= ledger.upward_total
 

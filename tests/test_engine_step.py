@@ -1,6 +1,8 @@
 """The fused in-place engine step against the copying step it replaced
-(kept in tests/oracles.py): the same bits, no array handed out before a
-step changes after it, and a step allocates nothing of the point's size."""
+(kept in tests/oracles.py, with its separate ledger and log): the same
+bits, in the point, the log and the ledger the log keeps; no array handed
+out before a step changes after it, and a step allocates nothing of the
+point's size."""
 
 import tracemalloc
 
@@ -44,15 +46,16 @@ def test_fused_step_matches_the_copying_step_bit_for_bit(eps):
     for _ in range(12):
         _, _, rows, w = random_mixed_stream(rng, 14, 80, eps)
         x, ref = FractionalPoint.zeros(14, w), FractionalPoint.zeros(14, w)
-        ledger, ref_ledger = RecourseLedger(), RecourseLedger()
-        log, ref_log = MultiplierLog(w), MultiplierLog(w)
+        log, ref_log, ref_ledger = MultiplierLog(w), MultiplierLog(w), RecourseLedger()
+        ledger = log.ledger
         for row in rows:
-            x, res = project_and_record(x, row, eps, ledger, log)
+            x, res = project_and_record(x, row, eps, log)
             ref, ref_res = copying_project_and_record(ref, row, eps, ref_ledger, ref_log)
             assert bits(x.values) == bits(ref.values)
             assert (res is None) == (ref_res is None)
             if res is not None:
                 moved += 1
+                assert bits(res.before) == bits(ref_log.steps[-1].x_before)
                 assert bits(res.after) == bits(ref_res.point.values[row.indices])
                 assert bits([res.multiplier, res.residual]) == bits(
                     [ref_res.multiplier, ref_res.residual])
@@ -179,19 +182,19 @@ def test_body_checks_its_dimension_once_per_call(monkeypatch):
 
 def _step_peak_bytes(n: int) -> int:
     """Largest traced allocation peak of one covering step (d = 8), with
-    the ledger and the log on, over a few steps after a warm-up step."""
+    the log and its ledger on, over a few steps after a warm-up step."""
     w = np.ones(n)
     x = FractionalPoint.zeros(n, w)
-    ledger, log = RecourseLedger(), MultiplierLog(w)
+    log = MultiplierLog(w)
     rows = [HalfspaceConstraint.covering({8 * k + j: 1.0 + j for j in range(8)})
             for k in range(6)]
-    project_and_record(x, rows[0], 0.5, ledger, log)
+    project_and_record(x, rows[0], 0.5, log)
     peaks = []
     for row in rows[1:]:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            project_and_record(x, row, 0.5, ledger, log)
+            project_and_record(x, row, 0.5, log)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()

@@ -8,7 +8,6 @@ from bodychase import (
     FractionalPoint,
     HalfspaceConstraint,
     MultiplierLog,
-    RecourseLedger,
     certify_run,
     project_and_record,
 )
@@ -91,25 +90,25 @@ def test_certify_run_builds_the_view_once(monkeypatch):
     monkeypatch.setattr(certify, "_Entries", Counted)
     rng = np.random.default_rng(13)
     w = np.ones(6)
-    x, log, ledger = FractionalPoint.zeros(6, w), MultiplierLog(w), RecourseLedger()
+    x, log = FractionalPoint.zeros(6, w), MultiplierLog(w)
 
     def chase(rows):
         for _ in range(rows):
             sup = rng.choice(6, size=3, replace=False)
             row = HalfspaceConstraint.covering({int(i): float(rng.uniform(1.0, 4.0)) for i in sup})
-            project_and_record(x, row, 0.5, ledger, log)
+            project_and_record(x, row, 0.5, log)
 
     chase(30)
-    summary = certify_run(log, ledger, 0.5)
+    summary = certify_run(log, 0.5)
     assert summary["refined_bound"] is not None  # both certificates ran
     assert builds == [log.horizon]
-    certify_run(log, ledger, 0.5)
+    certify_run(log, 0.5)
     assert builds == [log.horizon]
     before = log.horizon
     while log.horizon == before:
         chase(1)
-    certify_run(log, ledger, 0.5)
+    certify_run(log, 0.5)
     assert builds == [before, log.horizon]
     freezing = stream_with_freezes(rng, 5, 20, 0.5)
-    certify_run(freezing, RecourseLedger(), 0.5)
+    certify_run(freezing, 0.5)
     assert builds == [before, log.horizon, freezing.horizon]

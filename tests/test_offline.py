@@ -252,9 +252,9 @@ def test_certificates_stay_below_lp_optimum(eps):
     for trial in range(10):
         n = int(rng.integers(2, 7))
         T = int(rng.integers(4, 16))
-        log, ledger, rows, w = random_mixed_stream(rng, n, T, eps)
+        log, _, rows, w = random_mixed_stream(rng, n, T, eps)
         opt, _ = solve_optimal_recourse(stream_from_log(log), w)
-        report = certify_run(log, ledger, eps)
+        report = certify_run(log, eps)
         assert verify_weak_duality(report["warmup_bound"], opt), trial
         if report["refined_bound"] is not None:
             assert verify_weak_duality(report["refined_bound"], opt), trial

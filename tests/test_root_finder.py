@@ -16,6 +16,7 @@ from bodychase import (
     project_covering,
     project_packing,
 )
+from bodychase import core
 from bodychase.core import _EXP_CAP, covering_violated, packing_violated
 
 from oracles import (
@@ -147,14 +148,16 @@ def test_single_coordinate_and_equal_rate_rows_take_one_step(row, x, w, eps):
     assert new.iterations == 1
 
 
-def test_iteration_cap_raises_instead_of_returning_a_wrong_point():
+def test_iteration_cap_raises_instead_of_returning_a_wrong_point(monkeypatch):
     w = np.array([1.0, 10.0, 100.0])
     cover = HalfspaceConstraint.covering({0: 1.0, 1: 1.0, 2: 1.0})
-    with pytest.raises(ConvergenceError):
-        project_covering(FractionalPoint.zeros(3, w), cover, 0.5, max_iter=1)
     pack = HalfspaceConstraint.packing({0: 1.0, 1: 1.0, 2: 1.0})
-    with pytest.raises(ConvergenceError):
-        project_packing(FractionalPoint([1.0, 1.0, 1.0], w), pack, 0.0, max_iter=1)
+    with monkeypatch.context() as m:
+        m.setattr(core, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            project_covering(FractionalPoint.zeros(3, w), cover, 0.5)
+        with pytest.raises(ConvergenceError):
+            project_packing(FractionalPoint([1.0, 1.0, 1.0], w), pack, 0.0)
     # the same rows converge under the default cap
     assert project_covering(FractionalPoint.zeros(3, w), cover, 0.5).iterations > 1
 

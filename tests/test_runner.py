@@ -128,14 +128,17 @@ def test_weights_shape_mismatch_rejected():
 
 
 def test_apply_freeze_records_movement():
-    x = FractionalPoint(np.array([0.4, 0.2]), np.array([2.0, 1.0]))
-    from bodychase.core import RecourseLedger
+    from bodychase.certify import MultiplierLog
 
-    ledger = RecourseLedger()
-    y = apply_freeze(x, [0], ledger)
+    x = FractionalPoint(np.array([0.4, 0.2]), np.array([2.0, 1.0]))
+    values, log = x.values, MultiplierLog(x.weights)
+    y = apply_freeze(x, [0], log)
+    # the clamp moves the point in place, as a projection does
+    assert y is x and x.values is values
     assert y.values[0] == 0.0 and y.values[1] == 0.2
-    assert ledger.upward_total == 0.0
-    assert ledger.l1_total == pytest.approx(0.8)
+    assert log.ledger.upward_total == 0.0
+    assert log.ledger.l1_total == pytest.approx(0.8)
+    assert log.steps[-1].x_before.tolist() == [0.4]
 
 
 def _events(problem, seq):
@@ -435,3 +438,48 @@ def test_replicate_chases_once(monkeypatch, problem, mode):
     assert once > 0
     replicate(RunConfig(round_mode=mode, runs=3), updates)
     assert len(calls) == 2 * once
+
+
+def _string_id_mst_replay() -> str:
+    """A 54-update spanning tree replay on string vertex ids: every pair is
+    inserted (a path first, so the graph stays connected), then 13 edges
+    off the path are deleted and inserted again."""
+    verts = ["v%d" % i for i in range(8)]
+    path = [(verts[i], verts[i + 1]) for i in range(7)]
+    rest = [(u, v) for i, u in enumerate(verts) for v in verts[i + 2:]]
+    cost = {e: 0.5 + (7 * k % 11) / 4.0 for k, e in enumerate(path + rest)}
+    events = [("insert", e) for e in path + rest]
+    for e in rest[:13]:
+        events += [("delete", e), ("insert", e)]
+    lines = [{"problem": "mst", "vertices": verts}]
+    for op, (u, v) in events:
+        record = {"op": op, "u": u, "v": v}
+        if op == "insert":
+            record["cost"] = cost[(u, v)]
+        lines.append(record)
+    return "".join(json.dumps(r) + "\n" for r in lines)
+
+
+def test_mst_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
+    # string hashes, and so set order, change with PYTHONHASHSEED; criterion 9
+    # repeats a run in one process, so only two processes can see this
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    updates = tmp_path / "u.jsonl"
+    updates.write_text(_string_id_mst_replay())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for seed in ("1", "2"):
+        report = tmp_path / ("r%s.jsonl" % seed)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from bodychase.cli import main; sys.exit(main(sys.argv[1:]))",
+             "mst", str(updates), "--round", "on", "--no-offline", "--report", str(report)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            check=True, timeout=120)
+        reports.append(report.read_bytes())
+    assert b'"tree_cost"' in reports[0]
+    assert reports[0] == reports[1]
