@@ -476,7 +476,6 @@ def chase_body(
     x_prev: FractionalPoint,
     oracle,
     delta: float,
-    eps: float | None = None,
     *,
     log=None,
     max_rounds: int = 10000,
@@ -497,11 +496,7 @@ def chase_body(
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    if eps is None:
-        eps = delta / 20.0
-    elif abs(eps - delta / 20.0) > 1e-12 * delta:
-        raise ValueError("chase rounds require eps = delta / 20")
-
+    eps = delta / 20.0
     find = oracle.find_violated if isinstance(oracle, PositiveBody) else oracle
     cover_floor = 1.0 - delta / 10.0
     pack_ceiling = 1.0 + eps + delta / 10.0

@@ -71,13 +71,12 @@ class Stabilizer:
         return int(np.searchsorted(self._sorted_thresholds(edge), value, side="left"))
 
 
-def stabilizer_step(x, stab: Stabilizer):
-    """Recompute the stabilizer for the current point.
+def stabilizer_step(values, stab: Stabilizer):
+    """Recompute the stabilizer for the point's `values`.
 
     Returns (support edge set, inserted edges, deleted edges). Copy-level
     recourse is accumulated on the stabilizer.
     """
-    values = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
     inst = stab.instance
     counts = {}
     for e in sorted(inst.live):

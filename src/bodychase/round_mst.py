@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
 from .adapters import AdapterError, MstState
 from .graphs import GraphError, kruskal_mst
 from .rng import MST_THRESHOLDS, substream
@@ -63,14 +61,13 @@ class MstSampler:
         return min(1.0, self.rate * value)
 
 
-def mst_sampler_step(x, sampler: MstSampler):
-    """Resample against the current point; returns the combined-set delta.
+def mst_sampler_step(values, sampler: MstSampler):
+    """Resample against the point's `values`; returns the combined-set delta.
 
     The fallback fires when the sampled edges do not span the vertex set
     or their tree costs more than (2+delta) times the fractional cost,
     kept as `sampler.fractional_cost` (summed over the sorted live edges).
     """
-    values = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
     inst = sampler.instance
     live = sorted(inst.live)
     sampled = {

@@ -64,7 +64,7 @@ def init_clocks(instance: SetCoverState, seed: int, alpha: float, n: int) -> np.
 def round_det(x, state: CoverState, f: int) -> CoverState:
     if f < 1:
         raise AdapterError("frequency bound must be at least 1")
-    values = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
+    values = x.values
     if values.shape[0] != state.instance.dimension:
         raise AdapterError("point dimension does not match the set system")
     enter, leave = 1.0 / f, 1.0 / (2.0 * f)
@@ -79,7 +79,7 @@ def round_det(x, state: CoverState, f: int) -> CoverState:
 def round_rand(x, state: CoverState, alpha: float, n: int) -> CoverState:
     if state.clocks is None:
         raise AdapterError("clocks not initialized; call init_clocks first")
-    values = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
+    values = x.values
     if values.shape[0] != state.clocks.shape[0]:
         raise AdapterError("point dimension does not match the clocks")
     sampled = set(np.flatnonzero(values >= state.clocks).tolist())

@@ -1,10 +1,13 @@
 """End-to-end drivers: streams and update sequences through the full stack.
 
-run_chase feeds a raw constraint stream to the projection engine and
-optionally certifies the run and solves the offline benchmark LP.
-run_problem replays a combinatorial update sequence through its adapter,
-chases the emitted body after every update, and hands the fractional
-point to the configured rounding layer. replicate rounds one chase under
+Every run is one `_Run`: the point, its multiplier log (and so its
+recourse ledger), the offline stream and the root-finder totals, with one
+tail that certifies the run and solves the offline benchmark LP, so
+streams and replays report the same summary keys. run_chase feeds a raw
+constraint stream to it row by row. run_problem replays a combinatorial
+update sequence through its adapter, chases the emitted body after every
+update, and hands the fractional point to the problem's rounding, which
+`_rounding` sets up once per seed. replicate rounds one chase under
 consecutive seeds and aggregates the rounding statistics.
 
 Reports are lists of plain dict records (see formats.write_report); all
@@ -32,14 +35,9 @@ from .adapters import (
     setcover_body,
 )
 from .certify import MultiplierLog, certify_run
-from .core import (
-    ChaseError,
-    FractionalPoint,
-    chase_body,
-    project_and_record,
-    scaled_output,
-)
-from .formats import FormatError, parse_stream, parse_updates, parse_weights, stream_dimension
+from .core import FractionalPoint, chase_body, project_and_record, scaled_output
+from .formats import (FormatError, _numeric, parse_stream, parse_updates, parse_weights,
+                      stream_dimension)
 from .graphs import is_connected
 from .offline import Freeze, OracleCapExceeded, lp_report, solve_offline_lp
 from .round_matching import MaintainedMatching, Stabilizer, maintain_matching, stabilizer_step
@@ -89,14 +87,6 @@ def _meta(config: RunConfig, extra=None) -> dict:
     return record
 
 
-def _grown(x: FractionalPoint, dim: int) -> FractionalPoint:
-    values = np.zeros(dim)
-    values[: x.dim] = x.values
-    w = np.ones(dim)
-    w[: x.dim] = x.weights
-    return FractionalPoint(values, w)
-
-
 def apply_freeze(x: FractionalPoint, indices, log=None) -> FractionalPoint:
     """Clamp coordinates to zero in place and record the clamp in `log`; returns `x`."""
     idx = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
@@ -126,6 +116,86 @@ def _ratio_against(upward: float, opt) -> float | None:
     return upward / opt
 
 
+class _Run:
+    """One chase: the point, its multiplier log (and so its recourse
+    ledger), the offline stream and the root-finder totals. A stream run
+    starts at its full dimension with its stream as the offline stream; a
+    replay grows from nothing and pushes one offline group per update."""
+
+    def __init__(self, config: RunConfig, weights, offline: list):
+        self.config = config
+        self.eps = config.effective_eps()
+        self.x = FractionalPoint.zeros(weights.shape[0], weights)
+        self.log = MultiplierLog(weights)
+        self.offline = offline
+        self.frozen_now: tuple = ()
+        self.iterations = 0
+        self.worst = 0.0
+
+    def grow(self, dim: int) -> None:
+        """Extend the point by zero coordinates of weight 1."""
+        if dim > self.x.dim:
+            values, weights = np.zeros(dim), np.ones(dim)
+            values[: self.x.dim] = self.x.values
+            weights[: self.x.dim] = self.x.weights
+            self.x = FractionalPoint(values, weights)
+            self.log.extend_weights(weights)
+
+    def clamp(self, frozen) -> None:
+        """Freeze the coordinates of `frozen` that are still positive."""
+        newly = [i for i in frozen if i < self.x.dim and self.x.values[i] > 0.0]
+        if newly:
+            apply_freeze(self.x, newly, self.log)
+        self.frozen_now = tuple(sorted(frozen))
+
+    def chase(self, oracle, row: dict) -> list:
+        """Chase the body to tolerance, write the chase's fields into the
+        update `row` and return the rows projected onto."""
+        ledger = self.log.ledger
+        up, l1 = ledger.upward_total, ledger.l1_total
+        _, steps = chase_body(self.x, oracle, self.config.delta, log=self.log)
+        row["projections"] = len(steps)
+        row["upward_step"] = ledger.upward_total - up
+        row["l1_step"] = ledger.l1_total - l1
+        row["rootfind_iterations"] = self.count(s.result for s in steps)
+        return [s.constraint for s in steps]
+
+    def push_offline_group(self, rows) -> None:
+        group = [Freeze(self.frozen_now)] if self.frozen_now else []
+        group.extend(rows)
+        if group:
+            self.offline.append(group)
+
+    def count(self, results) -> int:
+        """Add projections' root-finder cost to the totals; returns their iterations."""
+        iterations = 0
+        for res in results:
+            iterations += res.iterations
+            self.worst = max(self.worst, res.residual)
+        self.iterations += iterations
+        return iterations
+
+    def finish(self, summary: dict):
+        """The certificate record, the offline record (None when off) and
+        `summary` completed with the keys every run reports."""
+        ledger, config = self.log.ledger, self.config
+        out = {"kind": "summary", **summary,
+               "upward_recourse": ledger.upward_total, "l1_recourse": ledger.l1_total,
+               "rootfind_iterations": self.iterations,
+               "max_projection_residual": self.worst}
+        cert = block = None
+        if config.certify:
+            cert = {"kind": "certificate", **certify_run(self.log, self.eps)}
+            for key in ("warmup_bound", "refined_bound", "ratio_warmup", "ratio_refined"):
+                out[key] = cert[key]
+        if config.offline:
+            block = _offline_block(self.offline, self.x.weights, config.oracle_cap)
+            out.update(offline_opt=block["opt"], offline_pivots=block["pivots"],
+                       offline_skipped=block["skipped"],
+                       ratio_vs_opt=_ratio_against(ledger.upward_total, block["opt"]))
+        return cert, block, out
+
+
 def run_chase(config: RunConfig, stream, weights=None) -> list:
     """Process a raw constraint stream; returns the report records.
 
@@ -143,125 +213,24 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
         if w.shape[0] < dim:
             raise FormatError("weights cover %d coordinates, stream needs %d"
                               % (w.shape[0], dim))
-    dim = max(dim, w.shape[0])
-    eps = config.effective_eps()
-    x = FractionalPoint.zeros(dim, w)
-    log = MultiplierLog(w)
-    records = [_meta(config, {"n": dim, "T": len(stream)})]
-    iterations, worst = 0, 0.0
+    run = _Run(config, w, stream)
+    records = [_meta(config, {"n": run.x.dim, "T": len(stream)})]
+    recourse = run.log.ledger.steps
     for t, item in enumerate(stream):
-        group = item if isinstance(item, list) else [item]
-        for member in group:
+        for member in item if isinstance(item, list) else [item]:
             if isinstance(member, Freeze):
-                x = apply_freeze(x, member.indices, log)
-                tag, multiplier, res = "F", None, None
+                apply_freeze(run.x, member.indices, run.log)
+                tag, multiplier, results = "F", None, []
             else:
-                x, res = project_and_record(x, member, eps, log)
-                tag, multiplier = member.kind.value, log.steps[-1].multiplier
-            if res is not None:
-                iterations += res.iterations
-                worst = max(worst, res.residual)
+                _, res = project_and_record(run.x, member, run.eps, run.log)
+                tag, multiplier = member.kind.value, run.log.steps[-1].multiplier
+                results = [] if res is None else [res]
             records.append({"kind": "step", "t": t, "tag": tag,
                             "support": len(member.indices), "multiplier": multiplier,
-                            "upward_step": log.ledger.steps[-1][0],
-                            "l1_step": log.ledger.steps[-1][1],
-                            "rootfind_iterations": 0 if res is None else res.iterations})
-    summary = {"kind": "summary",
-               "upward_recourse": log.ledger.upward_total,
-               "l1_recourse": log.ledger.l1_total,
-               "final_point": x.values,
-               "T": len(stream),
-               "rootfind_iterations": iterations,
-               "max_projection_residual": worst}
-    if config.certify:
-        cert = certify_run(log, eps)
-        records.append({"kind": "certificate", **cert})
-        summary["warmup_bound"] = cert["warmup_bound"]
-        summary["refined_bound"] = cert["refined_bound"]
-        summary["ratio_refined"] = cert["ratio_refined"]
-    if config.offline:
-        block = _offline_block(stream, w, config.oracle_cap)
-        records.append(block)
-        summary["offline_opt"] = block["opt"]
-        summary["ratio_vs_opt"] = _ratio_against(log.ledger.upward_total, block["opt"])
-    records.append(summary)
-    return records
-
-
-class _ProblemDriver:
-    """Shared per-update plumbing for the four adapters."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.log = MultiplierLog(np.ones(0))
-        self.x = FractionalPoint.zeros(0, np.ones(0))
-        self.offline_stream = []
-        self.frozen_now: tuple = ()
-        self.rootfind_iterations = 0
-        self.max_projection_residual = 0.0
-
-    def grow(self, dim: int):
-        if dim > self.x.dim:
-            self.x = _grown(self.x, dim)
-            self.log.extend_weights(np.ones(dim))
-
-    def clamp(self, frozen) -> list:
-        newly = [i for i in frozen if i < self.x.dim and self.x.values[i] > 0.0]
-        if newly:
-            self.x = apply_freeze(self.x, newly, self.log)
-        self.frozen_now = tuple(sorted(frozen))
-        return newly
-
-    def chase(self, oracle):
-        before_up = self.log.ledger.upward_total
-        before_l1 = self.log.ledger.l1_total
-        self.x, steps = chase_body(
-            self.x, oracle, self.config.delta, self.config.eps, log=self.log,
-        )
-        iterations = sum(s.result.iterations for s in steps)
-        self.rootfind_iterations += iterations
-        self.max_projection_residual = max(
-            [self.max_projection_residual] + [s.result.residual for s in steps])
-        return {
-            "projections": len(steps),
-            "upward_step": self.log.ledger.upward_total - before_up,
-            "l1_step": self.log.ledger.l1_total - before_l1,
-            "rootfind_iterations": iterations,
-            "rows": [s.constraint for s in steps],
-        }
-
-    def push_offline_group(self, rows):
-        group = []
-        if self.frozen_now:
-            group.append(Freeze(self.frozen_now))
-        group.extend(rows)
-        if group:
-            self.offline_stream.append(group)
-
-    def summary(self) -> dict:
-        n = self.x.dim
-        out = {"kind": "summary",
-               "upward_recourse": self.log.ledger.upward_total,
-               "l1_recourse": self.log.ledger.l1_total,
-               "n": n,
-               "rootfind_iterations": self.rootfind_iterations,
-               "max_projection_residual": self.max_projection_residual}
-        eps = self.config.effective_eps()
-        if self.config.certify:
-            cert = certify_run(self.log, eps)
-            out["warmup_bound"] = cert["warmup_bound"]
-            out["refined_bound"] = cert["refined_bound"]
-            out["ratio_warmup"] = cert["ratio_warmup"]
-            out["ratio_refined"] = cert["ratio_refined"]
-        if self.config.offline and n > 0 and self.offline_stream:
-            block = _offline_block(self.offline_stream, np.ones(n),
-                                   self.config.oracle_cap)
-            out["offline_opt"] = block["opt"]
-            out["offline_pivots"] = block["pivots"]
-            out["offline_skipped"] = block["skipped"]
-            out["ratio_vs_opt"] = _ratio_against(self.log.ledger.upward_total,
-                                                 block["opt"])
-        return out
+                            "upward_step": recourse[-1][0], "l1_step": recourse[-1][1],
+                            "rootfind_iterations": run.count(results)})
+    tail = run.finish({"final_point": run.x.values, "T": len(stream)})
+    return records + [record for record in tail if record is not None]
 
 
 def _build_state(problem: str, header: dict):
@@ -296,13 +265,16 @@ def _replay(config: RunConfig, updates, seeds):
     if config.problem not in ("chase", problem):
         raise FormatError("config problem %r does not match file problem %r"
                           % (config.problem, problem))
+    # the chase projects at delta/20, so the certificate must read that eps
+    if abs(config.effective_eps() - config.delta / 20.0) > 1e-12 * config.delta:
+        raise ValueError("chase rounds require eps = delta / 20")
     config = replace(config, problem=problem)
     beta = config.effective_beta()
     state = _build_state(problem, header)
-    driver = _ProblemDriver(config)
+    run = _Run(config, np.ones(0), [])
     records = [_meta(config, {"updates": len(events)})]
 
-    roundings = [_init_rounding(problem, state, header, config, seed) for seed in seeds]
+    roundings = [_rounding(problem, state, header, config, seed) for seed in seeds]
     mst_started = False
 
     for index, event in enumerate(events):
@@ -311,7 +283,7 @@ def _replay(config: RunConfig, updates, seeds):
             getattr(state, event.op)(**event.payload)
         except AdapterError as exc:
             raise AdapterError("update %d: %s" % (index, exc)) from None
-        driver.grow(state.dimension)
+        run.grow(state.dimension)
         row = {"kind": "update", "index": index, "op": event.op,
                "dim": state.dimension}
 
@@ -323,14 +295,13 @@ def _replay(config: RunConfig, updates, seeds):
                 records.append(row)
                 continue
             mst_started = True
-            driver.clamp(state.frozen_coords())
+            run.clamp(state.frozen_coords())
 
             def oracle(values, cover_floor, pack_ceiling):
                 return state.separation(values, cover_floor, pack_ceiling, beta)
 
-            chased = driver.chase(oracle)
+            run.push_offline_group(run.chase(oracle, row))
             row["opt"] = state.optimum()
-            driver.push_offline_group(chased["rows"])
         else:
             if problem == "setcover":
                 snap = setcover_body(state, beta)
@@ -339,28 +310,29 @@ def _replay(config: RunConfig, updates, seeds):
                 snap = matching_body(state, beta)
             else:
                 snap = loadbalance_body(state, beta)
-            driver.clamp(snap.frozen)
-            body = snap.body()
-            chased = driver.chase(body.find_violated)
+            run.clamp(snap.frozen)
+            run.chase(snap.body().find_violated, row)
             row["opt"] = snap.normalization["opt"]
-            driver.push_offline_group(list(snap.covering) + list(snap.packing))
+            run.push_offline_group(list(snap.covering) + list(snap.packing))
 
-        row["projections"] = chased["projections"]
-        row["upward_step"] = chased["upward_step"]
-        row["l1_step"] = chased["l1_step"]
-        row["rootfind_iterations"] = chased["rootfind_iterations"]
         for rounding in roundings:
-            _round_step(problem, state, driver, config, rounding, row)
+            if rounding is not None:
+                rounding[0](run.x, row)
         records.append(row)
 
-    summary = driver.summary()
+    summary = {"n": run.x.dim}
     if problem == "setcover":
         summary["lp_pivots"] = sum(r["lp_pivots"] for r in records[1:])
-    return records, [{**summary, **_round_summary(problem, rounding)}
+    _, _, summary = run.finish(summary)
+    return records, [summary if rounding is None else {**summary, **rounding[1]()}
                      for rounding in roundings]
 
 
-def _init_rounding(problem, state, header, config: RunConfig, seed: int):
+def _rounding(problem, state, header, config: RunConfig, seed: int):
+    """One seed's rounding as `(step, summary)` closures, or None when it is
+    off. `step(x, row)` rounds the chased point and writes its fields into
+    the update row; `summary()` returns the run's rounding totals. The
+    rounding functions are module globals looked up at call time."""
     mode = config.round_mode
     allowed = ROUND_MODES.get(problem, ("none",))
     if mode not in allowed:
@@ -368,80 +340,57 @@ def _init_rounding(problem, state, header, config: RunConfig, seed: int):
                           % (problem, ", ".join(allowed), mode))
     if mode == "none":
         return None
+    delta = config.delta
     if problem == "setcover":
         cover = CoverState(state)
         if mode == "rand":
-            cover.clocks = init_clocks(state, seed, config.alpha,
-                                       state.dimension)
+            cover.clocks = init_clocks(state, seed, config.alpha, state.dimension)
         if config.f is not None and config.f < state.frequency():
             raise AdapterError("f=%d below the instance frequency %d"
                                % (config.f, state.frequency()))
-        return cover
+
+        def step(x, row):
+            if mode == "det":
+                round_det(scaled_output(x, delta), cover,
+                          state.frequency() if config.f is None else config.f)
+            else:
+                round_rand(scaled_output(x, delta), cover, config.alpha, state.dimension)
+            row.update(cover_size=len(cover.selected), cover_cost=cover.cost(),
+                       cover_recourse_step=cover.step_recourse,
+                       cover_feasible=cover.covers_live())
+
+        return step, lambda: {"cover_cost": cover.cost(),
+                              "cover_recourse": cover.recourse_total}
     if problem == "matching":
         n = header.get("n")
         if n is None:
             raise FormatError("matching header needs \"n\" when rounding is on")
-        stab = Stabilizer(state, config.alpha, config.delta, int(n), seed)
-        return (stab, MaintainedMatching(config.delta))
-    sampler = MstSampler(state, config.alpha, config.delta, seed,
-                         config.gamma)
-    return (sampler, DynamicTree(state.vertices, state.costs))
+        stab = Stabilizer(state, config.alpha, delta, int(n), seed)
+        matching = MaintainedMatching(delta)
 
+        def step(x, row):
+            _, inserted, deleted = stabilizer_step(x.values, stab)
+            per_unit = maintain_matching(inserted, deleted, matching)
+            row.update(case=stab.case, matching_size=matching.size(),
+                       matching_recourse_step=sum(per_unit),
+                       stabilizer_copy_recourse_step=stab.copy_step_recourse)
 
-def _round_step(problem, state, driver, config: RunConfig, rounding, row) -> None:
-    if rounding is None:
-        return
-    if problem == "setcover":
-        scaled = scaled_output(driver.x, config.delta)
-        if config.round_mode == "det":
-            round_det(scaled, rounding, state.frequency() if config.f is None else config.f)
-        else:
-            round_rand(scaled, rounding, config.alpha, state.dimension)
-        row["cover_size"] = len(rounding.selected)
-        row["cover_cost"] = rounding.cost()
-        row["cover_recourse_step"] = rounding.step_recourse
-        row["cover_feasible"] = rounding.covers_live()
-    elif problem == "matching":
-        stab, mm = rounding
-        _, inserted, deleted = stabilizer_step(driver.x.values, stab)
-        per_unit = maintain_matching(inserted, deleted, mm)
-        row["case"] = stab.case
-        row["matching_size"] = mm.size()
-        row["matching_recourse_step"] = sum(per_unit)
-        row["stabilizer_copy_recourse_step"] = stab.copy_step_recourse
-    elif problem == "mst":
-        scaled = scaled_output(driver.x, config.delta)
-        sampler, tree = rounding
-        inserted, deleted = mst_sampler_step(scaled.values, sampler)
+        return step, lambda: {"matching_size": matching.size(),
+                              "matching_recourse": matching.recourse_total,
+                              "stabilizer_copy_recourse": stab.copy_recourse_total}
+    sampler = MstSampler(state, config.alpha, delta, seed, config.gamma)
+    tree = DynamicTree(state.vertices, state.costs)
+
+    def step(x, row):
+        inserted, deleted = mst_sampler_step(scaled_output(x, delta).values, sampler)
         per_unit = repair_tree(inserted, deleted, tree)
-        row["fallback_fired"] = sampler.fallback_fired
-        row["tree_cost"] = tree.tree_cost()
-        row["tree_recourse_step"] = sum(per_unit)
-        row["fractional_cost"] = sampler.fractional_cost
+        row.update(fallback_fired=sampler.fallback_fired, tree_cost=tree.tree_cost(),
+                   tree_recourse_step=sum(per_unit),
+                   fractional_cost=sampler.fractional_cost)
 
-
-def _round_summary(problem, rounding) -> dict:
-    if rounding is None:
-        return {}
-    if problem == "setcover":
-        return {"cover_cost": rounding.cost(),
-                "cover_recourse": rounding.recourse_total}
-    if problem == "matching":
-        stab, mm = rounding
-        return {"matching_size": mm.size(),
-                "matching_recourse": mm.recourse_total,
-                "stabilizer_copy_recourse": stab.copy_recourse_total}
-    if problem == "mst":
-        sampler, tree = rounding
-        return {"tree_cost": tree.tree_cost(),
-                "tree_recourse": tree.recourse_total,
-                "sample_recourse": sampler.sample_recourse_total}
-    return {}
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(float(v))
+    return step, lambda: {"tree_cost": tree.tree_cost(),
+                          "tree_recourse": tree.recourse_total,
+                          "sample_recourse": sampler.sample_recourse_total}
 
 
 def replicate(config: RunConfig, updates) -> list:
@@ -461,7 +410,7 @@ def replicate(config: RunConfig, updates) -> list:
     values: dict = {}
     for summary in _replay(config, updates, seeds)[1]:
         for key in tracked:
-            if key in summary and _is_number(summary[key]):
+            if key in summary and _numeric(summary[key]):
                 values.setdefault(key, []).append(float(summary[key]))
     out = {"kind": "aggregate", "runs": runs, "seeds": seeds}
     for key, vals in sorted(values.items()):

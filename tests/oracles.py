@@ -37,9 +37,9 @@ from bodychase.core import (
     packing_violated,
     project_and_record,
 )
-from bodychase.formats import FormatError, parse_updates
+from bodychase.formats import FormatError, _numeric, parse_updates
 from bodychase.offline import Freeze, OfflineError, RecourseLP, Triplets, _normalize_stream
-from bodychase.runner import _is_number, _meta, run_problem
+from bodychase.runner import _meta, run_problem
 from bodychase.simplex import (
     FEAS_TOL,
     PIVOT_TOL,
@@ -1165,7 +1165,7 @@ def per_run_replicate(config, updates) -> list:
         report = run_problem(replace(config, seed=config.seed + r), updates)
         summary = report[-1]
         for key in tracked:
-            if key in summary and _is_number(summary[key]):
+            if key in summary and _numeric(summary[key]):
                 values.setdefault(key, []).append(float(summary[key]))
     out = {"kind": "aggregate", "runs": runs,
            "seeds": [config.seed + r for r in range(runs)]}

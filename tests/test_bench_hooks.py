@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 MATCHING = "\n".join(json.dumps(r) for r in [
@@ -126,3 +128,23 @@ def test_tracer_sees_the_offline_lp(tmp_path):
     assert traced["spans"].get("offline.build", 0) == 1
     assert counts.get("offline.lp_rows", 0) > 0
     assert counts.get("offline.lp_mb", 0) > 0
+
+
+@pytest.mark.parametrize("text, argv, spans, per_update", [
+    (MATCHING, ["matching", "--round", "on"],
+     ("round_matching.stabilizer", "round_matching.repair"), 4),
+    (MST, ["mst", "--round", "on"], ("round_mst.sampler", "round_mst.repair"), 3),
+])
+def test_tracer_sees_every_rounding_step(tmp_path, text, argv, spans, per_update):
+    # the runner's rounding step looks its functions up at call time: one
+    # span each per update it rounds (the spanning tree skips its warm-up)
+    traced, records = traced_replay(tmp_path, text, argv)
+    rounded = [r for r in records if r["kind"] == "update" and "skipped" not in r]
+    assert len(rounded) == per_update
+    assert [traced["spans"].get(name, 0) for name in spans] == [per_update] * 2
+
+
+def test_tracer_sees_every_cover_rounding(tmp_path):
+    traced, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
+    updates = [r for r in records if r["kind"] == "update"]
+    assert traced["spans"].get("round_setcover.round", 0) >= len(updates) == 5

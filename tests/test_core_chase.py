@@ -46,14 +46,6 @@ def test_empty_intersection_hits_cap():
     assert err.value.last_constraint is not None
 
 
-def test_eps_is_pinned_to_delta():
-    body = PositiveBody(covering=[HalfspaceConstraint.covering({0: 1.0})])
-    with pytest.raises(ValueError):
-        chase_body(FractionalPoint.zeros(1), body, delta=0.2, eps=0.3)
-    x, _ = chase_body(FractionalPoint.zeros(1), body, delta=0.2, eps=0.01)
-    assert x.values[0] >= 1.0 - 0.02
-
-
 def test_callable_oracle_receives_tolerances():
     seen = {}
 

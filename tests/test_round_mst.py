@@ -63,8 +63,8 @@ def test_tree_delete_non_tree_edge_is_free():
 def test_saturated_sampling_no_fallback():
     state = triangle_state((1.0, 1.0, 1.0))
     sampler = MstSampler(state, alpha=1.0, delta=1.0, seed=5)
-    x = np.ones(3)
-    inserted, deleted = mst_sampler_step(x, sampler)
+    values = np.ones(3)
+    inserted, deleted = mst_sampler_step(values, sampler)
     assert sampler.sampled == set(state.live)
     assert not sampler.fallback_fired
     assert sorted(inserted) == sorted(state.live) and deleted == []

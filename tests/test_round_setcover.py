@@ -18,14 +18,14 @@ def small_instance():
 def test_det_threshold_crossings():
     inst = small_instance()
     state = CoverState(inst)
-    round_det(np.array([0.3, 0.0, 0.0]), state, f=2)
+    round_det(FractionalPoint([0.3, 0.0, 0.0]), state, f=2)
     assert state.selected == set()
-    round_det(np.array([0.6, 0.0, 0.0]), state, f=2)
+    round_det(FractionalPoint([0.6, 0.0, 0.0]), state, f=2)
     assert state.selected == {0}
     # falls into the hysteresis band: stays
-    round_det(np.array([0.3, 0.0, 0.0]), state, f=2)
+    round_det(FractionalPoint([0.3, 0.0, 0.0]), state, f=2)
     assert state.selected == {0}
-    round_det(np.array([0.2, 0.0, 0.0]), state, f=2)
+    round_det(FractionalPoint([0.2, 0.0, 0.0]), state, f=2)
     assert state.selected == set()
     assert state.recourse_total == 2
 
@@ -34,9 +34,9 @@ def test_det_rejects_bad_input():
     inst = small_instance()
     state = CoverState(inst)
     with pytest.raises(AdapterError):
-        round_det(np.zeros(3), state, f=0)
+        round_det(FractionalPoint.zeros(3), state, f=0)
     with pytest.raises(AdapterError):
-        round_det(np.zeros(2), state, f=2)
+        round_det(FractionalPoint.zeros(2), state, f=2)
 
 
 def run_dynamic_fractional(seed, n_elems=8, m_sets=6, T=25):
@@ -90,14 +90,14 @@ def test_rand_clock_persistence_and_backup():
     inst.insert(1)
     clocks = init_clocks(inst, seed=7, alpha=2.0, n=3)
     state = CoverState(inst, clocks=clocks)
-    x0 = np.zeros(3)
+    x0 = FractionalPoint.zeros(3)
     round_rand(x0, state, alpha=2.0, n=3)
     assert state.sampled == set()
     # cheapest containing set per element: 0 -> set0 (cost 1), 1 -> set0
     assert state.backup == {0}
     assert state.covers_live()
     before = state.recourse_total
-    x1 = np.array([0.9, 0.4, 0.0])
+    x1 = FractionalPoint([0.9, 0.4, 0.0])
     round_rand(x1, state, alpha=2.0, n=3)
     round_rand(x1, state, alpha=2.0, n=3)
     assert state.step_recourse == 0
@@ -109,7 +109,7 @@ def test_rand_membership_probability_small_montecarlo():
     # alpha * n = e makes the rate exactly 1; Pr[x >= clock] = 1 - e^{-x}
     inst = SetCoverState([1.0], [{0}])
     alpha, n = math.e / 2.0, 2
-    x = np.array([1.0])
+    x = FractionalPoint([1.0])
     hits = 0
     runs = 4000
     for seed in range(runs):
@@ -124,6 +124,6 @@ def test_rand_membership_probability_small_montecarlo():
 def test_rand_requires_clocks():
     state = CoverState(small_instance())
     with pytest.raises(AdapterError):
-        round_rand(np.zeros(3), state, alpha=2.0, n=3)
+        round_rand(FractionalPoint.zeros(3), state, alpha=2.0, n=3)
     with pytest.raises(AdapterError):
         init_clocks(small_instance(), seed=1, alpha=0.4, n=2)

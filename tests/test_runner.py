@@ -219,6 +219,44 @@ def test_replay_summary_reports_offline_pivots(monkeypatch):
     assert skipped["offline_pivots"] is None and skipped["offline_opt"] is None
 
 
+# what every run's summary reports, streams and replays alike
+RUN_KEYS = {"kind", "upward_recourse", "l1_recourse", "rootfind_iterations",
+            "max_projection_residual"}
+TAIL_KEYS = RUN_KEYS | {"warmup_bound", "refined_bound", "ratio_warmup", "ratio_refined",
+                        "offline_opt", "offline_pivots", "offline_skipped", "ratio_vs_opt"}
+
+
+def test_stream_and_replay_summaries_share_one_tail():
+    stream = parse_stream(["C 0:1 1:2", "P 0:1", "F 1", "C 1:1 2:1"])
+    updates = ("mst", MST_HEADER, _events("mst", MST_EVENTS))
+    for config, keys in ((RunConfig(), TAIL_KEYS),
+                         (RunConfig(certify=False, offline=False), RUN_KEYS)):
+        chased = summary_of(run_chase(config, stream))
+        replayed = summary_of(run_problem(config, updates))
+        assert set(chased) - {"final_point", "T"} == set(replayed) - {"n"} == keys
+
+
+@pytest.mark.parametrize("updates", [("setcover", SETCOVER_HEADER, []),
+                                     ("mst", MST_HEADER, _events("mst", MST_EVENTS[:2]))])
+def test_replay_that_chased_nothing_solves_the_empty_offline_lp(updates):
+    # as test_empty_stream requires of an empty stream
+    s = summary_of(run_problem(RunConfig(), updates))
+    assert s["upward_recourse"] == 0.0
+    assert (s["offline_opt"], s["offline_pivots"], s["offline_skipped"]) == (0.0, 0, None)
+    assert s["ratio_vs_opt"] == 1.0
+
+
+def test_eps_is_pinned_to_delta():
+    # a replay chases at eps = delta/20, so its certificate may read no other eps
+    updates = ("setcover", SETCOVER_HEADER, _events("setcover", [("insert", {"element": 0})]))
+    with pytest.raises(ValueError, match="eps = delta / 20"):
+        run_problem(RunConfig(delta=0.2, eps=0.3), updates)
+    with pytest.raises(ValueError, match="eps = delta / 20"):
+        replicate(RunConfig(delta=0.2, eps=0.3, round_mode="rand", runs=2), updates)
+    pinned = summary_of(run_problem(RunConfig(delta=0.2, eps=0.01), updates))
+    assert pinned == summary_of(run_problem(RunConfig(delta=0.2), updates))
+
+
 def test_replicate_runs_neither_certify_nor_solve_offline(monkeypatch):
     from bodychase import runner
 
