@@ -3,8 +3,9 @@ packing-covering body while moving as little as possible in weighted l1.
 
 The package has four layers:
 
-* `core`: weighted shifted-KL projections onto single covering / packing
-  halfspaces, the body-chasing loop, and the recourse ledger.
+* `core`: stream items (covering / packing rows and freezes), weighted
+  shifted-KL projections onto single covering / packing halfspaces, the
+  body-chasing loop, and the recourse ledger.
 * `certify` / `offline`: per-run dual lower-bound certificates for the
   optimal offline recourse, and an exact LP oracle that computes it.
 * `adapters`: translations of dynamic set cover, bipartite matching,
@@ -47,6 +48,7 @@ from .core import (
     ConvergenceError,
     DimensionMismatch,
     FractionalPoint,
+    Freeze,
     HalfspaceConstraint,
     InfeasibleBodyError,
     Kind,
@@ -61,12 +63,7 @@ from .core import (
     scaled_output,
 )
 from .formats import FormatError, parse_stream, parse_updates, parse_weights, write_report
-from .offline import (
-    Freeze,
-    OfflineError,
-    OracleCapExceeded,
-    solve_optimal_recourse,
-)
+from .offline import OfflineError, OracleCapExceeded, solve_optimal_recourse
 from .runner import RunConfig, replicate, run_chase, run_problem
 
 __all__ = [

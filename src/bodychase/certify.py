@@ -32,7 +32,6 @@ gives both its movement duals and the window bound it is checked against.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ from .core import ChaseError, HalfspaceConstraint, Kind, RecourseLedger
 
 __all__ = [
     "CertificateError",
-    "StepKind",
     "LogStep",
     "MultiplierLog",
     "MovementDuals",
@@ -66,17 +64,11 @@ class CertificateError(ChaseError):
     """A certificate internal check failed; the log cannot be certified."""
 
 
-class StepKind(enum.Enum):
-    COVERING = "C"
-    PACKING = "P"
-    FREEZE = "F"
-
-
 @dataclass
 class LogStep:
     """One step on its support: x_before and x_after are x[indices]."""
 
-    kind: StepKind
+    kind: Kind
     indices: np.ndarray
     coeffs: np.ndarray
     multiplier: float
@@ -126,7 +118,7 @@ class MultiplierLog:
             x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
         if not (x_before.shape == x_after.shape == indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
-        sign = 1 if kind is StepKind.COVERING else -1
+        sign = 1 if kind is Kind.COVERING else -1
         self.ledger.record_step(self.weights[indices], x_before, x_after, sign)
         self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
         return self
@@ -135,15 +127,14 @@ class MultiplierLog:
         """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
         if multiplier < 0.0:
             raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
-        kind = StepKind.COVERING if row.kind is Kind.COVERING else StepKind.PACKING
-        return self._append(kind, row.indices, row.coeffs, multiplier, x_before, x_after)
+        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after)
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
         """Record a clamp; x_before and x_after are x at `indices`, in that order."""
         idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
-        return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+        return self._append(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
                             np.asarray(x_before, dtype=float)[first],
                             np.asarray(x_after, dtype=float)[first])
 

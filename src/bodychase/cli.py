@@ -27,7 +27,6 @@ from .core import ChaseError
 from .formats import (
     FormatError,
     parse_stream,
-    parse_updates,
     parse_weights,
     stream_dimension,
     write_report,
@@ -38,31 +37,33 @@ from .runner import ROUND_MODES, RunConfig, replicate, run_chase, run_problem
 PROBLEMS = ("setcover", "matching", "mst", "loadbalance")
 
 
-# Every flag, defined once; SUBCOMMANDS names the ones each subcommand takes.
+# Every flag, defined once, with its RunConfig field's default; SUBCOMMANDS
+# names the ones each subcommand takes.
 FLAGS = {
-    "--delta": dict(type=float, default=0.5,
-                    help="covering slack target in (0, 1] (default 0.5)"),
-    "--eps": dict(type=float, default=None,
-                  help="projection shift parameter (default delta/20)"),
-    "--seed": dict(type=int, default=0, help="base random seed"),
+    "--delta": dict(type=float, default=RunConfig.delta,
+                    help="covering slack target in (0, 1] (default %(default)s)"),
+    "--eps": dict(type=float, default=RunConfig.eps,
+                  help="projection shift parameter in (0, 1] (default delta/20)"),
+    "--seed": dict(type=int, default=RunConfig.seed, help="base random seed (default %(default)s)"),
     "--weights": dict(default=None, help="per-coordinate movement weight file"),
     "--report": dict(default=None,
                      help="write the JSON-lines report here instead of stdout"),
-    "--oracle-cap": dict(type=int, default=4000, dest="oracle_cap",
-                         help="skip the offline LP above this variable count"),
+    "--oracle-cap": dict(type=int, default=RunConfig.oracle_cap, dest="oracle_cap",
+                         help="skip the offline LP with more variables (default %(default)s)"),
     "--no-offline": dict(action="store_true", help="skip the offline benchmark LP"),
     "--no-certify": dict(action="store_true", help="skip the dual certificates"),
     "--dump-trajectory": dict(action="store_true", dest="dump_trajectory",
                               help="include the optimal trajectory in the report"),
-    "--alpha": dict(type=float, default=1.0,
-                    help="failure-probability exponent for sampling layers"),
-    "--beta": dict(type=float, default=None,
+    "--alpha": dict(type=float, default=RunConfig.alpha,
+                    help="failure-probability exponent for sampling (default %(default)s)"),
+    "--beta": dict(type=float, default=RunConfig.beta,
                    help="cost-bound slack of the packing row (problem default)"),
-    "--gamma": dict(type=float, default=1.0,
-                    help="extra oversampling factor for the tree sampler"),
-    "--f": dict(type=int, default=None,
+    "--gamma": dict(type=float, default=RunConfig.gamma,
+                    help="extra oversampling factor of the tree sampler (default %(default)s)"),
+    "--f": dict(type=int, default=RunConfig.f,
                 help="frequency bound for deterministic cover rounding"),
-    "--runs": dict(type=int, default=1, help="number of seeded repetitions"),
+    "--runs": dict(type=int, default=RunConfig.runs,
+                   help="number of seeded repetitions (default %(default)s)"),
 }
 
 # subcommand: (help, input argument, the flags some run of it reads)
@@ -125,11 +126,12 @@ def _emit(records, args) -> None:
 
 
 def _run_offline(args) -> int:
+    cap = _config(args).oracle_cap  # range-checked before the stream is read
     stream = parse_stream(args.stream)
     dim = stream_dimension(stream)
     weights = (np.ones(dim) if args.weights is None
                else parse_weights(args.weights, dim))
-    lp, res = solve_offline_lp(stream, weights, variable_cap=args.oracle_cap)
+    lp, res = solve_offline_lp(stream, weights, variable_cap=cap)
     record = {"kind": "offline", **lp_report(res), "T": len(stream), "n": int(weights.shape[0])}
     if args.dump_trajectory:
         record["trajectory"] = [p.values for p in lp.trajectory(res.x)]

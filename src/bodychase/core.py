@@ -1,4 +1,4 @@
-"""Fractional points, halfspace constraints, KL projections, chase loop.
+"""Fractional points, stream items (rows and freezes), KL projections, chase loop.
 
 A positive body is an intersection of normalized halfspaces over the
 nonnegative orthant: covering rows `<c, x> >= 1` and packing rows
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
     "InfeasibleBodyError",
     "FractionalPoint",
     "HalfspaceConstraint",
+    "Freeze",
+    "stream_steps",
     "ProjectionResult",
     "RecourseLedger",
     "project_and_record",
@@ -75,8 +77,11 @@ _ROOT_MAX_ITER = 200
 
 
 class Kind(enum.Enum):
+    """A stream item's kind: covering row, packing row or freeze; the values are its tags."""
+
     COVERING = "C"
     PACKING = "P"
+    FREEZE = "F"
 
 
 class ChaseError(Exception):
@@ -159,7 +164,7 @@ class HalfspaceConstraint:
     __slots__ = ("kind", "indices", "coeffs", "max_index")
 
     def __init__(self, kind: Kind, coeffs):
-        if not isinstance(kind, Kind):
+        if kind not in (Kind.COVERING, Kind.PACKING):
             raise ConstraintError("kind must be Kind.COVERING or Kind.PACKING")
         items = sorted(dict(coeffs).items())
         if not items:
@@ -203,6 +208,34 @@ class HalfspaceConstraint:
     def __repr__(self):
         body = " ".join("%d:%g" % (i, v) for i, v in zip(self.indices, self.coeffs))
         return "<%s %s>" % (self.kind.value, body)
+
+
+@dataclass(frozen=True)
+class Freeze:
+    """Clamp of a coordinate set to zero at one time step."""
+
+    indices: tuple
+    kind = Kind.FREEZE
+
+    def __init__(self, indices):
+        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in indices)))
+
+    @property
+    def max_index(self) -> int:
+        return self.indices[-1] if self.indices else -1
+
+
+def stream_steps(stream) -> list:
+    """A stream's time steps, each a list of rows and freezes: a row or a
+    freeze is a step of its own, any other item is one step's group."""
+    steps = []
+    for item in stream:
+        group = [item] if isinstance(item, (HalfspaceConstraint, Freeze)) else list(item)
+        for member in group:
+            if not isinstance(member, (HalfspaceConstraint, Freeze)):
+                raise TypeError("stream items must be constraints or freezes")
+        steps.append(group)
+    return steps
 
 
 @dataclass

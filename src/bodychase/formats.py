@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .adapters import UpdateEvent
-from .core import ChaseError, HalfspaceConstraint
-from .offline import Freeze
+from .core import ChaseError, Freeze, HalfspaceConstraint, Kind, stream_steps
 
 __all__ = [
     "FormatError",
@@ -66,18 +65,11 @@ def _parse_pairs(tokens, source, lineno):
 
 def _parse_part(part, source, lineno):
     tokens = part.split()
-    tag = tokens[0].upper()
-    if tag == "C" or tag == "P":
-        if len(tokens) < 2:
-            _fail(source, lineno, "constraint with no coefficients")
-        coeffs = _parse_pairs(tokens[1:], source, lineno)
-        try:
-            if tag == "C":
-                return HalfspaceConstraint.covering(coeffs)
-            return HalfspaceConstraint.packing(coeffs)
-        except ChaseError as exc:
-            _fail(source, lineno, str(exc))
-    elif tag == "F":
+    try:
+        kind = Kind(tokens[0].upper())
+    except ValueError:
+        _fail(source, lineno, "unknown record tag %r" % tokens[0])
+    if kind is Kind.FREEZE:
         if len(tokens) < 2:
             _fail(source, lineno, "freeze with no coordinates")
         try:
@@ -87,22 +79,33 @@ def _parse_part(part, source, lineno):
         if any(i < 0 for i in indices):
             _fail(source, lineno, "negative coordinate in freeze")
         return Freeze(indices)
-    else:
-        _fail(source, lineno, "unknown record tag %r" % tokens[0])
+    if len(tokens) < 2:
+        _fail(source, lineno, "constraint with no coefficients")
+    coeffs = _parse_pairs(tokens[1:], source, lineno)
+    try:
+        return HalfspaceConstraint(kind, coeffs)
+    except ChaseError as exc:
+        _fail(source, lineno, str(exc))
+
+
+def _lines(lines, source):
+    """The name of the input, `lines` itself or `source`, and its
+    (line number, stripped line) pairs, blank and "#" lines left out.
+    A `str` is read as a path."""
+    if isinstance(lines, str):
+        source = lines
+        with open(lines, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    return source, ((lineno, line) for lineno, raw in enumerate(lines, start=1)
+                    if (line := raw.strip()) and not line.startswith("#"))
 
 
 def parse_stream(lines, source="<stream>"):
     """Parse a constraint stream. `lines` is an iterable of text lines
     or a path."""
-    if isinstance(lines, str):
-        source = lines
-        with open(lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+    source, numbered = _lines(lines, source)
     stream = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered:
         parts = [p.strip() for p in line.split(";") if p.strip()]
         if not parts:
             continue
@@ -112,28 +115,15 @@ def parse_stream(lines, source="<stream>"):
 
 
 def stream_dimension(stream) -> int:
-    dim = 0
-    for item in stream:
-        group = item if isinstance(item, list) else [item]
-        for member in group:
-            if isinstance(member, Freeze):
-                top = max(member.indices, default=-1)
-            else:
-                top = member.max_index
-            dim = max(dim, top + 1)
-    return dim
+    """One more than the largest coordinate a row or freeze names."""
+    tops = [item.max_index for group in stream_steps(stream) for item in group]
+    return max(tops, default=-1) + 1
 
 
 def parse_weights(lines, dimension, source="<weights>"):
-    if isinstance(lines, str):
-        source = lines
-        with open(lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+    source, numbered = _lines(lines, source)
     pairs = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered:
         for idx, val in _parse_pairs(line.split(), source, lineno).items():
             if idx in pairs:
                 _fail(source, lineno, "weight for %d given twice" % idx)
@@ -236,18 +226,12 @@ def parse_updates(lines, source="<updates>"):
 
     Returns (problem, header dict, list of UpdateEvent).
     """
-    if isinstance(lines, str):
-        source = lines
-        with open(lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+    source, numbered = _lines(lines, source)
     header = None
     problem = None
     id_type = None
     events = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:

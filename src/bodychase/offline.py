@@ -12,7 +12,7 @@ trajectory any clairvoyant player could have used:
 
 A time step may carry several rows (a whole body snapshot); the stream
 is a sequence of steps, each being one row, one Freeze, or an iterable
-of those.
+of those (`core.stream_steps` groups them).
 
 The LP keeps variables only at the times a coordinate is actually named
 by a row or clamp, chaining movement constraints between consecutive
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChaseError, FractionalPoint, HalfspaceConstraint, Kind
+from .core import ChaseError, FractionalPoint, Freeze, Kind, stream_steps
 from .simplex import SimplexResult, solve_inequality_lp
 
 __all__ = ["Freeze", "OfflineError", "OracleCapExceeded", "RecourseLP", "Triplets",
@@ -52,31 +52,6 @@ class OfflineError(ChaseError):
 
 class OracleCapExceeded(OfflineError):
     """The LP has more variables than the cap; it was not solved."""
-
-
-@dataclass(frozen=True)
-class Freeze:
-    """Clamp of a coordinate set to zero at one time step."""
-
-    indices: tuple
-
-    def __init__(self, indices):
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in indices)))
-
-
-def _normalize_stream(stream):
-    """Each time step becomes a list of rows and freezes."""
-    steps = []
-    for item in stream:
-        if isinstance(item, (HalfspaceConstraint, Freeze)):
-            steps.append([item])
-        else:
-            group = list(item)
-            for member in group:
-                if not isinstance(member, (HalfspaceConstraint, Freeze)):
-                    raise TypeError("stream items must be constraints or freezes")
-            steps.append(group)
-    return steps
 
 
 @dataclass(frozen=True)
@@ -134,14 +109,14 @@ def build_compressed_lp(stream, weights) -> RecourseLP:
     gets an upward-movement column l and a movement row
     x - x_prev - l <= 0, where x_prev is the coordinate's previous column."""
     weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
+    steps = stream_steps(stream)
     T, n = len(steps), weights.shape[0]
 
     row, coord, time, value, rhs = [], [], [], [], []
     for t, group in enumerate(steps):
         for item in group:
-            if isinstance(item, Freeze):  # one x <= 0 row per index
-                what, top, idx = "freeze", max(item.indices, default=-1), list(item.indices)
+            if item.kind is Kind.FREEZE:  # one x <= 0 row per index
+                what, top, idx = "freeze", item.max_index, list(item.indices)
                 row += range(len(rhs), len(rhs) + len(idx))
                 value += [1.0] * len(idx)
                 rhs += [0.0] * len(idx)

@@ -17,7 +17,7 @@ import math
 from collections import deque
 
 from .adapters import AdapterError, MstState
-from .graphs import GraphError, kruskal_mst
+from .graphs import GraphError, build_adjacency, kruskal_mst
 from .rng import MST_THRESHOLDS, substream
 
 __all__ = ["MstSampler", "DynamicTree", "mst_sampler_step", "repair_tree",
@@ -118,17 +118,8 @@ class DynamicTree:
         # sorted, so the sum does not depend on the set's hash order
         return float(sum(self.costs[e] for e in sorted(self.tree)))
 
-    def _adj(self, edge_set):
-        adj = {v: [] for v in self.vertices}
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
-
     def _tree_path(self, source, target):
-        adj = self._adj(self.tree)
+        adj = build_adjacency(self.tree, self.vertices)
         parent = {source: None}
         queue = deque([source])
         while queue:
@@ -146,7 +137,7 @@ class DynamicTree:
         return None
 
     def _component(self, root, banned):
-        adj = self._adj(self.tree - {banned})
+        adj = build_adjacency(self.tree - {banned}, self.vertices)
         seen = {root}
         queue = deque([root])
         while queue:

@@ -35,11 +35,12 @@ from .adapters import (
     setcover_body,
 )
 from .certify import MultiplierLog, certify_run
-from .core import FractionalPoint, chase_body, project_and_record, scaled_output
+from .core import (FractionalPoint, Freeze, Kind, chase_body, project_and_record, scaled_output,
+                   stream_steps)
 from .formats import (FormatError, _numeric, parse_stream, parse_updates, parse_weights,
                       stream_dimension)
 from .graphs import is_connected
-from .offline import Freeze, OracleCapExceeded, lp_report, solve_offline_lp
+from .offline import VARIABLE_CAP, OracleCapExceeded, lp_report, solve_offline_lp
 from .round_matching import MaintainedMatching, Stabilizer, maintain_matching, stabilizer_step
 from .round_mst import DynamicTree, MstSampler, mst_sampler_step, repair_tree
 from .round_setcover import CoverState, init_clocks, round_det, round_rand
@@ -66,7 +67,16 @@ class RunConfig:
     round_mode: str = "none"
     certify: bool = True
     offline: bool = True
-    oracle_cap: int = 4000
+    oracle_cap: int = VARIABLE_CAP
+
+    def __post_init__(self):
+        """Every run parameter's range, checked before any input is read."""
+        if not 0.0 < self.delta <= 1.0:
+            raise FormatError("delta must lie in (0, 1], got %r" % self.delta)
+        if self.eps is not None and not 0.0 < self.eps <= 1.0:
+            raise FormatError("eps must lie in (0, 1], got %r" % self.eps)
+        if self.oracle_cap < 0:
+            raise FormatError("oracle_cap must be nonnegative, got %r" % self.oracle_cap)
 
     def effective_eps(self) -> float:
         return self.delta / 20.0 if self.eps is None else self.eps
@@ -120,7 +130,8 @@ class _Run:
     """One chase: the point, its multiplier log (and so its recourse
     ledger), the offline stream and the root-finder totals. A stream run
     starts at its full dimension with its stream as the offline stream; a
-    replay grows from nothing and pushes one offline group per update."""
+    replay starts at its header's dimension, grows with its updates and
+    pushes one offline group per update."""
 
     def __init__(self, config: RunConfig, weights, offline: list):
         self.config = config
@@ -213,19 +224,20 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
         if w.shape[0] < dim:
             raise FormatError("weights cover %d coordinates, stream needs %d"
                               % (w.shape[0], dim))
+    stream = stream_steps(stream)
     run = _Run(config, w, stream)
     records = [_meta(config, {"n": run.x.dim, "T": len(stream)})]
     recourse = run.log.ledger.steps
-    for t, item in enumerate(stream):
-        for member in item if isinstance(item, list) else [item]:
-            if isinstance(member, Freeze):
+    for t, group in enumerate(stream):
+        for member in group:
+            if member.kind is Kind.FREEZE:
                 apply_freeze(run.x, member.indices, run.log)
-                tag, multiplier, results = "F", None, []
+                multiplier, results = None, []
             else:
                 _, res = project_and_record(run.x, member, run.eps, run.log)
-                tag, multiplier = member.kind.value, run.log.steps[-1].multiplier
+                multiplier = run.log.steps[-1].multiplier
                 results = [] if res is None else [res]
-            records.append({"kind": "step", "t": t, "tag": tag,
+            records.append({"kind": "step", "t": t, "tag": member.kind.value,
                             "support": len(member.indices), "multiplier": multiplier,
                             "upward_step": recourse[-1][0], "l1_step": recourse[-1][1],
                             "rootfind_iterations": run.count(results)})
@@ -271,7 +283,7 @@ def _replay(config: RunConfig, updates, seeds):
     config = replace(config, problem=problem)
     beta = config.effective_beta()
     state = _build_state(problem, header)
-    run = _Run(config, np.ones(0), [])
+    run = _Run(config, np.ones(state.dimension), [])
     records = [_meta(config, {"updates": len(events)})]
 
     roundings = [_rounding(problem, state, header, config, seed) for seed in seeds]

@@ -19,7 +19,6 @@ from bodychase.certify import (
     CertificateError,
     LogStep,
     MultiplierLog,
-    StepKind,
     check_ineq1,
     check_ineq2,
 )
@@ -29,6 +28,7 @@ from bodychase.core import (
     ConstraintError,
     ConvergenceError,
     FractionalPoint,
+    Freeze,
     HalfspaceConstraint,
     Kind,
     NotViolatedError,
@@ -36,9 +36,10 @@ from bodychase.core import (
     covering_violated,
     packing_violated,
     project_and_record,
+    stream_steps,
 )
 from bodychase.formats import FormatError, _numeric, parse_updates
-from bodychase.offline import Freeze, OfflineError, RecourseLP, Triplets, _normalize_stream
+from bodychase.offline import OfflineError, RecourseLP, Triplets
 from bodychase.runner import _meta, run_problem
 from bodychase.simplex import (
     FEAS_TOL,
@@ -195,7 +196,7 @@ def grid_recourse_dp(stream, weights, cells=64):
             V = _axis_relax(V, axis, weights[axis] * h)
         feasible = np.ones(V.shape, dtype=bool)
         for member in group:
-            if hasattr(member, "kind"):
+            if not isinstance(member, Freeze):
                 value = np.zeros(V.shape)
                 for i, coeff in zip(member.indices.tolist(), member.coeffs):
                     shape = [1] * n
@@ -255,7 +256,7 @@ def dense_compressed_lp(stream, weights):
     (objective, lhs, rhs, x_coord, x_time), the last two naming each x
     column's coordinate and time step."""
     weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
+    steps = stream_steps(stream)
     n = weights.shape[0]
 
     appearances: dict[int, list[int]] = {}
@@ -306,7 +307,7 @@ def build_full_lp(stream, weights) -> RecourseLP:
     reference for the compressed form, which keeps x only where a row or
     clamp names the coordinate."""
     weights = np.asarray(weights, dtype=float)
-    steps = _normalize_stream(stream)
+    steps = stream_steps(stream)
     T, n = len(steps), weights.shape[0]
     nx = T * n
     nvar = 2 * nx
@@ -647,10 +648,10 @@ def coeff_matrices(log: MultiplierLog):
     y = np.zeros(T)
     z = np.zeros(T)
     for t, step in enumerate(log.steps):
-        if step.kind is StepKind.COVERING:
+        if step.kind is Kind.COVERING:
             C[step.indices, t] = step.coeffs
             y[t] = step.multiplier
-        elif step.kind is StepKind.PACKING:
+        elif step.kind is Kind.PACKING:
             P[step.indices, t] = step.coeffs
             z[t] = step.multiplier
     return C, P, y, z
@@ -684,7 +685,7 @@ def dense_check_dual_feasibility(log: MultiplierLog, y_bar, z_bar, r_bar) -> flo
         r_next[:, :-1] = r_bar[:, 1:]
     rows = C * y_bar - P * z_bar - r_bar + r_next
     for t, step in enumerate(log.steps):
-        if step.kind is StepKind.FREEZE:
+        if step.kind is Kind.FREEZE:
             rows[step.indices, t] = -np.inf
     worst = float(np.max(rows)) if rows.size else 0.0
     worst = max(worst, float(np.max(-r_bar)) if r_bar.size else 0.0)
@@ -760,7 +761,7 @@ def list_refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     ytilde = np.zeros(T)
     appearances: dict[int, list[tuple[int, float]]] = {}
     for ell, step in enumerate(log.steps):
-        if step.kind is not StepKind.COVERING:
+        if step.kind is not Kind.COVERING:
             continue
         y_ell = step.multiplier
         drops: dict[int, float] = {}
@@ -848,7 +849,7 @@ def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, s
     subset = sorted(int(tau) for tau in subset)
     if any(tau < s or tau > t for tau in subset):
         raise ValueError("subset must lie inside [s, t]")
-    if any(log.steps[tau].kind is not StepKind.COVERING for tau in subset):
+    if any(log.steps[tau].kind is not Kind.COVERING for tau in subset):
         raise ValueError("subset may only contain covering times")
 
     e = log.entries()
@@ -859,7 +860,7 @@ def check_subset_lemma(log: MultiplierLog, eps: float, i: int, s: int, t: int, s
         return coeff.get(tau, 0.0) * log.steps[tau].multiplier
 
     lhs = sum(paid(tau) for tau in subset)
-    lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is StepKind.PACKING)
+    lhs -= sum(paid(tau) for tau in range(s, t + 1) if log.steps[tau].kind is Kind.PACKING)
     cmax_s = max((coeff.get(tau, 0.0) for tau in subset), default=0.0)
     # x_i after step t: its value after its last appearance up to t
     j = int(np.searchsorted(e.time[lo:hi], t, side="right"))
@@ -1128,13 +1129,12 @@ class IncrementalLog:
         """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
         if multiplier < 0.0:
             raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
-        kind = StepKind.COVERING if row.kind is Kind.COVERING else StepKind.PACKING
-        if kind is StepKind.COVERING:
+        if row.kind is Kind.COVERING:
             self.sparsity = max(self.sparsity, row.sparsity)
             for i, v in zip(row.indices.tolist(), row.coeffs.tolist()):
                 self._cmax[i] = max(self._cmax.get(i, v), v)
                 self._cmin[i] = min(self._cmin.get(i, v), v)
-        return self._append(kind, row.indices, row.coeffs, multiplier, x_before, x_after)
+        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after)
 
     def append_freeze(self, indices, x_before, x_after) -> "IncrementalLog":
         """Record a clamp; x_before and x_after are x at `indices`, in that order."""
@@ -1142,7 +1142,7 @@ class IncrementalLog:
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
         self.freeze_count += 1
-        return self._append(StepKind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+        return self._append(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
                             np.asarray(x_before, dtype=float)[first],
                             np.asarray(x_after, dtype=float)[first])
 

@@ -108,6 +108,25 @@ def test_bad_flag_exits_2(stream_file, capsys):
     assert main(["chase", stream_file, "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["chase", "--delta", "2"], "delta"),
+    (["chase", "--delta", "-1", "--eps", "0.25"], "delta"),
+    (["chase", "--eps", "5"], "eps"),
+    (["chase", "--eps", "0"], "eps"),
+    (["chase", "--oracle-cap", "-5"], "oracle_cap"),
+    (["offline-opt", "--oracle-cap", "-5"], "oracle_cap"),
+    (["setcover", "--delta", "2"], "delta"),
+    (["replicate", "--delta", "0", "--runs", "2"], "delta"),
+])
+def test_out_of_range_parameter_exits_2_before_the_input_is_read(argv, name, capsys):
+    # the input does not exist: reading it first would exit 1
+    assert main([argv[0], "/nonexistent/input", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s " % name)
+    assert captured.err.count("\n") == 1
+
+
 def test_root_finder_failure_exits_1_without_traceback(stream_file, monkeypatch, capsys):
     from bodychase import core
 

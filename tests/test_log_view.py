@@ -7,12 +7,12 @@ import pytest
 from bodychase import (
     FractionalPoint,
     HalfspaceConstraint,
+    Kind,
     MultiplierLog,
     certify_run,
     project_and_record,
 )
 from bodychase import certify
-from bodychase.certify import StepKind
 
 from oracles import (
     IncrementalLog,
@@ -47,7 +47,7 @@ def replay_checked(source):
     assert_view_matches(log, ref)
     for step, item in zip(source.steps, stream_from_log(source)):
         for target in (log, ref):
-            if step.kind is StepKind.FREEZE:
+            if step.kind is Kind.FREEZE:
                 target.append_freeze(step.indices, step.x_before, step.x_after)
             else:
                 target.append_projection(item, step.multiplier, step.x_before, step.x_after)

@@ -11,7 +11,9 @@ from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import parse_stream
 from bodychase.offline import build_compressed_lp, solve_recourse_lp
 from bodychase.runner import RunConfig, apply_freeze, replicate, run_chase, run_problem
-from bodychase.core import FractionalPoint, HalfspaceConstraint
+from bodychase import runner
+from bodychase.core import (ConstraintError, FractionalPoint, HalfspaceConstraint, Kind,
+                            stream_steps)
 
 
 def summary_of(records):
@@ -241,6 +243,8 @@ def test_stream_and_replay_summaries_share_one_tail():
 def test_replay_that_chased_nothing_solves_the_empty_offline_lp(updates):
     # as test_empty_stream requires of an empty stream
     s = summary_of(run_problem(RunConfig(), updates))
+    # n counts the coordinates defined: the header's 3 sets, the 2 inserted edges
+    assert s["n"] == {"setcover": 3, "mst": 2}[updates[0]]
     assert s["upward_recourse"] == 0.0
     assert (s["offline_opt"], s["offline_pivots"], s["offline_skipped"]) == (0.0, 0, None)
     assert s["ratio_vs_opt"] == 1.0
@@ -521,3 +525,23 @@ def test_mst_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
         reports.append(report.read_bytes())
     assert b'"tree_cost"' in reports[0]
     assert reports[0] == reports[1]
+
+
+def test_one_kind_tags_stream_items_step_records_and_log_steps(monkeypatch):
+    stream = parse_stream(["C 0:1 1:2", "P 0:1 2:0.5; F 1", "c 2:1"])
+    members = [member for group in stream_steps(stream) for member in group]
+    kinds = [Kind.COVERING, Kind.PACKING, Kind.FREEZE, Kind.COVERING]
+    assert [m.kind for m in members] == kinds
+    logs = []
+
+    class KeptLog(runner.MultiplierLog):
+        def __init__(self, weights):
+            super().__init__(weights)
+            logs.append(self)
+
+    monkeypatch.setattr(runner, "MultiplierLog", KeptLog)
+    steps = rows_of(run_chase(RunConfig(certify=False, offline=False), stream), "step")
+    assert [r["tag"] for r in steps] == [k.value for k in kinds]
+    assert [s.kind for s in logs[0].steps] == kinds
+    with pytest.raises(ConstraintError, match="Kind.COVERING or Kind.PACKING"):
+        HalfspaceConstraint(Kind.FREEZE, {0: 1.0})
