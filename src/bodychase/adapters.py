@@ -83,14 +83,14 @@ class SetCoverState:
         if len(self.sets) != self.costs.shape[0]:
             raise AdapterError("costs and memberships disagree in length")
         self._holders = {u: tuple(i for i, s in enumerate(self.sets) if u in s)
-                         for u in set().union(*self.sets)}
+                         for u in sorted(set().union(*self.sets))}
         self._frequency = max(map(len, self._holders.values()), default=0)
         self.rows = {u: HalfspaceConstraint.covering(dict.fromkeys(ix, 1.0))
                      for u, ix in self._holders.items()}
         self._column = {u: j for j, u in enumerate(self._holders)}
         self._incidence = np.array([[float(u in s) for u in self._holders] for s in self.sets])
+        self._price, self._lp = np.ones(len(self._column)), None  # -1 if live; last optimum
         self.live: set = set()
-        self._basis = []  # last optimal LP basis, ("element", u) or ("slack", i); [] if none
         self.lp_pivots = 0
 
     @property
@@ -109,31 +109,29 @@ class SetCoverState:
         if not self.covering_sets(element):
             raise AdapterError("element %r is not covered by any set" % (element,))
         self.live.add(element)
+        self._price[self._column[element]] = -1.0
 
     def delete(self, element):
         if element not in self.live:
             raise AdapterError("element %r is not live" % (element,))
         self.live.remove(element)
-        if ("element", element) in self._basis:
-            self._basis = []
+        self._price[self._column[element]] = 1.0
 
     def fractional_opt(self) -> float:
         """Exact optimum of the fractional cover LP over live elements, by its
-        dual max sum y_u s.t. sum_{u in S_i} y_u <= c_i, y >= 0, started from
-        the last optimal basis: an insert or a nonbasic delete keeps it feasible."""
-        live = sorted(self.live)
-        k, self.lp_pivots = len(live), 0
-        if not k:
+        dual max sum y_u s.t. sum_{u in S_i} y_u <= c_i, y >= 0 over every
+        element, a dead one priced +1 (so 0 at every optimum). The constraints
+        never change, so each solve re-prices the last optimal tableau; its
+        self-check must hold to 1e-9 (1 + opt) against drift."""
+        self.lp_pivots = 0
+        if not self.live:
             return 0.0
-        col = {u: j for j, u in enumerate(live)}
-        start = [col[key] if kind == "element" else k + key for kind, key in self._basis] or None
-        res = solve_inequality_lp(-np.ones(k),
-                                  self._incidence[:, [self._column[u] for u in live]],
-                                  self.costs, basis=start)
-        if res.status != "optimal":
-            raise AdapterError("cover LP reported %s" % res.status)
-        self._basis = [("element", live[j]) if j < k else ("slack", j - k) for j in res.basis]
-        self.lp_pivots = res.iterations
+        res = solve_inequality_lp(self._price, self._incidence, self.costs, start=self._lp)
+        bound = 1e-9 * (1.0 - res.objective)
+        if not (res.cs_residual <= bound and res.duality_gap <= bound):  # nan if unbounded
+            raise AdapterError("cover LP failed its self-check (%s, cs %.2e, gap %.2e)"
+                               % (res.status, res.cs_residual, res.duality_gap))
+        self._lp, self.lp_pivots = res, res.iterations
         return -float(res.objective)
 
 

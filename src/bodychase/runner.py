@@ -77,6 +77,9 @@ class RunConfig:
             raise FormatError("eps must lie in (0, 1], got %r" % self.eps)
         if self.oracle_cap < 0:
             raise FormatError("oracle_cap must be nonnegative, got %r" % self.oracle_cap)
+        for name, value in (("alpha", self.alpha), ("gamma", self.gamma)):
+            if not 0.0 < value < math.inf:
+                raise FormatError("%s must be finite and positive, got %r" % (name, value))
 
     def effective_eps(self) -> float:
         return self.delta / 20.0 if self.eps is None else self.eps

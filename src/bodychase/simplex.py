@@ -2,17 +2,20 @@
 
 Solves   min c.v   subject to   G v <= h,  v >= 0,   with h >= 0,
 
-so the slack basis is feasible and one phase from it (or from a given
-basis) suffices. The package's LPs are the set cover dual and the
-offline recourse LP's dual (see `offline`); both have that form.
+so the slack basis is feasible and one phase from it suffices. The
+package's LPs are the set cover dual and the offline recourse LP's dual
+(see `offline`); both have that form. A solve can instead start from an
+earlier result for the same G and h, whose final tableau is still
+primal feasible: a re-priced start computes the objective row for the
+new c by one product with that tableau and pivots on from there.
 Dantzig pricing with an automatic switch to Bland's rule after a run of
 non-improving pivots, so termination is guaranteed under heavy
 degeneracy. A pivot updates only the rows where its column is nonzero,
 or the whole tableau at once when that is most rows. A pivot tiny
 against its column is likely round-off, so the tableau is first rebuilt
-from the inputs at the current basis, by the same linear solve a warm
-start uses. Row duals are the slack columns' final reduced costs:
-nonnegative multipliers, with dual objective -h.lambda.
+from the inputs at the current basis by one linear solve. Row duals are
+the slack columns' final reduced costs: nonnegative multipliers, with
+dual objective -h.lambda.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ class SimplexResult:
     cs_residual: float
     duality_gap: float
     basis: tuple = ()  # optimal basis, column indices into [G | I]
+    tableau: np.ndarray | None = None  # the final [G | I | h], reduced to `basis`
 
 
 def _pivot(work, obj, row, col):
@@ -60,10 +64,11 @@ def _pivot(work, obj, row, col):
         obj -= obj[col] * work[row]
 
 
-def _tableau(c, G, h, basis=None):
+def _tableau(c, G, h, basis):
     """The tableau [G | I | h] and its objective row [c | 0 | 0], reduced
-    to `basis`, one column of [G | I] per row, by one linear solve; None
-    if that basis is singular or infeasible. No basis: the slack basis."""
+    to `basis`, one column of [G | I] per row, by one linear solve (the
+    round-off refresh); None if that basis is singular or infeasible.
+    Basis None: the slack basis."""
     m, n = G.shape
     work = np.zeros((m, n + m + 1))
     work[:, :n] = G
@@ -144,9 +149,9 @@ def _run_phase(work, obj, basis, max_iter, refresh=None):
     raise SimplexError("pivot budget exhausted after %d iterations" % max_iter)
 
 
-def solve_inequality_lp(c, G, h, *, basis=None) -> SimplexResult:
-    """Needs h >= 0. The solve starts at `basis`, one column of [G | I] per
-    row, unless it is singular or infeasible, else at the slack basis."""
+def solve_inequality_lp(c, G, h, *, start=None) -> SimplexResult:
+    """Needs h >= 0. The solve starts at the slack basis, or at `start`, an
+    earlier result for the same G and h: its tableau, re-priced for c."""
     c = np.asarray(c, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
@@ -157,13 +162,16 @@ def solve_inequality_lp(c, G, h, *, basis=None) -> SimplexResult:
         raise ValueError("LP needs at least one row")
     if (h < 0.0).any():
         raise ValueError("LP needs h >= 0, so that its slack basis is feasible")
-    start = None if basis is None else np.asarray(basis, dtype=np.int64)
-    if start is not None and (start.shape != (m,) or start.min() < 0 or start.max() >= n + m):
-        raise ValueError("a starting basis needs one column of [G | I] per row")
-
-    table = None if start is None else _tableau(c, G, h, start)
-    basis = list(range(n, n + m)) if table is None else start.tolist()
-    work, obj = _tableau(c, G, h) if table is None else table
+    if start is None:
+        basis = list(range(n, n + m))
+        work, obj = _tableau(c, G, h, None)
+    elif np.shape(start.tableau) != (m, n + m + 1):
+        raise ValueError("a start needs the (m, n + m + 1) tableau of an optimal result")
+    else:
+        basis, work = list(start.basis), start.tableau.copy()
+        cost = np.concatenate([c, np.zeros(m + 1)])
+        obj = cost - cost[basis] @ work
+        obj[basis] = 0.0
     status, iterations = _run_phase(work, obj, basis, 10000 + 20 * (m + n),
                                     lambda basis: _tableau(c, G, h, basis))
     if status == "unbounded":
@@ -182,4 +190,4 @@ def solve_inequality_lp(c, G, h, *, basis=None) -> SimplexResult:
     cs_cols = float(np.max(np.abs(x * reduced))) if n else 0.0
     cs = max(cs_rows, cs_cols)
     gap = abs(objective - float(-h @ duals))
-    return SimplexResult("optimal", objective, x, duals, iterations, cs, gap, tuple(basis))
+    return SimplexResult("optimal", objective, x, duals, iterations, cs, gap, tuple(basis), work)

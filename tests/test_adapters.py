@@ -142,6 +142,39 @@ def test_setcover_warm_dual_matches_cold_primal_under_churn():
     assert warm_pivots < cold_dual_pivots / 2
 
 
+def test_setcover_standing_lp_matches_cold_primal_under_long_churn():
+    # one state, 1,000 updates on a bench-sized system: at every update the
+    # re-priced tableau must agree with a cold solve, and it must save pivots
+    rng = np.random.default_rng(1818)
+    sets = [set(int(u) for u in rng.choice(60, size=8, replace=False)) for _ in range(40)]
+    state = SetCoverState(rng.uniform(1.0, 3.0, size=40), sets)
+    covered = sorted(set().union(*sets))
+    warm_pivots = cold_pivots = 0
+    for step in range(1, 1001):
+        u = covered[int(rng.integers(len(covered)))]
+        (state.delete if u in state.live else state.insert)(u)
+        opt = state.fractional_opt()
+        warm_pivots += state.lp_pivots
+        ref, pivots = cold_cover_opt(state)
+        cold_pivots += pivots
+        assert opt == pytest.approx(ref, rel=1e-9), step
+    assert 0 < warm_pivots < cold_pivots
+
+
+def test_cover_lp_self_check_catches_a_tableau_of_another_lp():
+    sets = [{0, 1}, {1, 2}, {2, 3}, {0, 3}]
+    state = SetCoverState([1.0, 1.5, 2.0, 1.0], sets)
+    other = SetCoverState([2.0, 3.0, 4.0, 2.0], sets)
+    for s in (state, other):
+        for u in range(4):
+            s.insert(u)
+    assert 2.0 * state.fractional_opt() == pytest.approx(other.fractional_opt(), rel=1e-12)
+    # same shape, so the solve takes it as a start; its point belongs to other costs
+    state._lp = other._lp
+    with pytest.raises(AdapterError, match="self-check"):
+        state.fractional_opt()
+
+
 def test_setcover_index_built_once():
     state = SetCoverState([1.0, 2.0, 1.0], [{"a", "b"}, {"b"}, {"b", "c"}])
     assert state.covering_sets("b") == (0, 1, 2)

@@ -117,6 +117,12 @@ def test_bad_flag_exits_2(stream_file, capsys):
     (["offline-opt", "--oracle-cap", "-5"], "oracle_cap"),
     (["setcover", "--delta", "2"], "delta"),
     (["replicate", "--delta", "0", "--runs", "2"], "delta"),
+    (["mst", "--round", "on", "--gamma", "0"], "gamma"),
+    (["mst", "--round", "on", "--gamma", "-1"], "gamma"),
+    (["mst", "--round", "on", "--gamma", "inf"], "gamma"),
+    (["mst", "--round", "on", "--alpha", "-1"], "alpha"),
+    (["setcover", "--round", "rand", "--alpha", "-3"], "alpha"),
+    (["matching", "--round", "on", "--alpha", "nan"], "alpha"),
 ])
 def test_out_of_range_parameter_exits_2_before_the_input_is_read(argv, name, capsys):
     # the input does not exist: reading it first would exit 1
@@ -125,6 +131,13 @@ def test_out_of_range_parameter_exits_2_before_the_input_is_read(argv, name, cap
     assert captured.out == ""
     assert captured.err.startswith("error: %s " % name)
     assert captured.err.count("\n") == 1
+
+
+def test_small_positive_alpha_still_meets_the_clock_rate_check(cover_file, capsys):
+    # alpha passes the range check, but alpha * n = 0.3 gives no clock rate
+    assert main(["setcover", cover_file, "--round", "rand", "--alpha", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: alpha * n must exceed 1 for the clock rate\n"
 
 
 def test_root_finder_failure_exits_1_without_traceback(stream_file, monkeypatch, capsys):

@@ -502,16 +502,34 @@ def _string_id_mst_replay() -> str:
     return "".join(json.dumps(r) + "\n" for r in lines)
 
 
-def test_mst_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
-    # string hashes, and so set order, change with PYTHONHASHSEED; criterion 9
-    # repeats a run in one process, so only two processes can see this
+def _string_id_setcover_replay() -> str:
+    """A 100-update set cover replay on string element ids, bench-sized: 40
+    sets of 8 over 60 elements, each update toggling a random element."""
+    rng = np.random.default_rng(18)
+    names = ["u%d" % k for k in range(60)]
+    sets = [{"cost": round(float(rng.uniform(1.0, 3.0)), 6),
+             "elements": [names[k] for k in rng.choice(60, size=8, replace=False)]}
+            for _ in range(40)]
+    covered = sorted({u for s in sets for u in s["elements"]})
+    lines, live = [{"problem": "setcover", "sets": sets}], set()
+    for k in rng.integers(len(covered), size=100):
+        u = covered[k]
+        lines.append({"op": "delete" if u in live else "insert", "element": u})
+        live ^= {u}
+    return "".join(json.dumps(r) + "\n" for r in lines)
+
+
+def _reports_under_hash_seeds(tmp_path, text, argv):
+    """The report of `argv` on `text` in two processes, PYTHONHASHSEED 1 and
+    2: string hashes, and so set order, change with it; criterion 9 repeats
+    a run in one process, so only two processes can see this."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     updates = tmp_path / "u.jsonl"
-    updates.write_text(_string_id_mst_replay())
+    updates.write_text(text)
     src = str(Path(__file__).resolve().parents[1] / "src")
     reports = []
     for seed in ("1", "2"):
@@ -519,11 +537,26 @@ def test_mst_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
         subprocess.run(
             [sys.executable, "-c",
              "import sys; from bodychase.cli import main; sys.exit(main(sys.argv[1:]))",
-             "mst", str(updates), "--round", "on", "--no-offline", "--report", str(report)],
+             argv[0], str(updates), *argv[1:], "--no-offline", "--report", str(report)],
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
             check=True, timeout=120)
         reports.append(report.read_bytes())
+    return reports
+
+
+def test_mst_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
+    reports = _reports_under_hash_seeds(tmp_path, _string_id_mst_replay(),
+                                        ["mst", "--round", "on"])
     assert b'"tree_cost"' in reports[0]
+    assert reports[0] == reports[1]
+
+
+def test_setcover_replay_with_string_ids_does_not_depend_on_the_hash_seed(tmp_path):
+    # the cover LP's columns are in sorted element order; in set-union order,
+    # its degenerate pivots would differ and so would the report's last bits
+    reports = _reports_under_hash_seeds(tmp_path, _string_id_setcover_replay(),
+                                        ["setcover", "--round", "det"])
+    assert b'"lp_pivots"' in reports[0]
     assert reports[0] == reports[1]
 
 

@@ -127,35 +127,46 @@ def test_optimal_basis_restarts_with_no_pivots():
         if (h < 0).any():
             continue
         cold = solve_inequality_lp(c, G, h)
-        warm = solve_inequality_lp(c, G, h, basis=cold.basis)
+        # the kept tableau is [G | I | h] reduced to the optimal basis
+        assert np.allclose(cold.tableau[:, list(cold.basis)], np.eye(len(h)), atol=1e-12)
+        warm = solve_inequality_lp(c, G, h, start=cold)
         assert warm.iterations == 0, trial
         assert warm.basis == cold.basis
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert np.allclose(warm.duals, cold.duals, atol=1e-12)
 
 
-def _same_result(a, b):
-    assert a.objective == b.objective and a.iterations == b.iterations
-    assert np.array_equal(a.x, b.x) and a.basis == b.basis
+def test_start_from_another_price_matches_a_cold_solve():
+    # G and h fixed, so the optimum for c1 is a feasible start for any c2
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n = int(rng.integers(1, 4))
+        c1, G, h = random_bounded_lp(rng, n)
+        c2 = rng.uniform(-1.0, 1.0, size=n)
+        if (h < 0).any():
+            continue
+        first = solve_inequality_lp(c1, G, h)
+        kept = first.tableau.copy()
+        warm, cold = solve_inequality_lp(c2, G, h, start=first), solve_inequality_lp(c2, G, h)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12), trial
+        for res in (warm, cold):
+            assert res.cs_residual <= 1e-9 and res.duality_gap <= 1e-9 * (1.0 + abs(res.objective))
+        # the start is left as it was
+        assert np.array_equal(first.tableau, kept)
 
 
-def test_singular_or_infeasible_basis_starts_cold():
-    # min -x - y  s.t.  x + y <= 2,  x - y <= 1
-    c, G, h = np.array([-1.0, -1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([2.0, 1.0])
-    cold = solve_inequality_lp(c, G, h)
-    assert cold.objective == pytest.approx(-2.0)
-    # x twice is singular; {x, second slack} has x = 2 and that slack -1
-    for basis in ([0, 0], [0, 3]):
-        _same_result(solve_inequality_lp(c, G, h, basis=basis), cold)
-
-
-def test_basis_needs_nonnegative_h_and_one_column_per_row():
+def test_start_needs_nonnegative_h_and_the_tableau_of_its_lp():
     c, G = np.array([1.0]), np.array([[-1.0]])
     with pytest.raises(ValueError):
-        solve_inequality_lp(c, G, np.array([-1.0]), basis=[1])
-    for basis in ([0, 1], [2], [-1]):
+        solve_inequality_lp(c, G, np.array([-1.0]), start=solve_inequality_lp(c, G, np.ones(1)))
+    # tableaus of (2, 5) and (1, 4), and the unbounded result, which keeps none
+    starts = [solve_inequality_lp(np.ones(2), np.eye(2), np.ones(2)),
+              solve_inequality_lp(np.ones(2), np.ones((1, 2)), np.ones(1)),
+              solve_inequality_lp(np.array([-1.0]), np.array([[0.0]]), np.array([1.0]))]
+    assert starts[2].status == "unbounded"
+    for start in starts:
         with pytest.raises(ValueError):
-            solve_inequality_lp(c, G, np.array([1.0]), basis=basis)
+            solve_inequality_lp(c, G, np.array([1.0]), start=start)
 
 
 def differential_lps():
