@@ -428,11 +428,8 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
 
 
 def _ratio(upward: float, bound: float):
-    if bound > 0.0:
-        return upward / bound
-    if upward > 0.0:
-        return float("inf")
-    return None
+    """upward / bound, or None when no positive bound can divide it."""
+    return upward / bound if bound > 0.0 else None
 
 
 def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) -> dict:

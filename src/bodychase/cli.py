@@ -134,7 +134,7 @@ def _run_offline(args) -> int:
     lp, res = solve_offline_lp(stream, weights, variable_cap=cap)
     record = {"kind": "offline", **lp_report(res), "T": len(stream), "n": int(weights.shape[0])}
     if args.dump_trajectory:
-        record["trajectory"] = [p.values for p in lp.trajectory(res.x)]
+        record["trajectory"] = [p.values.tolist() for p in lp.trajectory(res.x)]
     _emit([record], args)
     return 0
 

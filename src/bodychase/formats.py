@@ -30,7 +30,6 @@ __all__ = [
     "parse_weights",
     "stream_dimension",
     "parse_updates",
-    "sanitize",
     "dump_records",
     "write_report",
 ]
@@ -261,34 +260,23 @@ def parse_updates(lines, source="<updates>"):
     return problem, header, events
 
 
-def sanitize(obj):
-    """Replace non-finite floats with None so reports stay valid JSON."""
-    if isinstance(obj, dict):
-        return {k: sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    return obj
-
-
 def dump_records(records) -> str:
+    """One line of sorted-key JSON per record. A record holds plain JSON
+    values; one that JSON cannot hold (a non-finite float, an array, a
+    numpy integer) is a ChaseError naming its kind."""
     out = []
     for record in records:
-        out.append(json.dumps(sanitize(record), sort_keys=True, allow_nan=False))
+        try:
+            out.append(json.dumps(record, sort_keys=True, allow_nan=False))
+        except (TypeError, ValueError) as exc:
+            raise ChaseError("%s record is not plain JSON: %s"
+                             % (record.get("kind"), exc)) from None
     return "\n".join(out) + "\n" if out else ""
 
 
-def write_report(records, path=None, fh=None):
+def write_report(records, path=None):
     text = dump_records(records)
     if path is not None:
         with open(path, "w", encoding="utf-8") as out:
             out.write(text)
-    if fh is not None:
-        fh.write(text)
     return text

@@ -43,11 +43,9 @@ class MstSampler:
         self.rate = sampling_rate(gamma, alpha, delta, len(instance.vertices))
         self._thresholds: dict = {}
         self.sampled: set = set()
-        self.fallback: set = set()
         self.combined: set = set()
         self.fallback_fired = False
         self.fractional_cost = 0.0
-        self.sample_step_recourse = 0
         self.sample_recourse_total = 0
 
     def threshold(self, edge) -> float:
@@ -74,8 +72,7 @@ def mst_sampler_step(values, sampler: MstSampler):
         e for e in live
         if sampler.probability(float(values[inst.coords[e]])) > sampler.threshold(e)
     }
-    sampler.sample_step_recourse = len(sampled ^ sampler.sampled)
-    sampler.sample_recourse_total += sampler.sample_step_recourse
+    sampler.sample_recourse_total += len(sampled ^ sampler.sampled)
     sampler.sampled = sampled
 
     sampler.fractional_cost = sum(inst.costs[e] * float(values[inst.coords[e]]) for e in live)
@@ -94,7 +91,6 @@ def mst_sampler_step(values, sampler: MstSampler):
         except GraphError as exc:
             raise AdapterError(str(exc)) from None
         fallback = {(u, v) for u, v, _ in tree}
-    sampler.fallback = fallback
     sampler.fallback_fired = fired
     combined = sampled | fallback
     inserted = sorted(combined - sampler.combined)
@@ -112,41 +108,35 @@ class DynamicTree:
         self.edges: set = set()
         self.tree: set = set()
         self.recourse_total = 0
-        self.step_recourse = 0
 
     def tree_cost(self) -> float:
         # sorted, so the sum does not depend on the set's hash order
         return float(sum(self.costs[e] for e in sorted(self.tree)))
 
-    def _tree_path(self, source, target):
-        adj = build_adjacency(self.tree, self.vertices)
-        parent = {source: None}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == target:
-                path = []
-                while parent[u] is not None:
-                    path.append(tuple(sorted((u, parent[u]))))
-                    u = parent[u]
-                return path
-            for v in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        return None
-
-    def _component(self, root, banned):
+    def _parents(self, root, banned=None) -> dict:
+        """BFS parents of the vertices reachable from `root` (its own parent
+        is None) in the tree minus the edge `banned`."""
         adj = build_adjacency(self.tree - {banned}, self.vertices)
-        seen = {root}
+        parent = {root: None}
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
+                if v not in parent:
+                    parent[v] = u
                     queue.append(v)
-        return seen
+        return parent
+
+    def _tree_path(self, source, target):
+        """The tree edges from target back to source, None if unconnected."""
+        parent = self._parents(source)
+        if target not in parent:
+            return None
+        path = []
+        while parent[target] is not None:
+            path.append(tuple(sorted((target, parent[target]))))
+            target = parent[target]
+        return path
 
     def apply_unit(self, op: str, edge) -> int:
         """One combined-set edge change; repairs keep H a minimum tree."""
@@ -170,7 +160,7 @@ class DynamicTree:
             if edge in self.tree:
                 self.tree.remove(edge)
                 changed = 1
-                side = self._component(edge[0], edge)
+                side = self._parents(edge[0], edge)
                 candidates = [
                     e for e in self.edges if (e[0] in side) != (e[1] in side)
                 ]
@@ -184,7 +174,6 @@ class DynamicTree:
                 changed = 2
         else:
             raise AdapterError("op must be insert or delete")
-        self.step_recourse = changed
         self.recourse_total += changed
         return changed
 

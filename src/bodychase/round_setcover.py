@@ -32,7 +32,6 @@ class CoverState:
         self.clocks = clocks
         self.recourse_total = 0
         self.step_recourse = 0
-        self.sampled_step_recourse = 0
 
     def cost(self) -> float:
         return float(sum(self.instance.costs[i] for i in self.selected))
@@ -83,7 +82,6 @@ def round_rand(x, state: CoverState, alpha: float, n: int) -> CoverState:
     if values.shape[0] != state.clocks.shape[0]:
         raise AdapterError("point dimension does not match the clocks")
     sampled = set(np.flatnonzero(values >= state.clocks).tolist())
-    state.sampled_step_recourse = len(sampled ^ state.sampled)
     backup = set()
     for u in sorted(state.instance.live):
         holders = state.instance.covering_sets(u)

@@ -142,7 +142,7 @@ class _Run:
         self.x = FractionalPoint.zeros(weights.shape[0], weights)
         self.log = MultiplierLog(weights)
         self.offline = offline
-        self.frozen_now: tuple = ()
+        self.frozen: set = set()
         self.iterations = 0
         self.worst = 0.0
 
@@ -155,12 +155,17 @@ class _Run:
             self.x = FractionalPoint(values, weights)
             self.log.extend_weights(weights)
 
-    def clamp(self, frozen) -> None:
-        """Freeze the coordinates of `frozen` that are still positive."""
-        newly = [i for i in frozen if i < self.x.dim and self.x.values[i] > 0.0]
-        if newly:
-            apply_freeze(self.x, newly, self.log)
-        self.frozen_now = tuple(sorted(frozen))
+    def clamp(self, frozen) -> tuple:
+        """Freeze the coordinates of `frozen` that were not frozen at the
+        last clamp, those still positive on the point; returns them all.
+        A coordinate that stayed frozen is already 0: no row names it."""
+        frozen = set(frozen)
+        newly = tuple(sorted(frozen - self.frozen))
+        self.frozen = frozen
+        positive = [i for i in newly if self.x.values[i] > 0.0]
+        if positive:
+            apply_freeze(self.x, positive, self.log)
+        return newly
 
     def chase(self, oracle, row: dict) -> list:
         """Chase the body to tolerance, write the chase's fields into the
@@ -174,8 +179,11 @@ class _Run:
         row["rootfind_iterations"] = self.count(s.result for s in steps)
         return [s.constraint for s in steps]
 
-    def push_offline_group(self, rows) -> None:
-        group = [Freeze(self.frozen_now)] if self.frozen_now else []
+    def push_offline_group(self, newly, rows) -> None:
+        """One update's offline group: a clamp of the coordinates that froze
+        at it, then its rows. Later groups need not clamp them again, as the
+        compressed LP holds a coordinate that no row names."""
+        group = [Freeze(newly)] if newly else []
         group.extend(rows)
         if group:
             self.offline.append(group)
@@ -244,7 +252,7 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
                             "support": len(member.indices), "multiplier": multiplier,
                             "upward_step": recourse[-1][0], "l1_step": recourse[-1][1],
                             "rootfind_iterations": run.count(results)})
-    tail = run.finish({"final_point": run.x.values, "T": len(stream)})
+    tail = run.finish({"final_point": run.x.values.tolist(), "T": len(stream)})
     return records + [record for record in tail if record is not None]
 
 
@@ -310,12 +318,12 @@ def _replay(config: RunConfig, updates, seeds):
                 records.append(row)
                 continue
             mst_started = True
-            run.clamp(state.frozen_coords())
+            newly = run.clamp(state.frozen_coords())
 
             def oracle(values, cover_floor, pack_ceiling):
                 return state.separation(values, cover_floor, pack_ceiling, beta)
 
-            run.push_offline_group(run.chase(oracle, row))
+            run.push_offline_group(newly, run.chase(oracle, row))
             row["opt"] = state.optimum()
         else:
             if problem == "setcover":
@@ -325,10 +333,10 @@ def _replay(config: RunConfig, updates, seeds):
                 snap = matching_body(state, beta)
             else:
                 snap = loadbalance_body(state, beta)
-            run.clamp(snap.frozen)
+            newly = run.clamp(snap.frozen)
             run.chase(snap.body().find_violated, row)
             row["opt"] = snap.normalization["opt"]
-            run.push_offline_group(list(snap.covering) + list(snap.packing))
+            run.push_offline_group(newly, list(snap.covering) + list(snap.packing))
 
         for rounding in roundings:
             if rounding is not None:

@@ -38,7 +38,9 @@ from bodychase.core import (
     project_and_record,
     stream_steps,
 )
+from bodychase.adapters import UpdateEvent
 from bodychase.formats import FormatError, _numeric, parse_updates
+from bodychase.graphs import is_connected
 from bodychase.offline import OfflineError, RecourseLP, Triplets
 from bodychase.runner import _meta, run_problem
 from bodychase.simplex import (
@@ -1175,3 +1177,46 @@ def per_run_replicate(config, updates) -> list:
         if len(arr) > 1:
             out[key + "_se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
     return [_meta(replace(config, problem=updates[0]), {"replications": runs}), out]
+
+
+def random_replay(rng, problem: str, updates: int):
+    """A small parsed replay with deletes and re-inserts: matching on a 3x3
+    bipartite pool, a spanning tree on 5 vertices that inserts the path
+    0-1-2-3-4 first and never deletes a bridge, or load balancing on 3
+    machines whose six jobs' loads (1 to 4) move the optimum, so that pairs
+    fall out of and back into eligibility."""
+    start = []
+    if problem == "matching":
+        header = {"problem": "matching", "n": 6}
+        pool = {(u, v): {} for u in range(3) for v in range(3, 6)}
+    elif problem == "mst":
+        header = {"problem": "mst", "vertices": list(range(5))}
+        pool = {(u, v): {"cost": float(rng.integers(1, 5))}
+                for u in range(5) for v in range(u + 1, 5)}
+        start = [(i, i + 1) for i in range(4)]
+    else:
+        header = {"problem": "loadbalance", "machines": [0, 1, 2]}
+        pool = {}
+        for job in range(6):
+            machines = [m for m in range(3) if rng.random() < 0.6] or [int(rng.integers(3))]
+            pool[job] = {"loads": {m: float(rng.integers(1, 5)) for m in machines}}
+
+    def ids(e):
+        return {"job": e} if problem == "loadbalance" else {"u": e[0], "v": e[1]}
+
+    live, events = [], []
+    for k in range(updates):
+        dead = [e for e in pool if e not in live]
+        removable = live
+        if problem == "mst":  # a deleted edge must leave the graph connected
+            removable = [e for e in live if is_connected(header["vertices"],
+                                                         [f for f in live if f != e])]
+        if k < len(start) or (dead and (not removable or rng.random() < 0.55)):
+            e = start[k] if k < len(start) else dead[int(rng.integers(len(dead)))]
+            live.append(e)
+            events.append(UpdateEvent(problem, "insert", {**ids(e), **pool[e]}))
+        else:
+            e = removable[int(rng.integers(len(removable)))]
+            live.remove(e)
+            events.append(UpdateEvent(problem, "delete", ids(e)))
+    return problem, header, events

@@ -18,9 +18,10 @@ from bodychase.adapters import (
     setcover_body,
 )
 from bodychase.core import FractionalPoint
+from bodychase.graphs import is_connected
 from bodychase.simplex import solve_inequality_lp
 
-from oracles import cold_cover_opt, mst_separation
+from oracles import cold_cover_opt, mst_separation, random_replay
 from test_graphs import brute_min_cut
 from test_simplex import enumerate_vertices
 
@@ -447,3 +448,35 @@ def test_snapshot_builds_positive_body():
     body = snap.body()
     row = body.find_violated(np.zeros(1), 0.9, 1.1)
     assert row is not None and row.kind.value == "C"
+
+
+@pytest.mark.parametrize("problem", ["matching", "mst", "loadbalance"])
+def test_no_row_names_a_frozen_coordinate(problem):
+    # A replay clamps a coordinate in the offline LP only at the update
+    # where it freezes; this is what makes that enough.
+    states = {"matching": MatchingState, "mst": MstState, "loadbalance": LoadBalanceState}
+    body = {"matching": matching_body, "loadbalance": loadbalance_body}.get(problem)
+    live_frozen = 0  # load balancing's frozen pairs of live jobs: opt moved
+    for seed in range(25):
+        rng = np.random.default_rng([seed, 23])
+        _, header, events = random_replay(rng, problem, 16)
+        state = states[problem](*[header[k] for k in ("vertices", "machines") if k in header])
+        for event in events:
+            getattr(state, event.op)(**event.payload)
+            if body is not None:
+                snap = body(state, 1.0)
+                frozen, rows = set(snap.frozen), snap.covering + snap.packing
+            elif is_connected(state.vertices, state.live):
+                frozen = set(state.frozen_coords())
+                values = rng.uniform(0.0, 1.0, state.dimension)
+                # the cut at a random point, then the packing row (neither is None)
+                rows = [state.separation(values, np.inf, np.inf, 1.0),
+                        state.separation(values, -np.inf, -np.inf, 1.0)]
+            else:
+                continue
+            for row in rows:
+                assert frozen.isdisjoint(row.indices.tolist())
+            if problem == "loadbalance":
+                live_frozen += len(frozen & {c for (m, j), c in state.coords.items()
+                                             if j in state.live})
+    assert problem != "loadbalance" or live_frozen > 0

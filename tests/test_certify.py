@@ -88,6 +88,12 @@ def test_warmup_packing_only_clamps_to_zero():
     assert cert.certified_bound == 0.0
     report = certified_report(cert, log.ledger, eps=0.5)
     assert report["ratio"] is None  # no upward movement either
+    # upward movement against the zero bound has no ratio either, not inf
+    moved = MultiplierLog(w)
+    project_and_record(FractionalPoint.zeros(2, w), HalfspaceConstraint.covering({0: 1.0}),
+                       0.5, log=moved)
+    assert moved.ledger.upward_total > 0.0
+    assert certified_report(cert, moved.ledger, eps=0.5)["ratio"] is None
 
 
 def test_warmup_r_is_weight_at_origin():

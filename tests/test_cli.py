@@ -100,6 +100,17 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "expected idx:value" in capsys.readouterr().err
 
 
+def test_record_json_cannot_hold_exits_1_with_one_line(stream_file, monkeypatch, capsys):
+    from bodychase import cli
+
+    monkeypatch.setattr(cli, "run_chase", lambda *args: [{"kind": "summary", "x": np.nan}])
+    assert main(["chase", stream_file]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: summary record is not plain JSON")
+    assert out.err.count("\n") == 1
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["chase", "/nonexistent/stream.txt"]) == 1
 

@@ -1,18 +1,18 @@
 """Parsers and the report writer."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from bodychase.core import HalfspaceConstraint, Kind
+from bodychase.core import ChaseError, HalfspaceConstraint, Kind
 from bodychase.formats import (
     FormatError,
     dump_records,
     parse_stream,
     parse_updates,
     parse_weights,
-    sanitize,
     stream_dimension,
     write_report,
 )
@@ -117,16 +117,14 @@ def test_updates_errors(lines, fragment):
     assert fragment in str(err.value)
 
 
-def test_sanitize_and_dump_are_deterministic():
-    records = [
-        {"b": np.float64(1.5), "a": np.array([1.0, float("inf")]),
-         "c": float("nan"), "d": np.int64(3), "e": (1, 2)},
-    ]
-    text = dump_records(records)
-    assert text == dump_records(records)
-    row = json.loads(text)
-    assert row == {"a": [1.0, None], "b": 1.5, "c": None, "d": 3, "e": [1, 2]}
-    assert sanitize(float("-inf")) is None
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -math.inf,
+                                   np.array([1.0, 2.0]), np.int64(3)])
+def test_dump_refuses_a_value_json_cannot_hold(value):
+    # a report holds plain JSON values: nothing is rewritten on the way out
+    assert dump_records([{"kind": "summary", "x": 1.5, "y": [1, None]}]) == \
+        '{"kind": "summary", "x": 1.5, "y": [1, null]}\n'
+    with pytest.raises(ChaseError, match="^certificate record is not plain JSON"):
+        dump_records([{"kind": "meta"}, {"kind": "certificate", "ratio": value}])
 
 
 def test_write_report_file_and_text(tmp_path):

@@ -87,7 +87,8 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from bodychase import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules,
+                  "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -96,8 +97,12 @@ def test_rounding_runs_never_import_numpy_random(tmp_path):
     for problem, text in UPDATE_FILES.items():
         paths[problem] = tmp_path / ("%s.jsonl" % problem)
         paths[problem].write_text(text)
+    stream = tmp_path / "s.txt"
+    stream.write_text("C 0:1 1:2\nF 1\nP 0:1 2:0.5\nC 2:1\n")
     report = str(tmp_path / "r.jsonl")
-    argvs = [["mst", str(paths["mst"]), "--round", "on"],
+    # the offline LP runs in the chase, offline-opt and mst argvs
+    argvs = [["chase", str(stream)], ["offline-opt", str(stream)],
+             ["mst", str(paths["mst"]), "--round", "on"],
              ["matching", str(paths["matching"]), "--round", "on"],
              ["setcover", str(paths["setcover"]), "--round", "rand"],
              ["replicate", str(paths["matching"]), "--round", "on", "--runs", "2"]]
@@ -106,4 +111,5 @@ def test_rounding_runs_never_import_numpy_random(tmp_path):
         [sys.executable, "-c", NO_NUMPY_RANDOM, str(ROOT / "src"), json.dumps(argvs)],
         capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout)
-    assert out == {"codes": [0, 0, 0, 0], "numpy.random": False}
+    # scipy would cost more to import than a whole run's set-up
+    assert out == {"codes": [0] * 6, "numpy.random": False, "scipy": False}

@@ -9,11 +9,13 @@ import pytest
 
 from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import parse_stream
-from bodychase.offline import build_compressed_lp, solve_recourse_lp
+from bodychase.offline import VARIABLE_CAP, build_compressed_lp, solve_recourse_lp
 from bodychase.runner import RunConfig, apply_freeze, replicate, run_chase, run_problem
 from bodychase import runner
-from bodychase.core import (ConstraintError, FractionalPoint, HalfspaceConstraint, Kind,
+from bodychase.core import (ConstraintError, FractionalPoint, Freeze, HalfspaceConstraint, Kind,
                             stream_steps)
+
+from oracles import build_full_lp, random_replay
 
 
 def summary_of(records):
@@ -424,17 +426,23 @@ def test_oracle_cap_fires_before_the_lp_is_built(monkeypatch):
     assert peak < 10 * 2**20
 
 
-def _bench_updates(problem, seed):
-    """A small replay from the benchmark's generator, parsed."""
+def _bench_gen():
+    """The benchmark's input generator, bench/gen.py, as a module."""
     import importlib.util
     from pathlib import Path
-
-    from bodychase.formats import parse_updates
 
     spec = importlib.util.spec_from_file_location(
         "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def _bench_updates(problem, seed):
+    """A small replay from the benchmark's generator, parsed."""
+    from bodychase.formats import parse_updates
+
+    gen = _bench_gen()
     rng = np.random.default_rng([seed, 12])
     if problem == "setcover":
         text = gen.setcover_text(rng, 12, 4, 20, 8, 30)
@@ -578,3 +586,77 @@ def test_one_kind_tags_stream_items_step_records_and_log_steps(monkeypatch):
     assert [s.kind for s in logs[0].steps] == kinds
     with pytest.raises(ConstraintError, match="Kind.COVERING or Kind.PACKING"):
         HalfspaceConstraint(Kind.FREEZE, {0: 1.0})
+
+
+def test_replay_clamps_a_coordinate_in_the_offline_lp_once(tmp_path, monkeypatch):
+    # A replay that clamped every frozen coordinate at every later update
+    # gave this U = 300 spanning tree replay's offline LP 9,650 variables,
+    # above the default cap; clamped once, it has 1,218.
+    path, report = tmp_path / "mst.jsonl", tmp_path / "report.jsonl"
+    path.write_text(_bench_gen().mst_text(np.random.default_rng([1, 99]), 8, 12, 300))
+    seen = []
+
+    def unsolved(stream, weights, cap):
+        seen.append((stream, weights))
+        return {"kind": "offline", "skipped": "not solved", "opt": None, "pivots": None}
+
+    monkeypatch.setattr(runner, "_offline_block", unsolved)
+    from bodychase.cli import main
+
+    assert main(["mst", str(path), "--no-certify", "--report", str(report)]) == 0
+    (stream, weights), = seen
+    assert build_compressed_lp(stream, weights).variable_count <= VARIABLE_CAP
+
+
+@pytest.mark.parametrize("problem", ["matching", "mst", "loadbalance"])
+def test_clamping_once_keeps_the_offline_optimum(monkeypatch, problem):
+    # Each replay's offline optimum against that of the stream whose every
+    # update clamps every coordinate frozen at it: no row names a frozen
+    # coordinate, so the compressed LP holds it at 0 until it is revived.
+    frozen, every, solved = [], [], []
+    clamp, push, block = runner._Run.clamp, runner._Run.push_offline_group, runner._offline_block
+
+    def kept_clamp(self, coords):
+        frozen.append(tuple(coords))
+        return clamp(self, coords)
+
+    def kept_push(self, newly, rows):
+        group = ([Freeze(frozen[-1])] if frozen[-1] else []) + list(rows)
+        if group:
+            every.append(group)
+        return push(self, newly, rows)
+
+    def kept_block(stream, weights, cap):
+        solved.append((stream, weights))
+        return block(stream, weights, cap)
+
+    monkeypatch.setattr(runner._Run, "clamp", kept_clamp)
+    monkeypatch.setattr(runner._Run, "push_offline_group", kept_push)
+    monkeypatch.setattr(runner, "_offline_block", kept_block)
+    revived = 0
+    for seed in range(25):
+        updates = random_replay(np.random.default_rng([seed, 19]), problem, 6 + seed % 10)
+        frozen.clear(), every.clear(), solved.clear()
+        summary = summary_of(run_problem(RunConfig(problem=problem, certify=False), updates))
+        (once, weights), = solved
+        revived += len(_revived(once))
+        pair = [once, every]
+        opts = [solve_recourse_lp(build_compressed_lp(s, weights)).objective for s in pair]
+        assert opts[0] == pytest.approx(opts[1], rel=1e-9, abs=1e-12)
+        assert summary["offline_opt"] == max(0.0, opts[0])
+        if seed % 10 < 3:  # the smallest replays: against the full formulation too
+            full = [solve_recourse_lp(build_full_lp(s, weights)).objective for s in pair]
+            assert full == pytest.approx(opts, rel=1e-9, abs=1e-12)
+    assert revived > 0
+
+
+def _revived(stream) -> set:
+    """The coordinates a row names after a clamp of them."""
+    clamped, revived = set(), set()
+    for group in stream:
+        for item in group:
+            if item.kind is Kind.FREEZE:
+                clamped.update(item.indices)
+            else:
+                revived.update(clamped.intersection(item.indices.tolist()))
+    return revived
