@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 from .adapters import (
     AdapterError,
-    BodySnapshot,
     LoadBalanceState,
     MatchingState,
     MstState,
@@ -29,6 +28,7 @@ from .adapters import (
     UpdateEvent,
     loadbalance_body,
     matching_body,
+    mst_body,
     setcover_body,
 )
 from .certify import (
@@ -68,7 +68,6 @@ from .runner import RunConfig, replicate, run_chase, run_problem
 
 __all__ = [
     "AdapterError",
-    "BodySnapshot",
     "CertificateError",
     "ChaseError",
     "ConstraintError",
@@ -102,6 +101,7 @@ __all__ = [
     "chase_body",
     "loadbalance_body",
     "matching_body",
+    "mst_body",
     "parse_stream",
     "parse_updates",
     "parse_weights",

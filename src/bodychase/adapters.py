@@ -2,15 +2,16 @@
 
 Each adapter owns the mutable instance (sets and elements, graph edges,
 jobs and machines), assigns one body coordinate per combinatorial
-choice, and emits a normalized snapshot: covering and packing rows with
-right-hand side 1 and strictly positive coefficients, plus the
-coordinates that must currently be pinned at zero. Per-step optima are
-computed exactly, since the bodies are defined in terms of them.
+choice, and emits one `core.PositiveBody` per update: covering and
+packing rows with right-hand side 1 and strictly positive coefficients,
+the coordinates that must currently be pinned at zero, and the exact
+per-update optimum the rows are scaled by. The spanning tree's cut rows
+are too many to list, so its body finds them by separation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .simplex import solve_inequality_lp
 __all__ = [
     "AdapterError",
     "UpdateEvent",
-    "BodySnapshot",
     "SetCoverState",
     "setcover_body",
     "MatchingState",
@@ -36,6 +36,7 @@ __all__ = [
     "LoadBalanceState",
     "loadbalance_body",
     "MstState",
+    "mst_body",
 ]
 
 EXHAUSTIVE_JOB_LIMIT = 12
@@ -54,18 +55,6 @@ class UpdateEvent:
     def __post_init__(self):
         if self.op not in ("insert", "delete"):
             raise AdapterError("op must be insert or delete, got %r" % (self.op,))
-
-
-@dataclass(frozen=True)
-class BodySnapshot:
-    covering: tuple
-    packing: tuple
-    frozen: tuple
-    dimension: int
-    normalization: dict = field(default_factory=dict)
-
-    def body(self) -> PositiveBody:
-        return PositiveBody(covering=self.covering, packing=self.packing)
 
 
 # ---------------------------------------------------------------- set cover
@@ -135,20 +124,14 @@ class SetCoverState:
         return -float(res.objective)
 
 
-def setcover_body(state: SetCoverState, beta: float) -> BodySnapshot:
+def setcover_body(state: SetCoverState, beta: float) -> PositiveBody:
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for covering problems")
     covering = tuple(state.rows[u] for u in sorted(state.live))
     opt = state.fractional_opt()
-    packing = []
-    if opt > 0.0:
-        packing.append(
-            HalfspaceConstraint.packing(
-                {i: float(c) / (beta * opt) for i, c in enumerate(state.costs)}
-            )
-        )
-    return BodySnapshot(covering, tuple(packing), (), state.dimension,
-                        {"opt": opt, "beta": beta})
+    packing = [HalfspaceConstraint.packing(
+        {i: float(c) / (beta * opt) for i, c in enumerate(state.costs)})] if opt > 0.0 else []
+    return PositiveBody(covering, packing, opt=opt)
 
 
 # ------------------------------------------------------------------ matching
@@ -191,19 +174,13 @@ class MatchingState:
         return len(maximum_matching(sorted(self.live))) // 2
 
 
-def matching_body(state: MatchingState, beta: float) -> BodySnapshot:
+def matching_body(state: MatchingState, beta: float) -> PositiveBody:
     if not 0.0 < beta <= 1.0:
         raise AdapterError("beta must lie in (0, 1] for matching")
     opt = state.optimum()
     live = sorted(state.live)
-    covering = []
-    if opt > 0:
-        scale = 1.0 / (beta * opt)
-        covering.append(
-            HalfspaceConstraint.covering(
-                {state.coords[e]: scale for e in live}
-            )
-        )
+    covering = [HalfspaceConstraint.covering(
+        dict.fromkeys((state.coords[e] for e in live), 1.0 / (beta * opt)))] if opt > 0 else []
     # one pass over the live edges gives every vertex its incident coordinates
     incident: dict = {}
     for e in live:
@@ -211,8 +188,7 @@ def matching_body(state: MatchingState, beta: float) -> BodySnapshot:
             incident.setdefault(v, {})[state.coords[e]] = 1.0
     packing = [HalfspaceConstraint.packing(incident[v]) for v in sorted(incident)]
     frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
-    return BodySnapshot(tuple(covering), tuple(packing), frozen, state.dimension,
-                        {"opt": float(opt), "beta": beta})
+    return PositiveBody(covering, packing, frozen=frozen, opt=float(opt))
 
 
 # ------------------------------------------------------------- load balancing
@@ -228,6 +204,7 @@ class LoadBalanceState:
         self.jobs: dict = {}
         self.live: set = set()
         self.coords: dict = {}
+        self.opt_exact = True
 
     @property
     def dimension(self) -> int:
@@ -285,13 +262,15 @@ class LoadBalanceState:
         """Minimum integral makespan over live jobs.
 
         Exact up to EXHAUSTIVE_JOB_LIMIT live jobs; beyond that a greedy
-        upper bound is declared instead (flagged in the second slot).
+        upper bound is declared instead (flagged in the second slot, and
+        kept as `opt_exact`).
         """
         jobs = sorted(self.live)
+        self.opt_exact = len(jobs) <= EXHAUSTIVE_JOB_LIMIT
         if not jobs:
             return 0.0, True
         upper = self._greedy_makespan(jobs)
-        if len(jobs) > EXHAUSTIVE_JOB_LIMIT:
+        if not self.opt_exact:
             return upper, False
         lower = max(min(self.jobs[j].values()) for j in jobs)
         # the optimal makespan is some machine's total, hence a subset sum
@@ -316,11 +295,11 @@ class LoadBalanceState:
         return best, True
 
 
-def loadbalance_body(state: LoadBalanceState, beta: float) -> BodySnapshot:
+def loadbalance_body(state: LoadBalanceState, beta: float) -> PositiveBody:
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for load balancing")
-    opt, exact = state.optimum()
-    covering, packing, frozen = [], [], []
+    opt, _ = state.optimum()
+    covering, frozen = [], []
     eligible = {}
     for j in sorted(state.live):
         coeffs = {}
@@ -331,19 +310,12 @@ def loadbalance_body(state: LoadBalanceState, beta: float) -> BodySnapshot:
             else:
                 frozen.append(state.coords[(m, j)])
         covering.append(HalfspaceConstraint.covering(coeffs))
-    for m in state.machines:
-        if m in eligible:
-            packing.append(
-                HalfspaceConstraint.packing(
-                    {c: p / (beta * opt) for c, p in eligible[m].items()}
-                )
-            )
+    packing = [HalfspaceConstraint.packing({c: p / (beta * opt) for c, p in eligible[m].items()})
+               for m in state.machines if m in eligible]
     for (m, j), c in state.coords.items():
         if j not in state.live:
             frozen.append(c)
-    return BodySnapshot(tuple(covering), tuple(packing), tuple(sorted(set(frozen))),
-                        state.dimension,
-                        {"opt": opt, "beta": beta, "opt_exact": exact})
+    return PositiveBody(covering, packing, frozen=sorted(set(frozen)), opt=opt)
 
 
 # ------------------------------------------------------------------------ mst
@@ -398,35 +370,33 @@ class MstState:
         return total
 
     def separation(self, values, cover_floor, pack_ceiling, beta):
-        """One violated row of the cut body, or None.
+        """One violated row of the cut body, or None (see `mst_body`)."""
+        return mst_body(self, beta).find_violated(values, cover_floor, pack_ceiling)
 
-        Covering side: the minimum cut of the graph weighted by the
-        current point, if below cover_floor. Packing side: total cost
-        against beta times the current tree optimum.
-        """
-        if beta < 1.0:
-            raise AdapterError("beta must be at least 1 for tree covering")
-        if len(self.vertices) < 2:
-            return None
-        if not is_connected(self.vertices, self.live):
-            raise AdapterError("graph must stay connected")
-        weighted = [
-            (u, v, float(values[self.coords[(u, v)]])) for u, v in sorted(self.live)
-        ]
-        cut_value, side = global_min_cut(self.vertices, weighted)
+
+def mst_body(state: MstState, beta: float) -> PositiveBody:
+    """The cut body of the live graph, which lists no row: its separator
+    returns the minimum cut of the graph weighted by the point, if below
+    cover_floor, else the total cost against beta times the tree optimum,
+    if above pack_ceiling. The graph's connectivity, its optimum and that
+    packing row hold for the whole update, so they are built once here.
+    """
+    if beta < 1.0:
+        raise AdapterError("beta must be at least 1 for tree covering")
+    if not is_connected(state.vertices, state.live):
+        raise AdapterError("graph must stay connected")
+    opt, live, frozen = state.optimum(), sorted(state.live), state.frozen_coords()
+    if not live:  # one vertex: no cut and no cost to bound
+        return PositiveBody(frozen=frozen, opt=opt)
+    cost = HalfspaceConstraint.packing(
+        {state.coords[e]: state.costs[e] / (beta * opt) for e in live})
+
+    def separate(values, cover_floor, pack_ceiling):
+        weighted = [(u, v, float(values[state.coords[(u, v)]])) for u, v in live]
+        cut_value, side = global_min_cut(state.vertices, weighted)
         if cut_value < cover_floor:
-            crossing = {
-                self.coords[e]: 1.0
-                for e in self.live
-                if (e[0] in side) != (e[1] in side)
-            }
-            return HalfspaceConstraint.covering(crossing)
-        opt = self.optimum()
-        if opt <= 0:
-            return None
-        row = HalfspaceConstraint.packing(
-            {self.coords[e]: self.costs[e] / (beta * opt) for e in sorted(self.live)}
-        )
-        if row.value_at(values) > pack_ceiling:
-            return row
-        return None
+            return HalfspaceConstraint.covering(
+                {state.coords[e]: 1.0 for e in live if (e[0] in side) != (e[1] in side)})
+        return cost if cost.value_at(values) > pack_ceiling else None
+
+    return PositiveBody(frozen=frozen, opt=opt, separate=separate)

@@ -137,8 +137,8 @@ class FractionalPoint:
                     "weights length %d does not match dimension %d"
                     % (weights.shape[0], values.shape[0])
                 )
-            if weights.size and float(weights.min()) <= 0.0:
-                raise ValueError("movement weights must be strictly positive")
+            if weights.size and not (float(weights.min()) > 0.0 and np.isfinite(weights).all()):
+                raise ValueError("movement weights must be finite and strictly positive")
         self.values = values
         self.weights = weights
 
@@ -466,18 +466,25 @@ def project_and_record(
 
 
 class PositiveBody:
-    """Explicit finite body: lists of covering and packing rows.
+    """One update's body: listed covering and packing rows, the coordinates
+    `frozen` at zero, the exact optimum `opt` its rows are scaled by, and,
+    for rows too many to list, a `separate(values, cover_floor,
+    pack_ceiling)` callable returning one violated row or None.
 
     `find_violated` checks once that the point covers `max_index`, then
-    scans covering rows in insertion order, then packing rows, and returns
-    the first row outside the given tolerance band.
-    The deterministic order makes chase runs replayable.
+    scans covering rows in insertion order, then asks `separate`, then
+    scans packing rows, and returns the first row outside the given
+    tolerance band. The deterministic order makes chase runs replayable.
+    `rows()` is the listed rows, then every row `separate` returned;
+    `body()` is the body itself.
     """
 
-    def __init__(self, covering=(), packing=()):
+    def __init__(self, covering=(), packing=(), *, frozen=(), opt=0.0, separate=None):
         self.covering: list[HalfspaceConstraint] = []
         self.packing: list[HalfspaceConstraint] = []
         self.max_index = -1
+        self.frozen, self.opt = tuple(frozen), opt
+        self.separate, self.separated = separate, []
         for row in (*covering, *packing):
             self.add(row)
 
@@ -486,12 +493,23 @@ class PositiveBody:
         if row.max_index > self.max_index:
             self.max_index = row.max_index
 
+    def body(self) -> "PositiveBody":
+        return self
+
+    def rows(self) -> list:
+        return [*self.covering, *self.packing, *self.separated]
+
     def find_violated(self, values: np.ndarray, cover_floor: float, pack_ceiling: float):
         if self.max_index >= values.shape[0]:
             raise DimensionMismatch("body touches coordinate %d but the point has dimension %d"
                                     % (self.max_index, values.shape[0]))
         for row in self.covering:
             if values[row.indices] @ row.coeffs < cover_floor:
+                return row
+        if self.separate is not None:
+            row = self.separate(values, cover_floor, pack_ceiling)
+            if row is not None:
+                self.separated.append(row)
                 return row
         for row in self.packing:
             if values[row.indices] @ row.coeffs > pack_ceiling:

@@ -126,8 +126,8 @@ def parse_weights(lines, dimension, source="<weights>"):
         for idx, val in _parse_pairs(line.split(), source, lineno).items():
             if idx in pairs:
                 _fail(source, lineno, "weight for %d given twice" % idx)
-            if val <= 0:
-                _fail(source, lineno, "weights must be positive")
+            if not 0.0 < val < math.inf:  # nan fails too
+                _fail(source, lineno, "weights must be finite and positive")
             pairs[idx] = val
     dim = max(dimension, max(pairs, default=-1) + 1)
     w = np.ones(dim)
@@ -186,8 +186,12 @@ def _check_header_shape(problem, record, source, lineno) -> list:
         return record["vertices"]
     elif problem == "loadbalance":
         machines = record["machines"]
-        if not isinstance(machines, list) or not machines:
-            _fail(source, lineno, "machines must be a nonempty list")
+        # a job's loads are a JSON object, so they name machines by string keys
+        if (not isinstance(machines, list) or not machines
+                or not all(isinstance(m, str) for m in machines)):
+            _fail(source, lineno, "machines must be a nonempty list of string ids")
+        if len(set(machines)) != len(machines):
+            _fail(source, lineno, "machine ids must be distinct")
     return []
 
 

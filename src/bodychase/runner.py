@@ -32,6 +32,7 @@ from .adapters import (
     SetCoverState,
     loadbalance_body,
     matching_body,
+    mst_body,
     setcover_body,
 )
 from .certify import MultiplierLog, certify_run
@@ -80,6 +81,13 @@ class RunConfig:
         for name, value in (("alpha", self.alpha), ("gamma", self.gamma)):
             if not 0.0 < value < math.inf:
                 raise FormatError("%s must be finite and positive, got %r" % (name, value))
+        # a "chase" config (replicate's) is checked again once the file names its problem
+        beta = self.beta
+        if beta is not None and not (0.0 < beta < math.inf and (
+                beta <= 1.0 if self.problem == "matching" else
+                beta >= 1.0 or self.problem == "chase")):
+            raise FormatError("beta must be finite, in (0, 1] for matching and at least 1 "
+                              "for the other problems, got %r" % beta)
 
     def effective_eps(self) -> float:
         return self.delta / 20.0 if self.eps is None else self.eps
@@ -167,9 +175,9 @@ class _Run:
             apply_freeze(self.x, positive, self.log)
         return newly
 
-    def chase(self, oracle, row: dict) -> list:
-        """Chase the body to tolerance, write the chase's fields into the
-        update `row` and return the rows projected onto."""
+    def chase(self, oracle, row: dict) -> None:
+        """Chase the body to tolerance and write the chase's fields into
+        the update `row`."""
         ledger = self.log.ledger
         up, l1 = ledger.upward_total, ledger.l1_total
         _, steps = chase_body(self.x, oracle, self.config.delta, log=self.log)
@@ -177,7 +185,6 @@ class _Run:
         row["upward_step"] = ledger.upward_total - up
         row["l1_step"] = ledger.l1_total - l1
         row["rootfind_iterations"] = self.count(s.result for s in steps)
-        return [s.constraint for s in steps]
 
     def push_offline_group(self, newly, rows) -> None:
         """One update's offline group: a clamp of the coordinates that froze
@@ -318,25 +325,19 @@ def _replay(config: RunConfig, updates, seeds):
                 records.append(row)
                 continue
             mst_started = True
-            newly = run.clamp(state.frozen_coords())
-
-            def oracle(values, cover_floor, pack_ceiling):
-                return state.separation(values, cover_floor, pack_ceiling, beta)
-
-            run.push_offline_group(newly, run.chase(oracle, row))
-            row["opt"] = state.optimum()
+            body = mst_body(state, beta)
+        elif problem == "setcover":
+            body = setcover_body(state, beta)
+            row["lp_pivots"] = state.lp_pivots
+        elif problem == "matching":
+            body = matching_body(state, beta)
         else:
-            if problem == "setcover":
-                snap = setcover_body(state, beta)
-                row["lp_pivots"] = state.lp_pivots
-            elif problem == "matching":
-                snap = matching_body(state, beta)
-            else:
-                snap = loadbalance_body(state, beta)
-            newly = run.clamp(snap.frozen)
-            run.chase(snap.body().find_violated, row)
-            row["opt"] = snap.normalization["opt"]
-            run.push_offline_group(newly, list(snap.covering) + list(snap.packing))
+            body = loadbalance_body(state, beta)
+            row["opt_exact"] = state.opt_exact
+        newly = run.clamp(body.frozen)
+        run.chase(body.find_violated, row)
+        row["opt"] = body.opt
+        run.push_offline_group(newly, body.rows())
 
         for rounding in roundings:
             if rounding is not None:

@@ -7,7 +7,6 @@ import pytest
 
 from bodychase.adapters import (
     AdapterError,
-    BodySnapshot,
     LoadBalanceState,
     MatchingState,
     MstState,
@@ -39,7 +38,7 @@ def test_setcover_two_singleton_sets():
     state = SetCoverState([1.0, 3.0], [{"u"}, {"u"}])
     state.insert("u")
     snap = setcover_body(state, beta=1.0)
-    assert snap.normalization["opt"] == pytest.approx(1.0)
+    assert snap.opt == pytest.approx(1.0)
     assert len(snap.covering) == 1
     assert snap.covering[0].as_dict() == {0: 1.0, 1: 1.0}
     assert len(snap.packing) == 1
@@ -49,8 +48,8 @@ def test_setcover_two_singleton_sets():
 def test_setcover_empty_universe():
     state = SetCoverState([1.0], [{"u"}])
     snap = setcover_body(state, beta=2.0)
-    assert snap.covering == () and snap.packing == ()
-    assert snap.normalization["opt"] == 0.0
+    assert snap.covering == [] and snap.packing == []
+    assert snap.opt == 0.0
 
 
 def test_setcover_rejections():
@@ -206,7 +205,7 @@ def test_matching_single_edge():
     state = MatchingState()
     state.insert("a", "b")
     snap = matching_body(state, beta=1.0)
-    assert snap.normalization["opt"] == 1.0
+    assert snap.opt == 1.0
     assert len(snap.covering) == 1
     assert snap.covering[0].as_dict() == {0: 1.0}
     assert len(snap.packing) == 2
@@ -227,7 +226,7 @@ def test_matching_path_two_edges():
 
 def test_matching_empty_graph():
     snap = matching_body(MatchingState(), beta=1.0)
-    assert snap.covering == () and snap.packing == () and snap.frozen == ()
+    assert snap.covering == [] and snap.packing == [] and snap.frozen == ()
 
 
 def test_matching_rejects_odd_cycle_and_bad_beta():
@@ -275,7 +274,7 @@ def test_loadbalance_one_job_two_machines():
     state = LoadBalanceState([1, 2])
     state.insert("j", {1: 2.0, 2: 3.0})
     snap = loadbalance_body(state, beta=1.0)
-    assert snap.normalization["opt"] == pytest.approx(2.0)
+    assert snap.opt == pytest.approx(2.0)
     assert snap.covering[0].as_dict() == {state.coords[(1, "j")]: 1.0}
     assert snap.frozen == (state.coords[(2, "j")],)
     assert len(snap.packing) == 1
@@ -287,7 +286,7 @@ def test_loadbalance_two_unit_jobs():
     state.insert("a", {"m1": 1.0, "m2": 1.0})
     state.insert("b", {"m1": 1.0, "m2": 1.0})
     snap = loadbalance_body(state, beta=1.0)
-    assert snap.normalization["opt"] == pytest.approx(1.0)
+    assert snap.opt == pytest.approx(1.0)
     assert len(snap.packing) == 2
     for row in snap.packing:
         assert sorted(row.coeffs) == [1.0, 1.0]
@@ -296,7 +295,7 @@ def test_loadbalance_two_unit_jobs():
 def test_loadbalance_empty_and_rejections():
     state = LoadBalanceState(["m"])
     snap = loadbalance_body(state, beta=2.0)
-    assert snap.covering == () and snap.packing == ()
+    assert snap.covering == [] and snap.packing == []
     with pytest.raises(AdapterError):
         state.insert("j", {})
     with pytest.raises(AdapterError):

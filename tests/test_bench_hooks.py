@@ -87,6 +87,21 @@ def test_tracer_counts_every_projection(tmp_path):
     assert counts.get("core.rootfind_iters", 0) == sum(r["rootfind_iterations"] for r in rows)
 
 
+@pytest.mark.parametrize("text, argv", [
+    (MATCHING, ["matching", "--round", "on"]),
+    (SETCOVER, ["setcover", "--round", "det"]),
+    (MST, ["mst", "--round", "on"]),
+], ids=["matching", "setcover", "mst"])
+def test_every_problem_asks_one_traced_oracle(tmp_path, text, argv):
+    # every body is a PositiveBody, so each oracle call of a chase is one
+    # core.oracle span: one per projection and the last that finds nothing
+    traced, records = traced_replay(tmp_path, text, argv)
+    chased = [r for r in records if r["kind"] == "update" and "skipped" not in r]
+    assert sum(r["projections"] for r in chased) > 0
+    assert traced["counts"].get("core.oracle_calls", 0) == \
+        sum(r["projections"] + 1 for r in chased)
+
+
 def test_tracer_sees_the_certificate_layer(tmp_path):
     traced, records = traced_replay(tmp_path, MATCHING, ["matching", "--round", "on"])
     projections = sum(r["projections"] for r in records if r["kind"] == "update")

@@ -8,6 +8,7 @@ import pytest
 from bodychase.cli import main
 from bodychase.formats import parse_stream
 from bodychase.offline import build_compressed_lp, solve_recourse_lp
+from bodychase.runner import RunConfig, run_chase
 
 STREAM = "C 0:1 1:2\nC 2:1\nF 1\nP 0:1 2:0.5\n"
 
@@ -134,6 +135,14 @@ def test_bad_flag_exits_2(stream_file, capsys):
     (["mst", "--round", "on", "--alpha", "-1"], "alpha"),
     (["setcover", "--round", "rand", "--alpha", "-3"], "alpha"),
     (["matching", "--round", "on", "--alpha", "nan"], "alpha"),
+    (["setcover", "--beta", "0.5"], "beta"),
+    (["setcover", "--beta", "nan"], "beta"),
+    (["setcover", "--beta", "inf"], "beta"),
+    (["matching", "--beta", "2"], "beta"),
+    (["matching", "--beta", "0"], "beta"),
+    (["mst", "--beta", "0.5"], "beta"),
+    (["loadbalance", "--beta", "0.9"], "beta"),
+    (["replicate", "--beta", "nan", "--runs", "2"], "beta"),
 ])
 def test_out_of_range_parameter_exits_2_before_the_input_is_read(argv, name, capsys):
     # the input does not exist: reading it first would exit 1
@@ -142,6 +151,42 @@ def test_out_of_range_parameter_exits_2_before_the_input_is_read(argv, name, cap
     assert captured.out == ""
     assert captured.err.startswith("error: %s " % name)
     assert captured.err.count("\n") == 1
+
+
+def test_replicate_checks_beta_against_the_files_problem(cover_file, tmp_path, capsys):
+    # replicate learns its problem, and so beta's range, from the file
+    assert main(["replicate", cover_file, "--beta", "0.5", "--runs", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: beta ")
+    edges = tmp_path / "m.jsonl"
+    edges.write_text('{"problem": "matching", "n": 2}\n{"op": "insert", "u": 0, "v": 1}\n')
+    assert main(["replicate", str(edges), "--beta", "0.5", "--runs", "2"]) == 0
+
+
+def test_weights_file_runs_match_the_same_weights_as_an_array(stream_file, tmp_path):
+    weights = tmp_path / "w.txt"
+    weights.write_text("0:2.5\n2:0.5\n")
+    chased, solved = tmp_path / "c.jsonl", tmp_path / "o.jsonl"
+    assert main(["chase", stream_file, "--weights", str(weights), "--report", str(chased)]) == 0
+    assert main(["offline-opt", stream_file, "--weights", str(weights),
+                 "--report", str(solved)]) == 0
+    stream = parse_stream(STREAM.splitlines())
+    expected = run_chase(RunConfig(), stream, np.array([2.5, 1.0, 0.5]))
+    assert read_report(chased) == expected
+    opt = expected[-1]["offline_opt"]
+    assert read_report(solved)[0]["opt"] == opt
+    assert opt != run_chase(RunConfig(), stream)[-1]["offline_opt"]
+
+
+@pytest.mark.parametrize("command", ["chase", "offline-opt"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_weight_exits_2_naming_its_line(command, value, stream_file, tmp_path,
+                                                   capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1:2\n0:%s\n" % value)
+    assert main([command, stream_file, "--weights", str(weights)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s:2: weights must be finite and positive\n" % weights
 
 
 def test_small_positive_alpha_still_meets_the_clock_rate_check(cover_file, capsys):

@@ -144,6 +144,12 @@ def test_run_chase_final_point_matches_a_copying_replay():
     assert records[-1]["upward_recourse"] > 0.0
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0])
+def test_points_refuse_weights_that_are_not_finite_and_positive(weight):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        FractionalPoint([0.5, 0.5], [1.0, weight])
+
+
 def test_points_are_still_checked_where_they_are_made():
     with pytest.raises(ValueError):
         FractionalPoint([0.5, -1e-300])

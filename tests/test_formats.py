@@ -80,6 +80,27 @@ def test_weights_defaults_and_errors():
         parse_weights(["0:1", "0:2"], 1)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_weights_must_be_finite_and_positive(value):
+    with pytest.raises(FormatError) as err:
+        parse_weights(["1:2", "0:%s" % value], 2, source="w.txt")
+    assert str(err.value) == "w.txt:2: weights must be finite and positive"
+
+
+@pytest.mark.parametrize("machines, fragment", [
+    ([0, 1], "string ids"),
+    (["a", 1], "string ids"),
+    (["a", "a"], "distinct"),
+])
+def test_loadbalance_machines_are_distinct_string_ids(machines, fragment):
+    # a job's loads are a JSON object, whose keys are always strings
+    lines = ["# jobs", json.dumps({"problem": "loadbalance", "machines": machines})]
+    with pytest.raises(FormatError) as err:
+        parse_updates(lines, source="u.jsonl")
+    assert str(err.value).startswith("u.jsonl:2:")
+    assert fragment in str(err.value)
+
+
 def test_updates_header_and_events():
     lines = [
         json.dumps({"problem": "setcover", "sets": [{"cost": 1, "elements": [0]}]}),

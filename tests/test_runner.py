@@ -331,6 +331,20 @@ def test_mst_disconnection_after_start_is_an_error():
     assert "update 2" in str(err.value)
 
 
+@pytest.mark.parametrize("jobs, opt, exact", [(13, 700.0, False), (12, 604.0, True)])
+def test_loadbalance_reports_whether_its_optimum_is_exact(jobs, opt, exact):
+    # on two identical machines the greedy (largest first) puts 300 + 200 +
+    # 200 on one, a makespan of 700; the optimum pairs 300 + 300 against
+    # 200 * 3 and splits the unit jobs. Past 12 live jobs the greedy stands.
+    loads = [300.0, 300.0, 200.0, 200.0, 200.0] + [1.0] * (jobs - 5)
+    header = {"problem": "loadbalance", "machines": ["a", "b"]}
+    events = _events("loadbalance", [("insert", {"job": k, "loads": {"a": p, "b": p}})
+                                      for k, p in enumerate(loads)])
+    last = run_problem(RunConfig(problem="loadbalance", offline=False),
+                       ("loadbalance", header, events))[-2]
+    assert (last["opt"], last["opt_exact"]) == (opt, exact)
+
+
 def test_loadbalance_is_fractional_only():
     header = {"problem": "loadbalance", "machines": ["m0"]}
     events = _events("loadbalance", [("insert", {"job": "j", "loads": {"m0": 1.0}})])
