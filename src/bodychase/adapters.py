@@ -371,6 +371,8 @@ class MstState:
 
     def separation(self, values, cover_floor, pack_ceiling, beta):
         """One violated row of the cut body, or None (see `mst_body`)."""
+        if not is_connected(self.vertices, self.live):
+            raise AdapterError("graph must stay connected")
         return mst_body(self, beta).find_violated(values, cover_floor, pack_ceiling)
 
 
@@ -378,13 +380,12 @@ def mst_body(state: MstState, beta: float) -> PositiveBody:
     """The cut body of the live graph, which lists no row: its separator
     returns the minimum cut of the graph weighted by the point, if below
     cover_floor, else the total cost against beta times the tree optimum,
-    if above pack_ceiling. The graph's connectivity, its optimum and that
-    packing row hold for the whole update, so they are built once here.
+    if above pack_ceiling. The optimum and that packing row hold for the
+    whole update, so they are built once here. The caller has checked that
+    the graph is connected (the optimum of one that is not is an AdapterError).
     """
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for tree covering")
-    if not is_connected(state.vertices, state.live):
-        raise AdapterError("graph must stay connected")
     opt, live, frozen = state.optimum(), sorted(state.live), state.frozen_coords()
     if not live:  # one vertex: no cut and no cost to bound
         return PositiveBody(frozen=frozen, opt=opt)

@@ -112,14 +112,14 @@ class MultiplierLog:
             raise ValueError("weights may only grow, never change")
         self.weights = weights
 
-    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after) -> "MultiplierLog":
-        # the engine hands over arrays it built; only other sequences are wrapped
+    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after,
+                weights) -> "MultiplierLog":
+        # the engine hands over float arrays it built; only other sequences are wrapped
         if type(x_before) is not np.ndarray or type(x_after) is not np.ndarray:
             x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
         if not (x_before.shape == x_after.shape == indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
-        sign = 1 if kind is Kind.COVERING else -1
-        self.ledger.record_step(self.weights[indices], x_before, x_after, sign)
+        self.ledger.record_step(weights, x_before, x_after, 1 if kind is Kind.COVERING else -1)
         self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
         return self
 
@@ -127,7 +127,8 @@ class MultiplierLog:
         """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
         if multiplier < 0.0:
             raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
-        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after)
+        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after,
+                            row.support_weights(self.weights))
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
         """Record a clamp; x_before and x_after are x at `indices`, in that order."""
@@ -136,7 +137,7 @@ class MultiplierLog:
             raise ValueError("x_before and x_after must hold x at the clamped indices")
         return self._append(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
                             np.asarray(x_before, dtype=float)[first],
-                            np.asarray(x_after, dtype=float)[first])
+                            np.asarray(x_after, dtype=float)[first], self.weights[idx])
 
 
 @dataclass
@@ -275,7 +276,7 @@ def build_warmup_dual(log: MultiplierLog, eps: float) -> DualCertificate:
         raise ValueError("eps must be positive")
     e = log.entries()
     d = max(1, e.sparsity)
-    A = math.log1p(4.0 * d * max(1.0, e.aspect_ratio) / eps)
+    A = _log1p_ratio(4.0 * d * max(1.0, e.aspect_ratio), eps, 1)
     y_bar = e.y / A
     z_bar = e.z / A
     w = log.weights[e.coord]
@@ -312,9 +313,8 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
         raise ValueError("eps must be positive")
     e = log.entries()
     if e.freeze_count:
-        raise CertificateError(
-            "refined certificate requires a clamp-free log (%d freezes present)" % e.freeze_count
-        )
+        raise CertificateError("refined certificate requires a clamp-free log (%d freezes present)"
+                               % e.freeze_count)
     # the view ordered by time: each step's support is one slice of it
     by_step = np.argsort(e.time, kind="stable").tolist()
     cuts = np.concatenate(([0], np.cumsum(np.bincount(e.time, minlength=e.horizon)))).tolist()
@@ -346,9 +346,7 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
 
     excess1, where1 = check_ineq1(log, ytilde, eps)
     if excess1 > FEASIBILITY_TOL:
-        raise CertificateError(
-            "window sum bound violated by %.3e at coordinate %d" % (excess1, where1)
-        )
+        raise CertificateError("window sum bound violated by %.3e at coordinate %d" % (excess1, where1))
     deficit = check_ineq2(log, ytilde, eps)
     if deficit > FEASIBILITY_TOL:
         raise CertificateError("ytilde mass dropped below (1 - eps/10) by %.3e" % deficit)
@@ -381,10 +379,17 @@ def max_window_sums(log: MultiplierLog, ytilde: np.ndarray) -> np.ndarray:
     return best
 
 
+def _log1p_ratio(num: float, eps: float, power: int) -> float:
+    """log(1 + num / eps**power), in log form once eps**power or the ratio leaves float range."""
+    den = eps * eps if power == 2 else eps
+    ratio = num / den if den > 0.0 else math.inf
+    return math.log1p(ratio) if ratio < math.inf else math.log(num) - power * math.log(eps)
+
+
 def check_ineq1(log: MultiplierLog, ytilde: np.ndarray, eps: float):
     """(worst excess over the window bound, offending coordinate)."""
     d = max(1, log.entries().sparsity)
-    bound = log.weights * math.log1p(40.0 * d * d / (eps * eps))
+    bound = log.weights * _log1p_ratio(40.0 * d * d, eps, 2)
     if log.horizon == 0:
         return 0.0, -1
     gaps = max_window_sums(log, ytilde) - bound
@@ -411,7 +416,7 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     if e.freeze_count:
         raise CertificateError("refined certificate requires a clamp-free log")
     d = max(1, e.sparsity)
-    A = math.log1p(40.0 * d * d / (eps * eps))
+    A = _log1p_ratio(40.0 * d * d, eps, 2)
     y_bar = np.asarray(ytilde, dtype=float) / A
     z_bar = e.z / A
     M = np.maximum(e.suffix_sums(ytilde), 0.0)
@@ -427,11 +432,6 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     return DualCertificate("refined", A, y_bar, z_bar, r_bar, np.asarray(ytilde, float), objective, violation)
 
 
-def _ratio(upward: float, bound: float):
-    """upward / bound, or None when no positive bound can divide it."""
-    return upward / bound if bound > 0.0 else None
-
-
 def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) -> dict:
     """Lower bound, realized recourse, their ratio, and the ratio cap."""
     bound = cert.certified_bound
@@ -441,7 +441,7 @@ def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) 
         "scheme": cert.scheme,
         "lower_bound": bound,
         "upward_recourse": upward,
-        "ratio": _ratio(upward, bound),
+        "ratio": upward / bound if bound > 0.0 else None,
         "theoretical_cap": cap,
         "A": cert.scaling,
     }
@@ -455,21 +455,11 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
     the theoretical cap then falls back to the warmup constant.
     """
     e, ledger = log.entries(), log.ledger
-    out = {
-        "upward_recourse": ledger.upward_total,
-        "l1_recourse": ledger.l1_total,
-        "warmup_bound": 0.0,
-        "refined_bound": None,
-        "ratio_warmup": None,
-        "ratio_refined": None,
-        "theoretical_cap": None,
-        "A_warmup": None,
-        "A_refined": None,
-        "warmup_max_violation": None,
-        "refined_max_violation": None,
-        "d": e.sparsity,
-        "Delta": e.aspect_ratio,
-    }
+    out = {"upward_recourse": ledger.upward_total, "l1_recourse": ledger.l1_total,
+           "warmup_bound": 0.0, "d": e.sparsity, "Delta": e.aspect_ratio,
+           **dict.fromkeys(("refined_bound", "ratio_warmup", "ratio_refined", "theoretical_cap",
+                            "A_warmup", "A_refined", "warmup_max_violation",
+                            "refined_max_violation"))}
     if log.horizon == 0:
         return out
     certs = [build_warmup_dual(log, eps)]

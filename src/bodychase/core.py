@@ -22,18 +22,19 @@ which the root finder inverts by safeguarded Newton steps on the log of
 the row's value, falling back to bisection of a doubling bracket.  A row
 with one rate r = c_i / w_i never reaches it: its step is one rescale.
 
-The projectors move nothing: they read the row's support once and return
-its values before and after (`ProjectionResult`).  The engine
-(`project_and_record`, and so `chase_body`) writes them into the point's
-`values` in place, so a step costs the support d, not the dimension n, and
-records the step in a `certify.MultiplierLog`, which keeps the run's
-`RecourseLedger`.  A caller that keeps a point across steps copies it.
+A row keeps what its step needs besides the point (`constants`).  The
+projectors move nothing: they return the support's values before and after
+(`ProjectionResult`).  The engine (`project_and_record`, and so `chase_body`)
+records a satisfied row as a zero step and writes a violated row's new values
+into the point in place, so a step costs the support d, not the dimension n;
+the step goes to a `certify.MultiplierLog`, which keeps the `RecourseLedger`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "project_packing",
     "scaled_output",
     "PositiveBody",
-    "ChaseStep",
     "chase_body",
     "VIOLATION_SLACK",
 ]
@@ -133,10 +133,8 @@ class FractionalPoint:
         else:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != values.shape:
-                raise DimensionMismatch(
-                    "weights length %d does not match dimension %d"
-                    % (weights.shape[0], values.shape[0])
-                )
+                raise DimensionMismatch("weights length %d does not match dimension %d"
+                                        % (weights.shape[0], values.shape[0]))
             if weights.size and not (float(weights.min()) > 0.0 and np.isfinite(weights).all()):
                 raise ValueError("movement weights must be finite and strictly positive")
         self.values = values
@@ -154,6 +152,9 @@ class FractionalPoint:
         return "FractionalPoint(%s)" % np.array2string(self.values, precision=6)
 
 
+RowConstants = namedtuple("RowConstants", "eps weights shift const rate top one_rate support_weights")
+
+
 class HalfspaceConstraint:
     """One normalized row: covering `<c,x> >= 1` or packing `<p,x> <= 1`.
 
@@ -161,7 +162,7 @@ class HalfspaceConstraint:
     zeros are omitted and all stored values are strictly positive.
     """
 
-    __slots__ = ("kind", "indices", "coeffs", "max_index")
+    __slots__ = ("kind", "indices", "coeffs", "max_index", "_constants")
 
     def __init__(self, kind: Kind, coeffs):
         if kind not in (Kind.COVERING, Kind.PACKING):
@@ -181,6 +182,7 @@ class HalfspaceConstraint:
         self.indices = indices
         self.coeffs = values
         self.max_index = int(indices[-1])
+        self._constants = None
 
     @classmethod
     def covering(cls, coeffs) -> "HalfspaceConstraint":
@@ -194,13 +196,40 @@ class HalfspaceConstraint:
     def sparsity(self) -> int:
         return int(self.indices.shape[0])
 
-    def value_at(self, values: np.ndarray) -> float:
+    def support(self, values: np.ndarray) -> np.ndarray:
+        """values[indices], once the point is known to reach the row."""
         if self.max_index >= values.shape[0]:
-            raise DimensionMismatch(
-                "constraint touches coordinate %d but the point has dimension %d"
-                % (self.max_index, values.shape[0])
-            )
-        return float(values[self.indices] @ self.coeffs)
+            raise DimensionMismatch("constraint touches coordinate %d but the point has dimension %d"
+                                    % (self.max_index, values.shape[0]))
+        return values[self.indices]
+
+    def value_at(self, values: np.ndarray) -> float:
+        return float(self.support(values).dot(self.coeffs))
+
+    def constants(self, eps: float, weights: np.ndarray) -> RowConstants:
+        """What the row's step needs besides the point, at `eps` against the whole
+        vector `weights`: the covering `shift` eps / (4 d c) (0.0 for packing),
+        `const` = sum c * shift, the `rate`s c / w, the largest rate `top`, whether
+        all rates equal it (`one_rate`) and the `support_weights`.  Kept until a
+        call names another eps or weights array (weights are immutable, so the
+        array is the key); eps is checked when they are computed."""
+        k = self._constants
+        if k is None or k.weights is not weights or k.eps != eps:
+            _check_eps(self.kind, eps)
+            cvec, shift, const = self.coeffs, 0.0, 0.0
+            if self.kind is Kind.COVERING:
+                shift = eps / (4.0 * self.sparsity * cvec)
+                const = float(cvec @ shift)
+            w = weights[self.indices]
+            rate = cvec / w
+            k = self._constants = RowConstants(eps, weights, shift, const, rate, float(rate.max()),
+                                               bool((rate == rate[0]).all()), w)
+        return k
+
+    def support_weights(self, weights: np.ndarray) -> np.ndarray:
+        """weights[indices], kept with the constants computed against `weights`."""
+        k = self._constants
+        return k.support_weights if k is not None and k.weights is weights else weights[self.indices]
 
     def as_dict(self) -> dict:
         return dict(zip(self.indices.tolist(), self.coeffs.tolist()))
@@ -270,15 +299,17 @@ class RecourseLedger:
         """Append one step from the coordinates it moved: their weights and
         their values before and after it.  sign = 1 (-1) promises that no
         coordinate moved down (up), as in a covering (packing or freeze)
-        step; one weighted sum then gives both totals."""
-        before, after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
-        if not (np.asarray(weights).shape == before.shape == after.shape):
-            raise DimensionMismatch("weights, before and after must cover the same coordinates")
-        diff = after - before
+        step; one signed weighted sum then gives both totals.  Signed steps
+        come from a `MultiplierLog`, which has checked the float arrays it
+        passes; unsigned ones are wrapped and checked here."""
         if sign:
-            moved = float(weights @ diff)
+            moved = float(weights.dot(after - before))
             up, l1 = (moved, moved) if sign > 0 else (0.0, 0.0 - moved)
         else:
+            before, after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+            if not (np.asarray(weights).shape == before.shape == after.shape):
+                raise DimensionMismatch("weights, before and after must cover the same coordinates")
+            diff = after - before
             up = float(weights @ np.clip(diff, 0.0, None))
             l1 = float(weights @ np.abs(diff))
         self.steps.append((up, l1))
@@ -293,6 +324,14 @@ def covering_violated(value: float) -> bool:
 
 def packing_violated(value: float, eps: float) -> bool:
     return value > (1.0 + eps) * (1.0 + VIOLATION_SLACK)
+
+
+def _check_eps(kind: Kind, eps: float) -> None:
+    """A projection's eps: in (0, 1] for a covering row, nonnegative for a packing one."""
+    if kind is Kind.COVERING and not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
 
 
 def _root(g, total, rhs, increasing):
@@ -330,9 +369,8 @@ def _root(g, total, rhs, increasing):
             break
     if abs(best_g) <= 1e3 * _ROOT_TOL * rhs:
         return best, abs(best_g), iterations
-    raise ConvergenceError(
-        "multiplier search stalled: residual %.3e after %d iterations" % (best_g, iterations)
-    )
+    raise ConvergenceError("multiplier search stalled: residual %.3e after %d iterations"
+                           % (best_g, iterations))
 
 
 def _project(x_prev, row, eps) -> ProjectionResult:
@@ -342,29 +380,24 @@ def _project(x_prev, row, eps) -> ProjectionResult:
     sign is +1 for covering, -1 for packing; t >= 0 makes the row's value
     equal `level` (1, or 1 + eps for packing).  The result is clamped so a
     covering step only moves coordinates up and a packing step only down.
-    The support is gathered once; the row's value is read off the gather.
+    The support is gathered once and the value read off it; the rest is the row's constants.
     """
-    cvec, idx, values = row.coeffs, row.indices, x_prev.values
-    if row.max_index >= values.shape[0]:
-        raise DimensionMismatch("constraint touches coordinate %d but the point has dimension %d"
-                                % (row.max_index, values.shape[0]))
-    xs = values[idx]
-    start = float(xs @ cvec)
+    cvec, xs = row.coeffs, row.support(x_prev.values)
+    k = row.constants(eps, x_prev.weights)
+    # a.dot(b) is the BLAS dot that a @ b calls, without the gufunc's per-call cost
+    start, shift, const, rate = float(xs.dot(cvec)), k.shift, k.const, k.rate
     if row.kind is Kind.COVERING:
-        sign, level, shift = 1.0, 1.0, eps / (4.0 * row.sparsity * cvec)
-        violated, base, const = covering_violated(start), xs + shift, float(cvec @ shift)
+        sign, level, base, violated = 1.0, 1.0, xs + shift, covering_violated(start)
     else:
-        sign, level, shift, const = -1.0, 1.0 + eps, 0.0, 0.0
-        violated, base = packing_violated(start, eps), xs
+        sign, level, base, violated = -1.0, 1.0 + eps, xs, packing_violated(start, eps)
     if not violated:
         raise NotViolatedError("row not violated: value %.17g, bound %.17g" % (start, level))
-    rate = cvec / x_prev.weights[idx]
-    if (rate == rate[0]).all():  # one rate r: exp(sign * r * t) is one factor K
+    if k.one_rate:  # one rate r: exp(sign * r * t) is one factor K
         K = (level + const) / (start + const)
-        t, new_sub, iters = sign * math.log(K) / float(rate[0]), base * K, 1
-        resid = abs(float(cvec @ new_sub) - const - level)
+        t, new_sub, iters = sign * math.log(K) / k.top, base * K, 1
+        resid = abs(float(cvec.dot(new_sub)) - const - level)
     else:
-        mass, top = cvec * base, float(rate.max())
+        mass, top = cvec * base, k.top
 
         def residual(t: float):
             st = sign * t
@@ -372,7 +405,7 @@ def _project(x_prev, row, eps) -> ProjectionResult:
             uncapped = st * top < _EXP_CAP
             exponent = rate * st if uncapped else np.minimum(rate * st, _EXP_CAP)
             terms = mass * np.exp(exponent) if st else mass  # exp(0) is exactly 1
-            slope = sign * float(terms @ rate) if uncapped else math.inf
+            slope = sign * float(terms.dot(rate)) if uncapped else math.inf
             return float(terms.sum()) - const - level, slope
 
         t, resid, iters = _root(residual, level + const, level, sign > 0)
@@ -381,12 +414,8 @@ def _project(x_prev, row, eps) -> ProjectionResult:
     return ProjectionResult(xs, after, float(t), iters, resid)
 
 
-def project_covering(
-    x_prev: FractionalPoint,
-    c: HalfspaceConstraint,
-    eps: float,
-) -> ProjectionResult:
-    """Project onto a violated covering halfspace `<c, x> >= 1`.
+def project_covering(x_prev: FractionalPoint, c: HalfspaceConstraint, eps: float) -> ProjectionResult:
+    """Project onto a violated covering halfspace `<c, x> >= 1`, eps in (0, 1].
 
     Only coordinates on the row's support move, and they only move up.
     Returns their values before and after, together with the nonnegative
@@ -395,16 +424,10 @@ def project_covering(
     """
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
     return _project(x_prev, c, eps)
 
 
-def project_packing(
-    x_prev: FractionalPoint,
-    p: HalfspaceConstraint,
-    eps: float,
-) -> ProjectionResult:
+def project_packing(x_prev: FractionalPoint, p: HalfspaceConstraint, eps: float) -> ProjectionResult:
     """Project onto `<p, x> <= 1 + eps` from a point that violates it.
 
     Support coordinates shrink multiplicatively; zero coordinates stay
@@ -413,8 +436,6 @@ def project_packing(
     """
     if p.kind is not Kind.PACKING:
         raise ConstraintError("project_packing needs a packing row")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
     return _project(x_prev, p, eps)
 
 
@@ -435,33 +456,32 @@ def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
     return out
 
 
-def project_and_record(
-    x: FractionalPoint,
-    row: HalfspaceConstraint,
-    eps: float,
-    log=None,
-) -> tuple[FractionalPoint, ProjectionResult | None]:
+def project_and_record(x: FractionalPoint, row: HalfspaceConstraint, eps: float, log=None,
+                       value=None) -> tuple[FractionalPoint, ProjectionResult | None]:
     """One step of the engine: project onto `row` if it is violated, and record.
 
-    The engine owns `x`: it writes the new support values into `x.values`
-    in place and returns `x`, so nothing of the point's size is copied or
-    scanned; a caller that keeps the point from before the step copies it.
-    A satisfied row leaves the point alone (result None) and is still
-    recorded, as a zero-multiplier step: its body row binds the offline
-    benchmark, so the certificate log must carry it.  The log, and so its
-    recourse ledger, gets the step on the row's support, the only
-    coordinates it can move, as the projection's `before` and `after`.
+    `value` is the row's value at `x` if the caller has it (a body's oracle
+    does).  A violated row goes to `project_covering` or `project_packing`,
+    and its new support values are written into `x.values` in place; `x` is
+    returned, and nothing of its size is copied or scanned.  A satisfied row
+    leaves the point alone (result None) and is still recorded, as a
+    zero-multiplier step: its body row binds the offline benchmark, so the
+    certificate log must carry it.  The log, and so its ledger, gets the
+    step on the row's support, the only coordinates it can move.
     """
-    project = project_covering if row.kind is Kind.COVERING else project_packing
-    try:
-        res = project(x, row, eps)
-    except NotViolatedError:
-        res = None
-    before = x.values[row.indices] if res is None else res.before
-    after = before if res is None else res.after
-    x.values[row.indices] = after
+    if value is None:
+        value = row.value_at(x.values)
+    covering = row.kind is Kind.COVERING
+    if covering_violated(value) if covering else packing_violated(value, eps):
+        res = (project_covering if covering else project_packing)(x, row, eps)
+        before, after, multiplier = res.before, res.after, res.multiplier
+        x.values[row.indices] = after
+    else:
+        _check_eps(row.kind, eps)
+        res, multiplier = None, 0.0
+        before = after = x.values[row.indices]
     if log is not None:
-        log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
+        log.append_projection(row, multiplier, before, after)
     return x, res
 
 
@@ -474,7 +494,8 @@ class PositiveBody:
     `find_violated` checks once that the point covers `max_index`, then
     scans covering rows in insertion order, then asks `separate`, then
     scans packing rows, and returns the first row outside the given
-    tolerance band. The deterministic order makes chase runs replayable.
+    tolerance band, keeping its value at `values` as `value` (None for a
+    separated row). The deterministic order makes chase runs replayable.
     `rows()` is the listed rows, then every row `separate` returned;
     `body()` is the body itself.
     """
@@ -485,6 +506,7 @@ class PositiveBody:
         self.max_index = -1
         self.frozen, self.opt = tuple(frozen), opt
         self.separate, self.separated = separate, []
+        self.value = None
         for row in (*covering, *packing):
             self.add(row)
 
@@ -504,43 +526,36 @@ class PositiveBody:
             raise DimensionMismatch("body touches coordinate %d but the point has dimension %d"
                                     % (self.max_index, values.shape[0]))
         for row in self.covering:
-            if values[row.indices] @ row.coeffs < cover_floor:
+            value = values[row.indices].dot(row.coeffs)
+            if value < cover_floor:
+                self.value = value
                 return row
         if self.separate is not None:
-            row = self.separate(values, cover_floor, pack_ceiling)
+            row, self.value = self.separate(values, cover_floor, pack_ceiling), None
             if row is not None:
                 self.separated.append(row)
                 return row
         for row in self.packing:
-            if values[row.indices] @ row.coeffs > pack_ceiling:
+            value = values[row.indices].dot(row.coeffs)
+            if value > pack_ceiling:
+                self.value = value
                 return row
         return None
 
 
-@dataclass
-class ChaseStep:
-    constraint: HalfspaceConstraint
-    result: ProjectionResult
-
-
-def chase_body(
-    x_prev: FractionalPoint,
-    oracle,
-    delta: float,
-    *,
-    log=None,
-    max_rounds: int = 10000,
-) -> tuple[FractionalPoint, list[ChaseStep]]:
+def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
+               max_rounds: int = 10000) -> tuple[FractionalPoint, list[ProjectionResult]]:
     """Repair rows of a body until none is violated beyond delta/10.
 
-    `oracle` is either a PositiveBody or a callable
-    `(values, cover_floor, pack_ceiling) -> row or None`.  Rows are fed to
-    the single-halfspace projectors with eps = delta/20, so on exit every
+    `oracle` is either a PositiveBody, whose `value` the step reads, or a
+    callable `(values, cover_floor, pack_ceiling) -> row or None`.  Rows are
+    fed to the single-halfspace projectors with eps = delta/20, so on exit every
     covering row has value >= 1 - delta/10 and every packing row has value
     <= (1 + eps) + delta/10.  Use `scaled_output` on the returned point
     when full covering feasibility is required downstream.
 
-    `x_prev` is moved in place and returned (see `project_and_record`).
+    `x_prev` is moved in place and returned (see `project_and_record`),
+    with the `ProjectionResult` of every step.
     Projections are appended to `log`, and so to its ledger, when given.
     Exceeding `max_rounds` raises InfeasibleBodyError carrying the last
     violated row: the body is empty or too tight for the tolerance.
@@ -548,23 +563,21 @@ def chase_body(
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     eps = delta / 20.0
-    find = oracle.find_violated if isinstance(oracle, PositiveBody) else oracle
+    body = oracle if isinstance(oracle, PositiveBody) else None
+    find = oracle if body is None else body.find_violated
     cover_floor = 1.0 - delta / 10.0
     pack_ceiling = 1.0 + eps + delta / 10.0
 
     x = x_prev
-    trace: list[ChaseStep] = []
+    trace: list[ProjectionResult] = []
     row = None
     for _ in range(max_rounds):
         row = find(x.values, cover_floor, pack_ceiling)
         if row is None:
             return x, trace
-        x, res = project_and_record(x, row, eps, log)
+        x, res = project_and_record(x, row, eps, log, None if body is None else body.value)
         if res is None:
             raise NotViolatedError("oracle returned a satisfied row %r" % row)
-        trace.append(ChaseStep(row, res))
-    raise InfeasibleBodyError(
-        "no feasible point found after %d repair rounds; last violated row %r"
-        % (max_rounds, row),
-        last_constraint=row,
-    )
+        trace.append(res)
+    raise InfeasibleBodyError("no feasible point found after %d repair rounds; last violated row %r"
+                              % (max_rounds, row), last_constraint=row)

@@ -243,7 +243,8 @@ def parse_updates(lines, source="<updates>"):
             _fail(source, lineno, "record must be an object")
         if header is None:
             problem = record.get("problem")
-            if problem not in _HEADER_KEYS:
+            # a list or an object is no problem's name, and cannot be looked up
+            if not isinstance(problem, str) or problem not in _HEADER_KEYS:
                 _fail(source, lineno, "header must name a known problem, got %r" % (problem,))
             for key in _HEADER_KEYS[problem]:
                 if key not in record:

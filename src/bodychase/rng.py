@@ -8,8 +8,10 @@ Streams are therefore stable under arrival order and replayable byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -22,6 +24,8 @@ _ULP = 2.0 ** -53
 
 
 def _token(part) -> int:
+    if type(part) is int:
+        return part & _MASK
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK
     digest = hashlib.blake2b(str(part).encode("utf-8"), digest_size=8).digest()
@@ -29,10 +33,11 @@ def _token(part) -> int:
 
 
 class KeyedStream:
-    """Uniforms on the 2**-53 grid of [0, 1), read in order, one XOF call per draw."""
+    """Uniforms on the 2**-53 grid of [0, 1), read in order, one XOF call per
+    draw, from a SHAKE-256 object that has absorbed the stream's key."""
 
-    def __init__(self, key: bytes):
-        self._xof, self._used = hashlib.shake_256(key), 0
+    def __init__(self, xof):
+        self._xof, self._used = xof, 0
 
     def uniform(self, size=None):
         start, self._used = self._used, self._used + (1 if size is None else size)
@@ -45,7 +50,16 @@ class KeyedStream:
         return -math.log1p(-self.uniform()) * scale
 
 
+@functools.lru_cache(maxsize=64)
+def _prefix(seed: int, label: int):
+    """SHAKE-256 after absorbing the tokens of (seed, label)."""
+    return hashlib.shake_256(struct.pack("<2Q", seed, label))
+
+
 def substream(seed: int, label: int, *key) -> KeyedStream:
-    """Stream for one (subsystem, entity) pair under a master seed."""
-    tokens = [int(seed) & _MASK, int(label) & _MASK] + [_token(k) for k in key]
-    return KeyedStream(b"".join(t.to_bytes(8, "little") for t in tokens))
+    """Stream for one (subsystem, entity) pair under a master seed: a copy
+    of the (seed, label) prefix's hash that absorbs the key's tokens, so
+    SHAKE-256 reads the same bytes as one hash of all the tokens."""
+    xof = _prefix(int(seed) & _MASK, int(label) & _MASK).copy()
+    xof.update(struct.pack("<%dQ" % len(key), *map(_token, key)))
+    return KeyedStream(xof)

@@ -102,10 +102,7 @@ class RunConfig:
 
 
 def _meta(config: RunConfig, extra=None) -> dict:
-    record = {"kind": "meta", "version": __version__, "config": config.echo()}
-    if extra:
-        record.update(extra)
-    return record
+    return {"kind": "meta", "version": __version__, "config": config.echo(), **(extra or {})}
 
 
 def apply_freeze(x: FractionalPoint, indices, log=None) -> FractionalPoint:
@@ -180,11 +177,9 @@ class _Run:
         the update `row`."""
         ledger = self.log.ledger
         up, l1 = ledger.upward_total, ledger.l1_total
-        _, steps = chase_body(self.x, oracle, self.config.delta, log=self.log)
-        row["projections"] = len(steps)
-        row["upward_step"] = ledger.upward_total - up
-        row["l1_step"] = ledger.l1_total - l1
-        row["rootfind_iterations"] = self.count(s.result for s in steps)
+        _, results = chase_body(self.x, oracle, self.config.delta, log=self.log)
+        row.update(projections=len(results), upward_step=ledger.upward_total - up,
+                   l1_step=ledger.l1_total - l1, rootfind_iterations=self.count(results))
 
     def push_offline_group(self, newly, rows) -> None:
         """One update's offline group: a clamp of the coordinates that froze
@@ -335,7 +330,7 @@ def _replay(config: RunConfig, updates, seeds):
             body = loadbalance_body(state, beta)
             row["opt_exact"] = state.opt_exact
         newly = run.clamp(body.frozen)
-        run.chase(body.find_violated, row)
+        run.chase(body, row)
         row["opt"] = body.opt
         run.push_offline_group(newly, body.rows())
 

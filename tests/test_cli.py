@@ -1,6 +1,7 @@
 """Command line surface: exit codes, reports, replay determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ def test_failed_lp_exits_1_without_traceback(stream_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: pivot budget exhausted after 3 iterations\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["chase", "certify"])
+@pytest.mark.parametrize("eps", ["1e-300", "1e-160"])
+def test_an_eps_whose_square_leaves_float_range_still_certifies(command, eps, tmp_path, capsys):
+    # clamp-free, so the refined certificate runs; eps * eps underflows to 0
+    # at 1e-300, and 40 d^2 / eps^2 overflows at 1e-160
+    path = tmp_path / "s.txt"
+    path.write_text("C 0:1 1:2\nC 2:1\nP 0:1 2:0.5\nC 0:3 2:1\n")
+    assert main([command, str(path), "--eps", eps]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (cert,) = [r for r in map(json.loads, captured.out.splitlines()) if r["kind"] == "certificate"]
+    d = cert["d"]
+    assert cert["A_refined"] == pytest.approx(math.log(40.0 * d * d) - 2.0 * math.log(float(eps)))
+    assert 0.0 < cert["refined_bound"] <= cert["upward_recourse"]
+    assert math.isfinite(cert["theoretical_cap"])
 
 
 def test_contradictory_stream_exits_1_with_one_error_line(tmp_path, capsys):

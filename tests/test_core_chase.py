@@ -9,7 +9,6 @@ from bodychase import (
     FractionalPoint,
     HalfspaceConstraint,
     InfeasibleBodyError,
-    Kind,
     MultiplierLog,
     NotViolatedError,
     PositiveBody,
@@ -25,7 +24,9 @@ def test_one_covering_round():
     )
     x, trace = chase_body(FractionalPoint.zeros(2), body, delta=0.2)
     assert len(trace) == 1
-    assert trace[0].constraint.kind is Kind.COVERING
+    # the one step is the covering row's: it moved both coordinates up
+    assert np.array_equal(trace[0].before, [0.0, 0.0]) and trace[0].multiplier > 0.0
+    assert np.array_equal(trace[0].after, x.values)
     assert x.values == pytest.approx([0.5, 0.5], abs=1e-9)
 
 

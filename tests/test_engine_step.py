@@ -13,6 +13,7 @@ from bodychase import (
     DimensionMismatch,
     FractionalPoint,
     HalfspaceConstraint,
+    Kind,
     MultiplierLog,
     PositiveBody,
     RecourseLedger,
@@ -20,8 +21,8 @@ from bodychase import (
 )
 from bodychase.adapters import UpdateEvent
 from bodychase.offline import Freeze
-from bodychase import runner
-from bodychase.runner import RunConfig, apply_freeze, run_chase, run_problem
+from bodychase import core, runner
+from bodychase.runner import RunConfig, _Run, apply_freeze, run_chase, run_problem
 
 from oracles import copying_project_and_record, random_mixed_stream
 
@@ -65,6 +66,89 @@ def test_fused_step_matches_the_copying_step_bit_for_bit(eps):
         assert bits([ledger.upward_total, ledger.l1_total]) == bits(
             [ref_ledger.upward_total, ref_ledger.l1_total])
     assert moved > 300
+
+
+def _violating_point(kind, n):
+    """Values below every covering row and above every packing row of the
+    tests' rows, which name coordinates below n."""
+    return np.full(n, 0.05) if kind is Kind.COVERING else np.full(n, 2.0)
+
+
+@pytest.mark.parametrize("kind", [Kind.COVERING, Kind.PACKING])
+@pytest.mark.parametrize("coeffs", [{1: 0.5, 3: 2.0, 4: 1.25}, {0: 1.0, 2: 1.0}])
+def test_a_row_keeps_its_constants_only_for_its_eps_and_weights(kind, coeffs):
+    # one row object projected at two eps values, against two weight
+    # vectors, in an order that returns to each: every step equals the step
+    # of a freshly built row and of the copying reference
+    w1, w2 = np.ones(5), np.array([1.0, 0.5, 2.0, 0.25, 4.0])
+    row = HalfspaceConstraint(kind, coeffs)
+    for eps, w in [(0.25, w1), (0.5, w1), (0.5, w2), (0.25, w2), (0.25, w1), (0.5, w2)]:
+        log = MultiplierLog(w)
+        x = FractionalPoint(_violating_point(kind, 5), w)
+        _, res = project_and_record(x, row, eps, log)
+        assert row._constants.weights is w  # kept for this step's weights
+        fresh = FractionalPoint(_violating_point(kind, 5), w)
+        _, new = project_and_record(fresh, HalfspaceConstraint(kind, coeffs), eps)
+        ref_ledger = RecourseLedger()
+        ref, ref_res = copying_project_and_record(
+            FractionalPoint(_violating_point(kind, 5), w), HalfspaceConstraint(kind, coeffs),
+            eps, ref_ledger)
+        assert np.array_equal(x.values, fresh.values) and np.array_equal(x.values, ref.values)
+        assert np.array_equal([res.multiplier, res.residual], [new.multiplier, new.residual])
+        assert np.array_equal([res.multiplier, res.residual],
+                              [ref_res.multiplier, ref_res.residual])
+        assert np.array_equal(log.ledger.steps, ref_ledger.steps)
+
+
+def test_a_row_projected_across_a_grown_run_reads_the_new_weights():
+    run = _Run(RunConfig(eps=0.5), np.array([1.0, 2.0, 0.5]), [])
+    rows = [HalfspaceConstraint.covering({0: 1.0, 2: 3.0}), HalfspaceConstraint.packing({0: 4.0})]
+    copies, ref_log = FractionalPoint.zeros(3, run.x.weights), MultiplierLog(run.x.weights)
+    ref_ledger = RecourseLedger()
+    for dim in (3, 5, 8):
+        run.grow(dim)
+        if dim > copies.dim:
+            grown = np.zeros(dim)
+            grown[: copies.dim] = copies.values
+            copies = FractionalPoint(grown, run.x.weights)
+            ref_log.extend_weights(run.x.weights)
+        rows.append(HalfspaceConstraint.covering({0: 1.0, dim - 1: 2.0}))
+        for row in rows:
+            x, res = project_and_record(run.x, row, run.eps, run.log)
+            copies, ref = copying_project_and_record(copies, HalfspaceConstraint(
+                row.kind, row.as_dict()), run.eps, ref_ledger, ref_log)
+            assert np.array_equal(x.values, copies.values)
+            assert (res is None) == (ref is None)
+            # a projected row keeps its constants against the grown weights
+            assert res is None or row._constants.weights is run.x.weights
+            assert_same_log_step(run.log.steps[-1], ref_log.steps[-1])
+        # push the point off every row again
+        run.x.values[:] = copies.values[:] = 0.0
+    assert np.array_equal(run.log.ledger.steps, ref_ledger.steps)
+
+
+def test_a_satisfied_row_is_a_zero_step_that_never_projects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a satisfied row reached the projector")
+
+    monkeypatch.setattr(core, "project_covering", refuse)
+    monkeypatch.setattr(core, "project_packing", refuse)
+    w = np.array([1.0, 2.0, 0.5])
+    x, log = FractionalPoint([0.5, 0.75, 0.25], w), MultiplierLog(w)
+    values = x.values.copy()
+    for row in (HalfspaceConstraint.covering({0: 1.0, 1: 1.0}),
+                HalfspaceConstraint.packing({1: 1.0, 2: 1.0})):
+        out, res = project_and_record(x, row, 0.5, log)
+        assert out is x and res is None
+        step = log.steps[-1]
+        assert step.kind is row.kind and step.multiplier == 0.0
+        assert np.array_equal(step.x_before, values[row.indices])
+        assert np.array_equal(step.x_after, values[row.indices])
+    assert np.array_equal(x.values, values)
+    assert log.ledger.steps == [(0.0, 0.0), (0.0, 0.0)]
+    # a satisfied row still checks its eps, as a projection does
+    with pytest.raises(ValueError, match="eps"):
+        project_and_record(x, HalfspaceConstraint.covering({0: 2.0}), 1.5, log)
 
 
 def test_the_step_moves_the_point_it_was_given_in_place():

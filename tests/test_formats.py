@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bodychase.cli import main
 from bodychase.core import ChaseError, HalfspaceConstraint, Kind
 from bodychase.formats import (
     FormatError,
@@ -136,6 +137,20 @@ def test_updates_errors(lines, fragment):
     with pytest.raises(FormatError) as err:
         parse_updates(lines, source="u.jsonl")
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("problem", ['["mst"]', '{"mst": 1}', "[]", "3", "null"])
+def test_a_header_problem_that_is_not_a_name_is_a_format_error(problem, tmp_path, capsys):
+    lines = ["# header", '{"problem": %s, "vertices": [0, 1]}' % problem]
+    with pytest.raises(FormatError) as err:
+        parse_updates(lines, source="u.jsonl")
+    assert str(err.value).startswith("u.jsonl:2: header must name a known problem")
+    path = tmp_path / "u.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["mst", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s:2: " % path) and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -math.inf,

@@ -1,5 +1,6 @@
 """Keyed draws: SHAKE-256 words of (seed, label, key), read in order."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from bodychase.rng import (
     MATCHING_THRESHOLDS,
     MST_THRESHOLDS,
     SETCOVER_CLOCKS,
+    KeyedStream,
+    _token,
     substream,
 )
 
@@ -67,6 +70,24 @@ def test_uniform_and_exponential_moments():
 
 def test_golden_draw_pins_the_key_packing():
     assert substream(1, MST_THRESHOLDS, 0, 1).uniform() == 0.21654577464260705
+
+
+def one_hash_stream(seed, label, *key) -> KeyedStream:
+    """The packing the prefix cache replaced: one hash of every token."""
+    tokens = [int(seed) & (2**63 - 1), int(label) & (2**63 - 1)] + [_token(k) for k in key]
+    return KeyedStream(hashlib.shake_256(b"".join(t.to_bytes(8, "little") for t in tokens)))
+
+
+def test_prefix_cache_reads_the_bytes_of_one_hash():
+    keys = [(), (0,), (7, 3), (np.int64(7), np.int32(3)), ("a", "b"), ("a", 2),
+            (-1,), (2**70,), (True,), (np.uint64(2**63 + 5),), ("moments",)]
+    for seed in (0, 1, np.int64(9), -3, 2**64 + 1):
+        for label in (SETCOVER_CLOCKS, MATCHING_THRESHOLDS, MST_THRESHOLDS):
+            for key in keys:
+                fast, ref = substream(seed, label, *key), one_hash_stream(seed, label, *key)
+                assert fast.uniform() == ref.uniform()
+                assert fast.uniform(size=5).tobytes() == ref.uniform(size=5).tobytes()
+                assert fast.exponential(2.0) == ref.exponential(2.0)
 
 
 UPDATE_FILES = {

@@ -331,6 +331,26 @@ def test_mst_disconnection_after_start_is_an_error():
     assert "update 2" in str(err.value)
 
 
+def test_a_tree_update_checks_connectivity_once(monkeypatch):
+    from bodychase import adapters, graphs
+
+    calls = []
+
+    def counted(vertices, edges):
+        calls.append(1)
+        return graphs.is_connected(vertices, edges)
+
+    monkeypatch.setattr(runner, "is_connected", counted)
+    monkeypatch.setattr(adapters, "is_connected", counted)
+    for seed in (1, 2):
+        updates = _bench_updates("mst", seed)
+        calls.clear()
+        records = run_problem(RunConfig(round_mode="on", certify=False, offline=False), updates)
+        chased = [r for r in rows_of(records, "update") if "skipped" not in r]
+        assert len(chased) > 10
+        assert len(calls) == len(updates[2])
+
+
 @pytest.mark.parametrize("jobs, opt, exact", [(13, 700.0, False), (12, 604.0, True)])
 def test_loadbalance_reports_whether_its_optimum_is_exact(jobs, opt, exact):
     # on two identical machines the greedy (largest first) puts 300 + 200 +
