@@ -144,11 +144,14 @@ def _edge_key(u, v):
 
 
 class MatchingState:
-    """Dynamic bipartite graph; one body coordinate per distinct edge."""
+    """Dynamic bipartite graph; one body coordinate per distinct edge. Keeps
+    a maximum matching (see `optimum`) and `matching_body`'s vertex rows."""
 
     def __init__(self):
         self.coords: dict = {}
         self.live: set = set()
+        self.matching: dict = {}
+        self.rows: dict = {}  # vertex -> (live incident coordinates, the row: all coefficients 1)
 
     @property
     def dimension(self) -> int:
@@ -169,9 +172,14 @@ class MatchingState:
         if key not in self.live:
             raise AdapterError("edge %r is not live" % (key,))
         self.live.remove(key)
+        if self.matching.get(key[0]) == key[1]:
+            del self.matching[key[0]], self.matching[key[1]]
 
     def optimum(self) -> int:
-        return len(maximum_matching(sorted(self.live))) // 2
+        """Maximum matching size. The kept matching, less the edges deleted
+        since the last call, is at most one augmenting path from maximum."""
+        self.matching = maximum_matching(sorted(self.live), start=self.matching)
+        return len(self.matching) // 2
 
 
 def matching_body(state: MatchingState, beta: float) -> PositiveBody:
@@ -186,7 +194,13 @@ def matching_body(state: MatchingState, beta: float) -> PositiveBody:
     for e in live:
         for v in e:
             incident.setdefault(v, {})[state.coords[e]] = 1.0
-    packing = [HalfspaceConstraint.packing(incident[v]) for v in sorted(incident)]
+    kept, state.rows = state.rows, {}
+    for v in sorted(incident):
+        key = tuple(incident[v])
+        if v not in kept or kept[v][0] != key:
+            kept[v] = key, HalfspaceConstraint.packing(incident[v])
+        state.rows[v] = kept[v]
+    packing = [row for _, row in state.rows.values()]
     frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
     return PositiveBody(covering, packing, frozen=frozen, opt=float(opt))
 

@@ -373,19 +373,19 @@ def _root(g, total, rhs, increasing):
                            % (best_g, iterations))
 
 
-def _project(x_prev, row, eps) -> ProjectionResult:
+def _project(x_prev, row, eps, value=None) -> ProjectionResult:
     """Support values (x + s) * exp(sign * rate * t) - s of a violated row.
 
     rate = coeffs / weights, s is the covering shift (0 for packing) and
     sign is +1 for covering, -1 for packing; t >= 0 makes the row's value
     equal `level` (1, or 1 + eps for packing).  The result is clamped so a
     covering step only moves coordinates up and a packing step only down.
-    The support is gathered once and the value read off it; the rest is the row's constants.
+    The support is gathered once and, unless given, the `value` read off it; the rest is constants.
     """
     cvec, xs = row.coeffs, row.support(x_prev.values)
     k = row.constants(eps, x_prev.weights)
     # a.dot(b) is the BLAS dot that a @ b calls, without the gufunc's per-call cost
-    start, shift, const, rate = float(xs.dot(cvec)), k.shift, k.const, k.rate
+    start, shift, const, rate = float(xs.dot(cvec) if value is None else value), k.shift, k.const, k.rate
     if row.kind is Kind.COVERING:
         sign, level, base, violated = 1.0, 1.0, xs + shift, covering_violated(start)
     else:
@@ -414,29 +414,32 @@ def _project(x_prev, row, eps) -> ProjectionResult:
     return ProjectionResult(xs, after, float(t), iters, resid)
 
 
-def project_covering(x_prev: FractionalPoint, c: HalfspaceConstraint, eps: float) -> ProjectionResult:
+def project_covering(x_prev: FractionalPoint, c: HalfspaceConstraint, eps: float,
+                     value=None) -> ProjectionResult:
     """Project onto a violated covering halfspace `<c, x> >= 1`, eps in (0, 1].
 
     Only coordinates on the row's support move, and they only move up.
     Returns their values before and after, together with the nonnegative
     multiplier y of the tight constraint, the root-finder iteration count,
     and the final absolute residual |<c, x> - 1|.  `x_prev` is left unchanged.
+    `value` is `c.value_at(x_prev.values)` if the caller has it.
     """
     if c.kind is not Kind.COVERING:
         raise ConstraintError("project_covering needs a covering row")
-    return _project(x_prev, c, eps)
+    return _project(x_prev, c, eps, value)
 
 
-def project_packing(x_prev: FractionalPoint, p: HalfspaceConstraint, eps: float) -> ProjectionResult:
+def project_packing(x_prev: FractionalPoint, p: HalfspaceConstraint, eps: float,
+                    value=None) -> ProjectionResult:
     """Project onto `<p, x> <= 1 + eps` from a point that violates it.
 
     Support coordinates shrink multiplicatively; zero coordinates stay
     zero.  eps = 0 is allowed here (the shift never enters the packing
-    objective, only the right hand side).
+    objective, only the right hand side).  `value` is as for `project_covering`.
     """
     if p.kind is not Kind.PACKING:
         raise ConstraintError("project_packing needs a packing row")
-    return _project(x_prev, p, eps)
+    return _project(x_prev, p, eps, value)
 
 
 def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
@@ -473,7 +476,7 @@ def project_and_record(x: FractionalPoint, row: HalfspaceConstraint, eps: float,
         value = row.value_at(x.values)
     covering = row.kind is Kind.COVERING
     if covering_violated(value) if covering else packing_violated(value, eps):
-        res = (project_covering if covering else project_packing)(x, row, eps)
+        res = (project_covering if covering else project_packing)(x, row, eps, value=value)
         before, after, multiplier = res.before, res.after, res.multiplier
         x.values[row.indices] = after
     else:

@@ -13,6 +13,7 @@ from collections import deque
 __all__ = [
     "GraphError",
     "two_color",
+    "two_color_adjacency",
     "is_connected",
     "kruskal_mst",
     "global_min_cut",
@@ -39,7 +40,11 @@ def build_adjacency(edges, vertices=()):
 
 def two_color(vertices, edges):
     """BFS bipartition, or None when an odd cycle exists."""
-    adj = build_adjacency(edges, vertices)
+    return two_color_adjacency(build_adjacency(edges, vertices))
+
+
+def two_color_adjacency(adj):
+    """`two_color` of the graph whose `build_adjacency` is `adj`."""
     color = {}
     for root in sorted(adj):
         if root in color:
@@ -163,14 +168,15 @@ def global_min_cut(vertices, edges):
     return best_value, frozenset(best_side)
 
 
-def shortest_augmenting_path(adj, matching, max_len=None):
+def shortest_augmenting_path(adj, matching, max_len=None, color=None):
     """Shortest augmenting path in a bipartite graph, or None.
 
     adj maps vertex -> sorted neighbors; matching maps both endpoints of
     each matched edge to each other. Paths longer than max_len edges are
-    not reported. Layered BFS from every free vertex on one side.
+    not reported. Layered BFS from every free vertex of colour 0 in
+    `color`, the graph's `two_color_adjacency(adj)` (computed if omitted).
     """
-    color = two_color(adj.keys(), ((u, v) for u in adj for v in adj[u] if u < v))
+    color = two_color_adjacency(adj) if color is None else color
     if color is None:
         raise GraphError("augmenting search requires a bipartite graph")
     left_free = sorted(v for v in adj if color[v] == 0 and v not in matching)
@@ -210,12 +216,12 @@ def apply_augmenting_path(matching, path):
         matching[path[i + 1]] = path[i]
 
 
-def maximum_matching(edges, vertices=()):
-    """Maximum bipartite matching as a symmetric partner map."""
+def maximum_matching(edges, vertices=(), start=None):
+    """Maximum bipartite matching as a symmetric partner map, augmented from a copy of `start`."""
     adj = build_adjacency(edges, vertices)
-    matching = {}
+    color, matching = two_color_adjacency(adj), dict(start or {})
     while True:
-        path = shortest_augmenting_path(adj, matching)
+        path = shortest_augmenting_path(adj, matching, color=color)
         if path is None:
             return matching
         apply_augmenting_path(matching, path)

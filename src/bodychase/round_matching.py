@@ -15,15 +15,16 @@ change, which pins |M| within 1-delta of maximum.
 from __future__ import annotations
 
 import math
+from bisect import insort
 
 import numpy as np
 
 from .adapters import AdapterError, MatchingState
 from .graphs import (
     apply_augmenting_path,
-    build_adjacency,
     maximum_matching,
     shortest_augmenting_path,
+    two_color_adjacency,
 )
 from .rng import MATCHING_THRESHOLDS, substream
 
@@ -120,6 +121,7 @@ class MaintainedMatching:
         self.max_path_edges = 2 * self.k - 1
         self.matching: dict = {}
         self.edges: set = set()
+        self.adj: dict = {}  # build_adjacency(self.edges), kept per unit
         self.recourse_total = 0
         self.step_recourse = 0
 
@@ -130,10 +132,10 @@ class MaintainedMatching:
         return sorted({tuple(sorted((u, v))) for u, v in self.matching.items()})
 
     def _augment_to_stability(self) -> int:
-        adj = build_adjacency(self.edges)
-        changed = 0
+        # H's own bipartition: its colour-0 side is where the searches start
+        color, changed = two_color_adjacency(self.adj), 0
         while True:
-            path = shortest_augmenting_path(adj, self.matching, self.max_path_edges)
+            path = shortest_augmenting_path(self.adj, self.matching, self.max_path_edges, color)
             if path is None:
                 return changed
             apply_augmenting_path(self.matching, path)
@@ -145,18 +147,22 @@ class MaintainedMatching:
         Returns the number of matching edge changes this unit caused.
         """
         edge = tuple(sorted(edge))
-        changed = 0
-        if op == "delete":
-            self.edges.discard(edge)
-            u, v = edge
-            if self.matching.get(u) == v:
-                del self.matching[u]
-                del self.matching[v]
-                changed += 1
-        elif op == "insert":
-            self.edges.add(edge)
-        else:
+        if op not in ("insert", "delete"):
             raise AdapterError("op must be insert or delete")
+        changed = 0
+        if op == "delete" and edge in self.edges:
+            self.edges.remove(edge)
+            for a, b in (edge, edge[::-1]):
+                self.adj[a].remove(b)
+                if not self.adj[a]:
+                    del self.adj[a]
+            if self.matching.get(edge[0]) == edge[1]:
+                del self.matching[edge[0]], self.matching[edge[1]]
+                changed += 1
+        elif op == "insert" and edge not in self.edges:
+            self.edges.add(edge)
+            for a, b in (edge, edge[::-1]):
+                insort(self.adj.setdefault(a, []), b)
         changed += self._augment_to_stability()
         self.step_recourse = changed
         self.recourse_total += changed

@@ -32,16 +32,24 @@ from bodychase.core import (
     HalfspaceConstraint,
     Kind,
     NotViolatedError,
+    PositiveBody,
     _root,
     covering_violated,
     packing_violated,
     project_and_record,
     stream_steps,
 )
-from bodychase.adapters import UpdateEvent
+from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import FormatError, _numeric, parse_updates
-from bodychase.graphs import is_connected
+from bodychase.graphs import (
+    apply_augmenting_path,
+    build_adjacency,
+    is_connected,
+    maximum_matching,
+    shortest_augmenting_path,
+)
 from bodychase.offline import OfflineError, RecourseLP, Triplets
+from bodychase.round_matching import MaintainedMatching
 from bodychase.runner import _meta, run_problem
 from bodychase.simplex import (
     FEAS_TOL,
@@ -1039,6 +1047,40 @@ def cold_cover_opt(state):
     res = two_phase_lp(state.costs, rows, -np.ones(len(rows)))
     assert res.status == "optimal"
     return float(res.objective), res.iterations
+
+
+def cold_matching_body(state, beta: float) -> PositiveBody:
+    """`adapters.matching_body` as it was before it kept anything between
+    updates: a cold `maximum_matching` of the live graph and a fresh packing
+    row for every vertex. Reads only the state's coordinates and live edges."""
+    if not 0.0 < beta <= 1.0:
+        raise AdapterError("beta must lie in (0, 1] for matching")
+    live = sorted(state.live)
+    opt = len(maximum_matching(live)) // 2
+    covering = [HalfspaceConstraint.covering(
+        dict.fromkeys((state.coords[e] for e in live), 1.0 / (beta * opt)))] if opt > 0 else []
+    incident: dict = {}
+    for e in live:
+        for v in e:
+            incident.setdefault(v, {})[state.coords[e]] = 1.0
+    packing = [HalfspaceConstraint.packing(incident[v]) for v in sorted(incident)]
+    frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
+    return PositiveBody(covering, packing, frozen=frozen, opt=float(opt))
+
+
+class ColdMaintainedMatching(MaintainedMatching):
+    """The maintained matching as it was before it kept its adjacency: each
+    repair rebuilds H's adjacency and every search re-colours it."""
+
+    def _augment_to_stability(self) -> int:
+        adj = build_adjacency(self.edges)
+        changed = 0
+        while True:
+            path = shortest_augmenting_path(adj, self.matching, self.max_path_edges)
+            if path is None:
+                return changed
+            apply_augmenting_path(self.matching, path)
+            changed += len(path) - 1
 
 
 # Helpers only the tests use, moved out of the package.

@@ -140,8 +140,8 @@ REPLAYS = [(matching_replay, "on", 1), (setcover_replay, "det", 3), (mst_replay,
 def test_replay_rows_match_the_newton_step(monkeypatch, tmp_path, replay, round_mode, files):
     checked = []
     for name in ("project_covering", "project_packing"):
-        def checking(x, row, eps, _project=getattr(core, name)):
-            new = _project(x, row, eps)
+        def checking(x, row, eps, value=None, _project=getattr(core, name)):
+            new = _project(x, row, eps, value)
             if one_rate(x, row):
                 assert_matches_newton(new, x, row, eps)
                 checked.append(row.kind)

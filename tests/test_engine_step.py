@@ -68,6 +68,41 @@ def test_fused_step_matches_the_copying_step_bit_for_bit(eps):
     assert moved > 300
 
 
+@pytest.mark.parametrize("eps", [0.25, 1.0])
+def test_a_projector_given_the_rows_value_matches_the_one_that_reads_it(eps):
+    # the value an oracle or the engine already holds, as a Python float or
+    # as the body's numpy scalar, gives the bits of the three-argument call
+    # and of the copying reference
+    rng = np.random.default_rng(2206)
+    projected = 0
+    for _ in range(6):
+        _, _, rows, w = random_mixed_stream(rng, 12, 80, eps)
+        x = FractionalPoint.zeros(12, w)
+        for row in rows:
+            project = core.project_covering if row.kind is Kind.COVERING else core.project_packing
+            value = x.values[row.indices].dot(row.coeffs)
+            if (core.covering_violated(value) if row.kind is Kind.COVERING
+                    else core.packing_violated(value, eps)):
+                plain = project(x, row, eps)
+                _, ref = copying_project_and_record(x, row, eps)
+                for given in (value, row.value_at(x.values)):
+                    res = project(x, row, eps, value=given)
+                    for a, b in [(res.before, plain.before), (res.after, plain.after),
+                                 (res.after, ref.point.values[row.indices]),
+                                 ([res.multiplier, res.residual, res.iterations],
+                                  [plain.multiplier, plain.residual, plain.iterations]),
+                                 ([res.multiplier, res.residual],
+                                  [ref.multiplier, ref.residual])]:
+                        assert np.array_equal(a, b)
+                projected += 1
+            x, _ = project_and_record(x, row, eps, value=value)
+    assert projected > 150
+    # the value given is the one the projector reads
+    with pytest.raises(core.NotViolatedError):
+        core.project_covering(FractionalPoint.zeros(2), HalfspaceConstraint.covering({0: 1.0}),
+                              0.5, value=1.0)
+
+
 def _violating_point(kind, n):
     """Values below every covering row and above every packing row of the
     tests' rows, which name coordinates below n."""

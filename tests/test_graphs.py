@@ -15,6 +15,7 @@ from bodychase.graphs import (
     maximum_matching,
     shortest_augmenting_path,
     two_color,
+    two_color_adjacency,
 )
 
 
@@ -127,3 +128,58 @@ def test_non_bipartite_rejected_in_search():
     adj = build_adjacency([(0, 1), (1, 2), (0, 2)])
     with pytest.raises(GraphError):
         shortest_augmenting_path(adj, {})
+
+
+def random_bipartite_churn(rng, left, right, updates):
+    """Live edge lists of a random insert/delete churn on a left x right pool."""
+    pool = [(("L", u), ("R", v)) for u in range(left) for v in range(right)]
+    live = []
+    for _ in range(updates):
+        dead = [e for e in pool if e not in live]
+        if dead and (not live or rng.random() < 0.6):
+            live.append(dead[int(rng.integers(len(dead)))])
+        else:
+            live.remove(live[int(rng.integers(len(live)))])
+        yield sorted(live)
+
+
+def test_warm_started_maximum_matching_under_churn():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2201)
+    for trial in range(8):
+        kept = {}
+        for edges in random_bipartite_churn(rng, 4, 5, 60):
+            live = set(edges)
+            # a deleted matched edge unmatches both of its ends
+            start = {u: v for u, v in kept.items() if tuple(sorted((u, v))) in live}
+            copy = dict(start)
+            kept = maximum_matching(edges, start=start)
+            assert start == copy  # augments a copy
+            assert all(tuple(sorted((u, v))) in live and kept[v] == u for u, v in kept.items())
+            size = len(kept) // 2
+            assert size == len(maximum_matching(edges)) // 2, trial
+            G = nx.Graph(edges)
+            top = {v for v in G if v[0] == "L"}
+            assert size == (len(nx.bipartite.maximum_matching(G, top_nodes=top)) // 2
+                            if edges else 0), trial
+
+
+def test_augmenting_search_with_a_given_colouring_finds_the_same_path():
+    rng = np.random.default_rng(2202)
+    searched = found = 0
+    for edges in random_bipartite_churn(rng, 4, 4, 200):
+        adj = build_adjacency(edges)
+        color = two_color_adjacency(adj)
+        assert color == two_color([], edges)
+        matching = {}
+        # augment from the empty matching to a maximum one, checking every search
+        while True:
+            for max_len in (1, 3, None):
+                path = shortest_augmenting_path(adj, matching, max_len)
+                assert shortest_augmenting_path(adj, matching, max_len, color) == path
+                searched += 1
+            if path is None:
+                break
+            found += 1
+            apply_augmenting_path(matching, path)
+    assert searched > 500 and found > 200

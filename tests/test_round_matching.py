@@ -14,6 +14,8 @@ from bodychase.round_matching import (
     stabilizer_step,
 )
 
+from oracles import ColdMaintainedMatching
+
 
 def test_kappa_arithmetic():
     # 100 * (1+4) * ln(16) / 0.25 = 2000 ln 16 = 5545.177...
@@ -152,3 +154,42 @@ def test_case_b_fallback_uses_maximum_matching():
     assert stab.case == "b"
     assert len(stab.fallback) == 1
     assert stab.fallback <= support
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 1.0])
+def test_kept_adjacency_follows_every_unit(delta):
+    # even vertices on one side, odd on the other: the colour-0 side of each
+    # component of H is the side of its smallest vertex, so the side the
+    # searches start from changes as H changes; the repair must match the
+    # one that rebuilds and re-colours H for every search, unit by unit
+    rng = np.random.default_rng(2204)
+    pool = [(u, v) for u in range(0, 10, 2) for v in range(1, 10, 2)]
+    mm, cold = MaintainedMatching(delta), ColdMaintainedMatching(delta)
+    for _ in range(600):
+        live = sorted(mm.edges)
+        if live and rng.random() < 0.45:
+            op, edge = "delete", live[int(rng.integers(len(live)))]
+        else:
+            op, edge = "insert", pool[int(rng.integers(len(pool)))]  # may be live: a no-op
+        if rng.random() < 0.05:
+            op = "delete" if op == "insert" else "insert"  # absent deletes, repeated inserts
+        assert mm.apply_unit(op, edge[::-1]) == cold.apply_unit(op, edge)
+        assert mm.adj == build_adjacency(mm.edges)
+        assert mm.edges == cold.edges and mm.matching == cold.matching
+        assert shortest_augmenting_path(mm.adj, mm.matching, mm.max_path_edges) is None
+    assert mm.recourse_total == cold.recourse_total > 0
+
+
+def test_pipeline_keeps_the_adjacency_of_the_support():
+    inst = MatchingState()
+    stab = Stabilizer(inst, alpha=1.0, delta=0.5, n=8, seed=7)
+    mm = MaintainedMatching(0.5)
+    rng = np.random.default_rng(2205)
+    for _ in range(40):
+        u, v = ("L", int(rng.integers(4))), ("R", int(rng.integers(4)))
+        (inst.delete if (u, v) in inst.live else inst.insert)(u, v)
+        values = rng.uniform(0.0, 1.0, size=inst.dimension)
+        _, inserted, deleted = stabilizer_step(values, stab)
+        maintain_matching(inserted, deleted, mm)
+        assert mm.edges == stab.support
+        assert mm.adj == build_adjacency(stab.support)
