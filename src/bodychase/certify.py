@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class CertificateError(ChaseError):
     """A certificate internal check failed; the log cannot be certified."""
 
 
-@dataclass
-class LogStep:
+class LogStep(NamedTuple):
     """One step on its support: x_before and x_after are x[indices]."""
 
     kind: Kind
@@ -188,28 +188,33 @@ class _Entries:
 
     def __init__(self, steps: list[LogStep]):
         self.horizon = T = len(steps)
-        self.step_kind = step_kind = np.array([s.kind.value for s in steps], dtype="<U1")
-        size = np.fromiter((s.indices.shape[0] for s in steps), np.int64, T)
-        multiplier = np.fromiter((s.multiplier for s in steps), float, T)
+        # one transpose of the steps: each field is one tuple over time
+        kinds, indices, coeffs, multiplier, x_before, x_after = zip(*steps) if T else ((),) * 6
+        # Kind compares by identity, so tagging the steps runs in numpy, not per step in Python
+        kind = np.fromiter(kinds, object, T)
+        self.step_kind = step_kind = np.where(kind == Kind.COVERING, "C",
+                                              np.where(kind == Kind.PACKING, "P", "F"))
+        size = np.fromiter(map(len, indices), np.int64, T)
+        multiplier = np.array(multiplier, dtype=float)
         covering = step_kind == "C"
         self.y = np.where(covering, multiplier, 0.0)
         self.z = np.where(step_kind == "P", multiplier, 0.0)
         self.sparsity = int(size[covering].max()) if covering.any() else 0
         self.freeze_count = int(np.count_nonzero(step_kind == "F"))
 
-        def joined(field, dtype=float):
-            return np.concatenate([getattr(s, field) for s in steps] + [np.zeros(0, dtype)])
+        def joined(arrays, dtype=float):
+            return np.concatenate((*arrays, np.zeros(0, dtype)))
 
         # a support names each coordinate once and steps are in time order,
         # so a stable sort of the flat indices orders by coordinate, then time
-        flat = joined("indices", np.int64)
+        flat = joined(indices, np.int64)
         order = np.argsort(flat, kind="stable")
         self.coord = flat[order]
         self.time = np.repeat(np.arange(T), size)[order]
         self.kind = step_kind[self.time]
-        self.coeff = joined("coeffs")[order]
-        self.x_before = joined("x_before")[order]
-        self.x_after = joined("x_after")[order]
+        self.coeff = joined(coeffs)[order]
+        self.x_before = joined(x_before)[order]
+        self.x_after = joined(x_after)[order]
         self.first = np.diff(self.coord, prepend=-1) != 0
         self.last = np.roll(self.first, -1)
         starts = np.flatnonzero(self.first)

@@ -167,16 +167,17 @@ class HalfspaceConstraint:
     def __init__(self, kind: Kind, coeffs):
         if kind not in (Kind.COVERING, Kind.PACKING):
             raise ConstraintError("kind must be Kind.COVERING or Kind.PACKING")
-        items = sorted(dict(coeffs).items())
-        if not items:
+        coeffs = dict(coeffs)
+        keys = sorted(coeffs)
+        if not keys:
             raise ConstraintError("constraint has an empty support")
-        indices = np.array([i for i, _ in items], dtype=np.int64)
-        values = np.array([v for _, v in items], dtype=float)
-        if int(indices.min()) < 0:
+        indices = np.array(keys, dtype=np.int64)
+        values = np.array([coeffs[i] for i in keys], dtype=float)
+        if indices[0] < 0:  # sorted, so the first id is the least
             raise ConstraintError("coordinate ids must be nonnegative")
         if float(values.min()) <= 0.0:
             raise ConstraintError("coefficients must be strictly positive")
-        if not np.all(np.isfinite(values)):
+        if not float(values.max()) < math.inf:  # nan fails too
             raise ConstraintError("coefficients must be finite")
         self.kind = kind
         self.indices = indices
@@ -494,11 +495,16 @@ class PositiveBody:
     for rows too many to list, a `separate(values, cover_floor,
     pack_ceiling)` callable returning one violated row or None.
 
-    `find_violated` checks once that the point covers `max_index`, then
-    scans covering rows in insertion order, then asks `separate`, then
-    scans packing rows, and returns the first row outside the given
-    tolerance band, keeping its value at `values` as `value` (None for a
-    separated row). The deterministic order makes chase runs replayable.
+    `find_violated` checks once that the point covers `max_index` and
+    returns the most violated row outside the given tolerance band: the
+    covering row of smallest value; if no covering row is violated, the row
+    `separate` returns; else the packing row of largest value.  Ties go to
+    the row listed first, so chase runs replay: one scan per kind ranks and
+    tests each row by its own dot product, with strict comparisons.  The
+    chosen row's value at `values` is kept as `value` (None for a separated
+    row, or when no row is violated).  Any violated row keeps the chaser's
+    guarantee; the most violated one, as in remotest-set control of Bregman
+    projections, needs fewer steps.
     `rows()` is the listed rows, then every row `separate` returned;
     `body()` is the body itself.
     """
@@ -528,30 +534,36 @@ class PositiveBody:
         if self.max_index >= values.shape[0]:
             raise DimensionMismatch("body touches coordinate %d but the point has dimension %d"
                                     % (self.max_index, values.shape[0]))
+        best, low = None, cover_floor
         for row in self.covering:
             value = values[row.indices].dot(row.coeffs)
-            if value < cover_floor:
-                self.value = value
-                return row
+            if value < low:
+                best, low = row, value
+        if best is not None:
+            self.value = low
+            return best
         if self.separate is not None:
             row, self.value = self.separate(values, cover_floor, pack_ceiling), None
             if row is not None:
                 self.separated.append(row)
                 return row
+        high = pack_ceiling
         for row in self.packing:
             value = values[row.indices].dot(row.coeffs)
-            if value > pack_ceiling:
-                self.value = value
-                return row
-        return None
+            if value > high:
+                best, high = row, value
+        self.value = high if best is not None else None
+        return best
 
 
 def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
                max_rounds: int = 10000) -> tuple[FractionalPoint, list[ProjectionResult]]:
     """Repair rows of a body until none is violated beyond delta/10.
 
-    `oracle` is either a PositiveBody, whose `value` the step reads, or a
-    callable `(values, cover_floor, pack_ceiling) -> row or None`.  Rows are
+    `oracle` is either a PositiveBody, which hands over its most violated
+    row and that row's `value` (see `PositiveBody.find_violated`), or a
+    callable `(values, cover_floor, pack_ceiling) -> row or None`, whose
+    choice among violated rows is its own.  Rows are
     fed to the single-halfspace projectors with eps = delta/20, so on exit every
     covering row has value >= 1 - delta/10 and every packing row has value
     <= (1 + eps) + delta/10.  Use `scaled_output` on the returned point

@@ -29,10 +29,19 @@ __all__ = [
     "parse_stream",
     "parse_weights",
     "stream_dimension",
+    "MAX_DIMENSION",
     "parse_updates",
     "dump_records",
     "write_report",
 ]
+
+
+# The largest dimension a stream or weights file may ask for: the parser
+# refuses a coordinate id at or above it, before any row is built. A run holds
+# several float vectors of that length (8 bytes a coordinate), so a larger
+# id would allocate gigabytes before the first step; 2**25 (256 MiB a
+# vector) is 33 times the largest runs measured, at n = 1e6.
+MAX_DIMENSION = 2**25
 
 
 class FormatError(ChaseError):
@@ -41,6 +50,12 @@ class FormatError(ChaseError):
 
 def _fail(source, lineno, message):
     raise FormatError("%s:%d: %s" % (source, lineno, message))
+
+
+def _check_bound(idx, source, lineno):
+    if idx >= MAX_DIMENSION:
+        _fail(source, lineno, "coordinate %d is past the largest supported id %d"
+              % (idx, MAX_DIMENSION - 1))
 
 
 def _parse_pairs(tokens, source, lineno):
@@ -56,6 +71,7 @@ def _parse_pairs(tokens, source, lineno):
             _fail(source, lineno, "bad idx:value pair %r" % tok)
         if idx < 0:
             _fail(source, lineno, "negative coordinate %d" % idx)
+        _check_bound(idx, source, lineno)
         if idx in coeffs:
             _fail(source, lineno, "coordinate %d repeated" % idx)
         coeffs[idx] = val
@@ -77,6 +93,7 @@ def _parse_part(part, source, lineno):
             _fail(source, lineno, "freeze coordinates must be integers")
         if any(i < 0 for i in indices):
             _fail(source, lineno, "negative coordinate in freeze")
+        _check_bound(max(indices), source, lineno)
         return Freeze(indices)
     if len(tokens) < 2:
         _fail(source, lineno, "constraint with no coefficients")

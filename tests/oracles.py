@@ -27,6 +27,7 @@ from bodychase.core import (
     _FLOAT_EPS,
     ConstraintError,
     ConvergenceError,
+    DimensionMismatch,
     FractionalPoint,
     Freeze,
     HalfspaceConstraint,
@@ -1066,6 +1067,51 @@ def cold_matching_body(state, beta: float) -> PositiveBody:
     packing = [HalfspaceConstraint.packing(incident[v]) for v in sorted(incident)]
     frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
     return PositiveBody(covering, packing, frozen=frozen, opt=float(opt))
+
+
+def first_violated(body: PositiveBody, values, floor: float, ceiling: float):
+    """`PositiveBody.find_violated` as it was before it picked the most
+    violated row: the first covering row below `floor` in body order, else
+    the separator's row, else the first packing row above `ceiling`. Keeps
+    `body.value` and `body.separated` as the method does, so it can stand
+    in for it."""
+    if body.max_index >= values.shape[0]:
+        raise DimensionMismatch("body touches coordinate %d but the point has dimension %d"
+                                % (body.max_index, values.shape[0]))
+    for row in body.covering:
+        value = values[row.indices].dot(row.coeffs)
+        if value < floor:
+            body.value = value
+            return row
+    if body.separate is not None:
+        row, body.value = body.separate(values, floor, ceiling), None
+        if row is not None:
+            body.separated.append(row)
+            return row
+    for row in body.packing:
+        value = values[row.indices].dot(row.coeffs)
+        if value > ceiling:
+            body.value = value
+            return row
+    return None
+
+
+def most_violated(body: PositiveBody, values, floor: float, ceiling: float):
+    """The most violated row by brute force: every listed row's value, then
+    the smallest covering value below `floor`, else the separator's row,
+    else the largest packing value above `ceiling`, ties to the row listed
+    first. Returns the row (the body is left alone but for `separate`)."""
+    cover = [(row.value_at(values), k) for k, row in enumerate(body.covering)]
+    low = sorted((v, k) for v, k in cover if v < floor)
+    if low:
+        return body.covering[low[0][1]]
+    if body.separate is not None:
+        row = body.separate(values, floor, ceiling)
+        if row is not None:
+            return row
+    pack = [(-row.value_at(values), k) for k, row in enumerate(body.packing)]
+    high = sorted((v, k) for v, k in pack if -v > ceiling)
+    return body.packing[high[0][1]] if high else None
 
 
 class ColdMaintainedMatching(MaintainedMatching):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bodychase.cli import main
-from bodychase.formats import parse_stream
+from bodychase.formats import MAX_DIMENSION, FormatError, parse_stream, stream_dimension
 from bodychase.offline import build_compressed_lp, solve_recourse_lp
 from bodychase.runner import RunConfig, run_chase
 
@@ -111,6 +111,43 @@ def test_record_json_cannot_hold_exits_1_with_one_line(stream_file, monkeypatch,
     assert out.out == ""
     assert out.err.startswith("error: summary record is not plain JSON")
     assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, stream, weights", [
+    ("chase", "C 0:1 99999999999:1\n", None),
+    ("chase", "C 0:1 99999999999999999999:1\n", None),
+    ("offline-opt", "C 0:1\nF 99999999999\n", None),
+    ("certify", "C 0:1\n", "99999999999:2\n"),
+])
+def test_a_coordinate_past_the_dimension_bound_exits_2_before_allocating(
+        command, stream, weights, tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "s.txt"
+    path.write_text(stream)
+    argv = [command, str(path)]
+    if weights is not None:
+        (tmp_path / "w.txt").write_text(weights)
+        argv += ["--weights", str(tmp_path / "w.txt")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "coordinate 99999999999" in err and "past the largest" in err
+    assert peak < 4 * 2**20
+    assert MAX_DIMENSION > 10**7
+
+
+@pytest.mark.parametrize("line", ["C %d:1", "P 0:1 %d:2", "F 0 %d"])
+def test_the_largest_supported_coordinate_is_accepted(line):
+    stream = parse_stream([line % (MAX_DIMENSION - 1)])
+    assert stream_dimension(stream) == MAX_DIMENSION
+    with pytest.raises(FormatError, match="coordinate %d is past" % MAX_DIMENSION):
+        parse_stream([line % MAX_DIMENSION])
 
 
 def test_missing_file_exits_1(capsys):

@@ -13,6 +13,7 @@ import pytest
 from bodychase import runner
 from bodychase.adapters import AdapterError, MatchingState, matching_body
 from bodychase.core import FractionalPoint, HalfspaceConstraint, project_and_record
+from bodychase.graphs import build_adjacency, two_color
 from bodychase.runner import RunConfig, _Run, run_problem
 
 from oracles import cold_matching_body
@@ -161,3 +162,41 @@ def test_a_kept_row_recomputes_its_constants_after_the_run_grows():
                  ([res.multiplier, res.residual, res.iterations],
                   [new.multiplier, new.residual, new.iterations])]:
         assert np.array_equal(a, b)
+
+
+def test_the_odd_cycle_check_on_the_touched_component_agrees_with_two_colouring():
+    # the state searches from one end of a new edge only; the reference
+    # two-colours every live edge plus the new one, as the adapter once did
+    rng = np.random.default_rng(2304)
+    seen = dict.fromkeys(("accepted", "odd cycles", "already live", "reinserts", "deletes"), 0)
+    for trial in range(8):
+        state, live = MatchingState(), set()
+        vertices = int(rng.integers(4, 9))
+        pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+        for _ in range(150):
+            u, v = pairs[int(rng.integers(len(pairs)))]
+            if (u, v) in live and rng.random() < 0.6:
+                state.delete(v, u)
+                live.remove((u, v))
+                seen["deletes"] += 1
+            else:
+                if (u, v) in live:
+                    want = "edge %r is already live" % ((u, v),)
+                    seen["already live"] += 1
+                elif two_color((), sorted(live) + [(u, v)]) is None:
+                    want = "edge %r would close an odd cycle" % ((u, v),)
+                    seen["odd cycles"] += 1
+                else:
+                    want = None
+                    seen["reinserts"] += (u, v) in state.coords
+                if want is None:
+                    state.insert(v, u)
+                    live.add((u, v))
+                    seen["accepted"] += 1
+                else:
+                    with pytest.raises(AdapterError) as caught:
+                        state.insert(v, u)
+                    assert str(caught.value) == want
+            assert state.live == live
+            assert {a: sorted(b) for a, b in state.adj.items()} == build_adjacency(live)
+    assert min(seen.values()) >= 20, seen
