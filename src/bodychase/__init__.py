@@ -54,8 +54,8 @@ from .core import (
     Kind,
     NotViolatedError,
     PositiveBody,
-    ProjectionResult,
     RecourseLedger,
+    Step,
     chase_body,
     project_and_record,
     project_covering,
@@ -89,10 +89,10 @@ __all__ = [
     "OfflineError",
     "OracleCapExceeded",
     "PositiveBody",
-    "ProjectionResult",
     "RecourseLedger",
     "RunConfig",
     "SetCoverState",
+    "Step",
     "UpdateEvent",
     "build_refined_dual",
     "build_warmup_dual",

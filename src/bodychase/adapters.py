@@ -335,6 +335,9 @@ def loadbalance_body(state: LoadBalanceState, beta: float) -> PositiveBody:
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for load balancing")
     opt, _ = state.optimum()
+    if state.live and not opt > 0.0:
+        # the optimum packs within 1e-9 of a makespan, so loads that small pack in 0
+        raise AdapterError("live loads too small: the optimal makespan is 0 within 1e-9")
     covering, frozen = [], []
     eligible = {}
     for j in sorted(state.live):

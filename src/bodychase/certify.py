@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChaseError, HalfspaceConstraint, Kind, RecourseLedger
+from .core import ChaseError, HalfspaceConstraint, Kind, RecourseLedger, Step
 
 __all__ = [
     "CertificateError",
-    "LogStep",
     "MultiplierLog",
     "MovementDuals",
     "DualCertificate",
@@ -65,29 +63,18 @@ class CertificateError(ChaseError):
     """A certificate internal check failed; the log cannot be certified."""
 
 
-class LogStep(NamedTuple):
-    """One step on its support: x_before and x_after are x[indices]."""
-
-    kind: Kind
-    indices: np.ndarray
-    coeffs: np.ndarray
-    multiplier: float
-    x_before: np.ndarray
-    x_after: np.ndarray
-
-
 class MultiplierLog:
     """Ordered record of projections and clamps along one run.
 
-    The log holds the movement weights and its steps, each on its support
-    only (see LogStep); the coordinate space may grow during a run.
+    The log holds the movement weights and its steps, each a `core.Step` on
+    its support only; the coordinate space may grow during a run.
     Everything per coordinate is derived from the steps by `entries()`.
     `ledger` records the recourse of every appended step, at the log's weights.
     """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.steps: list[LogStep] = []
+        self.steps: list[Step] = []
         self.ledger = RecourseLedger()
         self._entries = None
 
@@ -112,32 +99,29 @@ class MultiplierLog:
             raise ValueError("weights may only grow, never change")
         self.weights = weights
 
-    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after,
-                weights) -> "MultiplierLog":
-        # the engine hands over float arrays it built; only other sequences are wrapped
-        if type(x_before) is not np.ndarray or type(x_after) is not np.ndarray:
-            x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
-        if not (x_before.shape == x_after.shape == indices.shape):
+    def _append(self, step: Step, weights) -> "MultiplierLog":
+        x_before, x_after = step.x_before, step.x_after
+        if not (x_before.shape == x_after.shape == step.indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
-        self.ledger.record_step(weights, x_before, x_after, 1 if kind is Kind.COVERING else -1)
-        self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
+        self.ledger.record_step(weights, x_before, x_after, 1 if step.kind is Kind.COVERING else -1)
+        self.steps.append(step)
         return self
 
-    def append_projection(self, row: HalfspaceConstraint, multiplier, x_before, x_after) -> "MultiplierLog":
-        """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
-        if multiplier < 0.0:
-            raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
-        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after,
-                            row.support_weights(self.weights))
+    def append_projection(self, row: HalfspaceConstraint, step: Step) -> "MultiplierLog":
+        """Keep `step`, a projection onto `row` or its zero step, whose float
+        arrays x_before and x_after are x[row.indices]."""
+        if step.multiplier < 0.0:
+            raise ValueError("multiplier must be nonnegative, got %r" % step.multiplier)
+        return self._append(step, row.support_weights(self.weights))
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
         """Record a clamp; x_before and x_after are x at `indices`, in that order."""
         idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
-        return self._append(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
-                            np.asarray(x_before, dtype=float)[first],
-                            np.asarray(x_after, dtype=float)[first], self.weights[idx])
+        return self._append(Step(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+                                 np.asarray(x_before, dtype=float)[first],
+                                 np.asarray(x_after, dtype=float)[first]), self.weights[idx])
 
 
 @dataclass
@@ -186,10 +170,10 @@ class _Entries:
     elsewhere). Over the log: `sparsity` (largest covering support),
     `aspect_ratio` (largest cmax/cmin, 0.0 if none) and `freeze_count`."""
 
-    def __init__(self, steps: list[LogStep]):
+    def __init__(self, steps: list[Step]):
         self.horizon = T = len(steps)
-        # one transpose of the steps: each field is one tuple over time
-        kinds, indices, coeffs, multiplier, x_before, x_after = zip(*steps) if T else ((),) * 6
+        # one transpose of the steps: each of the first six fields is one tuple over time
+        kinds, indices, coeffs, multiplier, x_before, x_after, *_ = zip(*steps) if T else ((),) * 6
         # Kind compares by identity, so tagging the steps runs in numpy, not per step in Python
         kind = np.fromiter(kinds, object, T)
         self.step_kind = step_kind = np.where(kind == Kind.COVERING, "C",
@@ -288,7 +272,11 @@ def build_warmup_dual(log: MultiplierLog, eps: float) -> DualCertificate:
     scale = 4.0 * d * e.cmax
 
     def r(x):
-        return w * (1.0 - np.log1p(scale * x / eps) / A)
+        # in log form where the ratio leaves float range, as A is
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = scale * x / eps
+            lifted = np.where(ratio < np.inf, np.log1p(ratio), np.log(scale * x) - math.log(eps))
+        return w * (1.0 - lifted / A)
 
     start = log.weights.copy()
     start[e.coord[e.first]] = r(e.x_before)[e.first]

@@ -24,10 +24,10 @@ with one rate r = c_i / w_i never reaches it: its step is one rescale.
 
 A row keeps what its step needs besides the point (`constants`).  The
 projectors move nothing: they return the support's values before and after
-(`ProjectionResult`).  The engine (`project_and_record`, and so `chase_body`)
-records a satisfied row as a zero step and writes a violated row's new values
-into the point in place, so a step costs the support d, not the dimension n;
-the step goes to a `certify.MultiplierLog`, which keeps the `RecourseLedger`.
+(`Step`).  The engine (`project_and_record`, and so `chase_body`) records a
+satisfied row as a zero step and writes a violated row's new values into the
+point in place, so a step costs the support d, not the dimension n; the very
+step goes to a `certify.MultiplierLog`, which keeps the `RecourseLedger`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ __all__ = [
     "HalfspaceConstraint",
     "Freeze",
     "stream_steps",
-    "ProjectionResult",
+    "Step",
     "RecourseLedger",
     "project_and_record",
     "project_covering",
@@ -61,6 +61,11 @@ __all__ = [
     "chase_body",
     "VIOLATION_SLACK",
 ]
+
+# Row coefficients: with d <= formats.MAX_DIMENSION = 2**25, the covering shift
+# eps / (4 d c) stays below 2.5e99, 4 d cmax below 1.4e108, unit-weight rates in
+# range, and 4 d Delta / eps (Delta <= 1e200) finite for every eps down to 1e-100.
+COEFF_MIN, COEFF_MAX = 1e-100, 1e100
 
 # Relative slack used when deciding whether a row is violated at all;
 # guards against reprojecting rows that are tight up to roundoff.
@@ -175,10 +180,10 @@ class HalfspaceConstraint:
         values = np.array([coeffs[i] for i in keys], dtype=float)
         if indices[0] < 0:  # sorted, so the first id is the least
             raise ConstraintError("coordinate ids must be nonnegative")
-        if float(values.min()) <= 0.0:
-            raise ConstraintError("coefficients must be strictly positive")
-        if not float(values.max()) < math.inf:  # nan fails too
-            raise ConstraintError("coefficients must be finite")
+        if not float(values.max()) <= COEFF_MAX:  # nan fails too
+            raise ConstraintError("coefficients must be finite, at most %g" % COEFF_MAX)
+        if float(values.min()) < COEFF_MIN:
+            raise ConstraintError("coefficients must be positive, at least %g" % COEFF_MIN)
         self.kind = kind
         self.indices = indices
         self.coeffs = values
@@ -268,19 +273,13 @@ def stream_steps(stream) -> list:
     return steps
 
 
-@dataclass
-class ProjectionResult:
-    """Outcome of a single halfspace projection.
-
-    `before` and `after` hold the row's support coordinates around the
-    step, in the order of the row's indices; no other coordinate moves.
-    """
-
-    before: np.ndarray
-    after: np.ndarray
-    multiplier: float
-    iterations: int
-    residual: float
+# One step of a run on its support (a projection, a satisfied row's zero step or a
+# clamp): the projector builds it, the log keeps it, and the ledger, certificates and
+# run totals read it.  x_before and x_after hold x[indices] around it; multiplier,
+# iterations (root-finder evaluations) and residual (final |value - level|) are 0
+# for a step that projects nothing.
+Step = namedtuple("Step", "kind indices coeffs multiplier x_before x_after iterations residual",
+                  defaults=(0, 0.0))
 
 
 class RecourseLedger:
@@ -374,7 +373,7 @@ def _root(g, total, rhs, increasing):
                            % (best_g, iterations))
 
 
-def _project(x_prev, row, eps, value=None) -> ProjectionResult:
+def _project(x_prev, row, eps, value=None) -> Step:
     """Support values (x + s) * exp(sign * rate * t) - s of a violated row.
 
     rate = coeffs / weights, s is the covering shift (0 for packing) and
@@ -410,17 +409,19 @@ def _project(x_prev, row, eps, value=None) -> ProjectionResult:
             return float(terms.sum()) - const - level, slope
 
         t, resid, iters = _root(residual, level + const, level, sign > 0)
-        new_sub = base * np.exp(rate * (sign * t))
+        st = sign * t  # capped as the residual caps it: the step is the root it found
+        exponent = rate * st if st * top < _EXP_CAP else np.minimum(rate * st, _EXP_CAP)
+        new_sub = base * np.exp(exponent)
     after = np.maximum(new_sub - shift, xs) if sign > 0 else np.minimum(new_sub, xs)
-    return ProjectionResult(xs, after, float(t), iters, resid)
+    return Step(row.kind, row.indices, cvec, float(t), xs, after, iters, resid)
 
 
 def project_covering(x_prev: FractionalPoint, c: HalfspaceConstraint, eps: float,
-                     value=None) -> ProjectionResult:
+                     value=None) -> Step:
     """Project onto a violated covering halfspace `<c, x> >= 1`, eps in (0, 1].
 
     Only coordinates on the row's support move, and they only move up.
-    Returns their values before and after, together with the nonnegative
+    Returns their values before and after (the `Step`), with the nonnegative
     multiplier y of the tight constraint, the root-finder iteration count,
     and the final absolute residual |<c, x> - 1|.  `x_prev` is left unchanged.
     `value` is `c.value_at(x_prev.values)` if the caller has it.
@@ -431,7 +432,7 @@ def project_covering(x_prev: FractionalPoint, c: HalfspaceConstraint, eps: float
 
 
 def project_packing(x_prev: FractionalPoint, p: HalfspaceConstraint, eps: float,
-                    value=None) -> ProjectionResult:
+                    value=None) -> Step:
     """Project onto `<p, x> <= 1 + eps` from a point that violates it.
 
     Support coordinates shrink multiplicatively; zero coordinates stay
@@ -461,32 +462,31 @@ def scaled_output(x: FractionalPoint, delta: float) -> FractionalPoint:
 
 
 def project_and_record(x: FractionalPoint, row: HalfspaceConstraint, eps: float, log=None,
-                       value=None) -> tuple[FractionalPoint, ProjectionResult | None]:
+                       value=None) -> tuple[FractionalPoint, Step]:
     """One step of the engine: project onto `row` if it is violated, and record.
 
     `value` is the row's value at `x` if the caller has it (a body's oracle
     does).  A violated row goes to `project_covering` or `project_packing`,
     and its new support values are written into `x.values` in place; `x` is
-    returned, and nothing of its size is copied or scanned.  A satisfied row
-    leaves the point alone (result None) and is still recorded, as a
-    zero-multiplier step: its body row binds the offline benchmark, so the
-    certificate log must carry it.  The log, and so its ledger, gets the
-    step on the row's support, the only coordinates it can move.
+    returned with the step, and nothing of its size is copied or scanned.  A
+    satisfied row leaves the point alone and is still recorded, as a zero
+    step (`iterations` 0): its body row binds the offline benchmark, so the
+    certificate log must carry it.  The log, and so its ledger, keeps that
+    very step, on the row's support, the only coordinates it can move.
     """
     if value is None:
         value = row.value_at(x.values)
     covering = row.kind is Kind.COVERING
     if covering_violated(value) if covering else packing_violated(value, eps):
-        res = (project_covering if covering else project_packing)(x, row, eps, value=value)
-        before, after, multiplier = res.before, res.after, res.multiplier
-        x.values[row.indices] = after
+        step = (project_covering if covering else project_packing)(x, row, eps, value=value)
+        x.values[row.indices] = step.x_after
     else:
         _check_eps(row.kind, eps)
-        res, multiplier = None, 0.0
-        before = after = x.values[row.indices]
+        before = x.values[row.indices]
+        step = Step(row.kind, row.indices, row.coeffs, 0.0, before, before)
     if log is not None:
-        log.append_projection(row, multiplier, before, after)
-    return x, res
+        log.append_projection(row, step)
+    return x, step
 
 
 class PositiveBody:
@@ -557,20 +557,20 @@ class PositiveBody:
 
 
 def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
-               max_rounds: int = 10000) -> tuple[FractionalPoint, list[ProjectionResult]]:
+               max_rounds: int = 10000) -> tuple[FractionalPoint, list[Step]]:
     """Repair rows of a body until none is violated beyond delta/10.
 
     `oracle` is either a PositiveBody, which hands over its most violated
     row and that row's `value` (see `PositiveBody.find_violated`), or a
-    callable `(values, cover_floor, pack_ceiling) -> row or None`, whose
-    choice among violated rows is its own.  Rows are
-    fed to the single-halfspace projectors with eps = delta/20, so on exit every
+    callable `(values, cover_floor, pack_ceiling) -> row or None`, asked as
+    the separator of a body listing no rows (its choice, without a value).
+    Rows are fed to the single-halfspace projectors with eps = delta/20, so on exit every
     covering row has value >= 1 - delta/10 and every packing row has value
     <= (1 + eps) + delta/10.  Use `scaled_output` on the returned point
     when full covering feasibility is required downstream.
 
     `x_prev` is moved in place and returned (see `project_and_record`),
-    with the `ProjectionResult` of every step.
+    with the `Step` of every projection, the very ones appended to `log`.
     Projections are appended to `log`, and so to its ledger, when given.
     Exceeding `max_rounds` raises InfeasibleBodyError carrying the last
     violated row: the body is empty or too tight for the tolerance.
@@ -578,21 +578,20 @@ def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     eps = delta / 20.0
-    body = oracle if isinstance(oracle, PositiveBody) else None
-    find = oracle if body is None else body.find_violated
+    body = oracle if isinstance(oracle, PositiveBody) else PositiveBody(separate=oracle)
     cover_floor = 1.0 - delta / 10.0
     pack_ceiling = 1.0 + eps + delta / 10.0
 
     x = x_prev
-    trace: list[ProjectionResult] = []
+    trace: list[Step] = []
     row = None
     for _ in range(max_rounds):
-        row = find(x.values, cover_floor, pack_ceiling)
+        row = body.find_violated(x.values, cover_floor, pack_ceiling)
         if row is None:
             return x, trace
-        x, res = project_and_record(x, row, eps, log, None if body is None else body.value)
-        if res is None:
+        x, step = project_and_record(x, row, eps, log, body.value)
+        if not step.iterations:
             raise NotViolatedError("oracle returned a satisfied row %r" % row)
-        trace.append(res)
+        trace.append(step)
     raise InfeasibleBodyError("no feasible point found after %d repair rounds; last violated row %r"
                               % (max_rounds, row), last_constraint=row)

@@ -29,15 +29,26 @@ from .graphs import (
 from .rng import MATCHING_THRESHOLDS, substream
 
 __all__ = ["Stabilizer", "MaintainedMatching", "stabilizer_step", "maintain_matching",
-           "kappa_copies"]
+           "kappa_copies", "MAX_COPIES"]
+
+# An edge's kappa thresholds are one float vector from a SHAKE-256 digest of 8 kappa
+# bytes, so 2**24 copies is 128 MiB an edge: delta 0.02 fits at n = 1000, alpha 1,
+# while alpha 1e6 at n = 6 would ask for 716,706,655 copies (5.7 GB of digest).
+MAX_COPIES = 2**24
 
 
 def kappa_copies(alpha: float, delta: float, n: int) -> int:
+    """ceil(100 (alpha + 4) log(n) / delta^2), refused past MAX_COPIES (or inf)."""
     if not 0 < delta <= 1:
         raise AdapterError("delta must lie in (0, 1]")
     if n < 2:
         raise AdapterError("need at least two vertices")
-    return math.ceil(100.0 * (alpha + 4.0) * math.log(n) / delta ** 2)
+    square = delta ** 2
+    copies = 100.0 * (alpha + 4.0) * math.log(n) / square if square else math.inf
+    if not copies <= MAX_COPIES:
+        raise AdapterError("alpha %r, delta %r and n = %d ask for %.3g threshold copies per "
+                           "edge, past the cap of %d" % (alpha, delta, n, copies, MAX_COPIES))
+    return math.ceil(copies)
 
 
 class Stabilizer:

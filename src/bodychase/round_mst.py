@@ -25,11 +25,17 @@ __all__ = ["MstSampler", "DynamicTree", "mst_sampler_step", "repair_tree",
 
 
 def sampling_rate(gamma: float, alpha: float, delta: float, n: int) -> float:
+    # a finite rate past 1 only samples surely, one threshold an edge whatever the rate
     if not 0 < delta <= 1:
         raise AdapterError("delta must lie in (0, 1]")
     if n < 2:
         raise AdapterError("need at least two vertices")
-    return 100.0 * gamma * (alpha + 1.0) * math.log(n) / delta ** 2
+    square = delta ** 2
+    rate = 100.0 * gamma * (alpha + 1.0) * math.log(n) / square if square else math.inf
+    if not rate < math.inf:
+        raise AdapterError("gamma %r, alpha %r and delta %r put the sampling rate past "
+                           "float range" % (gamma, alpha, delta))
+    return rate
 
 
 class MstSampler:

@@ -1,8 +1,8 @@
 """End-to-end drivers: streams and update sequences through the full stack.
 
 Every run is one `_Run`: the point, its multiplier log (and so its
-recourse ledger), the offline stream and the root-finder totals, with one
-tail that certifies the run and solves the offline benchmark LP, so
+recourse ledger and its steps' root-finder costs) and the offline stream,
+with one tail that certifies the run and solves the offline benchmark LP, so
 streams and replays report the same summary keys. run_chase feeds a raw
 constraint stream to it row by row. run_problem replays a combinatorial
 update sequence through its adapter, chases the emitted body after every
@@ -136,7 +136,7 @@ def _ratio_against(upward: float, opt) -> float | None:
 
 class _Run:
     """One chase: the point, its multiplier log (and so its recourse
-    ledger), the offline stream and the root-finder totals. A stream run
+    ledger) and the offline stream. A stream run
     starts at its full dimension with its stream as the offline stream; a
     replay starts at its header's dimension, grows with its updates and
     pushes one offline group per update."""
@@ -148,8 +148,6 @@ class _Run:
         self.log = MultiplierLog(weights)
         self.offline = offline
         self.frozen: set = set()
-        self.iterations = 0
-        self.worst = 0.0
 
     def grow(self, dim: int) -> None:
         """Extend the point by zero coordinates of weight 1."""
@@ -177,9 +175,10 @@ class _Run:
         the update `row`."""
         ledger = self.log.ledger
         up, l1 = ledger.upward_total, ledger.l1_total
-        _, results = chase_body(self.x, oracle, self.config.delta, log=self.log)
-        row.update(projections=len(results), upward_step=ledger.upward_total - up,
-                   l1_step=ledger.l1_total - l1, rootfind_iterations=self.count(results))
+        _, steps = chase_body(self.x, oracle, self.config.delta, log=self.log)
+        row.update(projections=len(steps), upward_step=ledger.upward_total - up,
+                   l1_step=ledger.l1_total - l1,
+                   rootfind_iterations=sum(step.iterations for step in steps))
 
     def push_offline_group(self, newly, rows) -> None:
         """One update's offline group: a clamp of the coordinates that froze
@@ -190,23 +189,14 @@ class _Run:
         if group:
             self.offline.append(group)
 
-    def count(self, results) -> int:
-        """Add projections' root-finder cost to the totals; returns their iterations."""
-        iterations = 0
-        for res in results:
-            iterations += res.iterations
-            self.worst = max(self.worst, res.residual)
-        self.iterations += iterations
-        return iterations
-
     def finish(self, summary: dict):
         """The certificate record, the offline record (None when off) and
         `summary` completed with the keys every run reports."""
-        ledger, config = self.log.ledger, self.config
+        ledger, config, steps = self.log.ledger, self.config, self.log.steps
         out = {"kind": "summary", **summary,
                "upward_recourse": ledger.upward_total, "l1_recourse": ledger.l1_total,
-               "rootfind_iterations": self.iterations,
-               "max_projection_residual": self.worst}
+               "rootfind_iterations": sum(step.iterations for step in steps),
+               "max_projection_residual": max((step.residual for step in steps), default=0.0)}
         cert = block = None
         if config.certify:
             cert = {"kind": "certificate", **certify_run(self.log, self.eps)}
@@ -240,20 +230,20 @@ def run_chase(config: RunConfig, stream, weights=None) -> list:
     stream = stream_steps(stream)
     run = _Run(config, w, stream)
     records = [_meta(config, {"n": run.x.dim, "T": len(stream)})]
-    recourse = run.log.ledger.steps
+    steps, recourse = run.log.steps, run.log.ledger.steps
     for t, group in enumerate(stream):
         for member in group:
-            if member.kind is Kind.FREEZE:
+            freeze = member.kind is Kind.FREEZE
+            if freeze:
                 apply_freeze(run.x, member.indices, run.log)
-                multiplier, results = None, []
             else:
-                _, res = project_and_record(run.x, member, run.eps, run.log)
-                multiplier = run.log.steps[-1].multiplier
-                results = [] if res is None else [res]
+                project_and_record(run.x, member, run.eps, run.log)
+            step = steps[-1]
             records.append({"kind": "step", "t": t, "tag": member.kind.value,
-                            "support": len(member.indices), "multiplier": multiplier,
+                            "support": len(member.indices),
+                            "multiplier": None if freeze else step.multiplier,
                             "upward_step": recourse[-1][0], "l1_step": recourse[-1][1],
-                            "rootfind_iterations": run.count(results)})
+                            "rootfind_iterations": step.iterations})
     tail = run.finish({"final_point": run.x.values.tolist(), "T": len(stream)})
     return records + [record for record in tail if record is not None]
 

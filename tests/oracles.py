@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from bodychase.certify import (
     FEASIBILITY_TOL,
     CertificateError,
-    LogStep,
     MultiplierLog,
     check_ineq1,
     check_ineq2,
@@ -34,6 +33,7 @@ from bodychase.core import (
     Kind,
     NotViolatedError,
     PositiveBody,
+    Step,
     _root,
     covering_violated,
     packing_violated,
@@ -345,24 +345,24 @@ def build_full_lp(stream, weights) -> RecourseLP:
 def applied(x_prev, row, res) -> np.ndarray:
     """A copy of x_prev's values with the projection `res` onto `row` applied."""
     values = x_prev.values.copy()
-    values[row.indices] = res.after
+    values[row.indices] = res.x_after
     return values
 
 
 def covering_residuals(x_prev, c, eps, res):
     """(tightness, multiplicative-form) residuals for a covering projection."""
     shift = eps / (4.0 * c.sparsity * c.coeffs)
-    xh_new = res.after + shift
+    xh_new = res.x_after + shift
     xh_old = x_prev.values[c.indices] + shift
     w = x_prev.weights[c.indices]
-    tight = abs(float(res.after @ c.coeffs) - 1.0)
+    tight = abs(float(res.x_after @ c.coeffs) - 1.0)
     mult = float(np.max(np.abs(w * np.log(xh_new / xh_old) - c.coeffs * res.multiplier)))
     return tight, mult
 
 
 def packing_residuals(x_prev, p, eps, res):
     old = x_prev.values[p.indices]
-    new = res.after
+    new = res.x_after
     w = x_prev.weights[p.indices]
     tight = abs(float(new @ p.coeffs) - (1.0 + eps))
     live = old > 0.0
@@ -641,8 +641,16 @@ def copying_project_and_record(x_prev, row, eps, ledger=None, log=None):
     if ledger is not None:
         ledger.record_step(x_prev.weights[idx], before, after)
     if log is not None:
-        log.append_projection(row, 0.0 if res is None else res.multiplier, before, after)
+        log.append_projection(row, logged_step(row, 0.0 if res is None else res.multiplier,
+                                               before, after))
     return x_new, res
+
+
+def logged_step(row, multiplier, x_before, x_after) -> Step:
+    """A hand-built `Step` onto `row`: x_before and x_after are x[row.indices],
+    given as any sequences of numbers."""
+    return Step(row.kind, row.indices, row.coeffs, float(multiplier),
+                np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1175,7 @@ class IncrementalLog:
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.steps: list[LogStep] = []
+        self.steps: list[Step] = []
         self.appearances: dict[int, list[int]] = {}
         self._cmax: dict[int, float] = {}
         self._cmin: dict[int, float] = {}
@@ -1203,28 +1211,25 @@ class IncrementalLog:
             raise ValueError("weights may only grow, never change")
         self.weights = weights
 
-    def _append(self, kind, indices, coeffs, multiplier, x_before, x_after) -> "IncrementalLog":
-        # the engine hands over arrays it built; only other sequences are wrapped
-        if type(x_before) is not np.ndarray or type(x_after) is not np.ndarray:
-            x_before, x_after = np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)
-        if not (x_before.shape == x_after.shape == indices.shape):
+    def _append(self, step: Step) -> "IncrementalLog":
+        if not (step.x_before.shape == step.x_after.shape == step.indices.shape):
             raise ValueError("x_before and x_after must hold x on the step's support")
         t = len(self.steps)
-        for i in indices.tolist():
+        for i in step.indices.tolist():
             self.appearances.setdefault(i, []).append(t)
-        self.steps.append(LogStep(kind, indices, coeffs, float(multiplier), x_before, x_after))
+        self.steps.append(step)
         return self
 
-    def append_projection(self, row: HalfspaceConstraint, multiplier, x_before, x_after) -> "IncrementalLog":
-        """Record a projection onto `row`; x_before and x_after are x[row.indices]."""
-        if multiplier < 0.0:
-            raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
+    def append_projection(self, row: HalfspaceConstraint, step: Step) -> "IncrementalLog":
+        """Keep `step`, a projection onto `row`; x_before and x_after are x[row.indices]."""
+        if step.multiplier < 0.0:
+            raise ValueError("multiplier must be nonnegative, got %r" % step.multiplier)
         if row.kind is Kind.COVERING:
             self.sparsity = max(self.sparsity, row.sparsity)
             for i, v in zip(row.indices.tolist(), row.coeffs.tolist()):
                 self._cmax[i] = max(self._cmax.get(i, v), v)
                 self._cmin[i] = min(self._cmin.get(i, v), v)
-        return self._append(row.kind, row.indices, row.coeffs, multiplier, x_before, x_after)
+        return self._append(step)
 
     def append_freeze(self, indices, x_before, x_after) -> "IncrementalLog":
         """Record a clamp; x_before and x_after are x at `indices`, in that order."""
@@ -1232,9 +1237,9 @@ class IncrementalLog:
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
         self.freeze_count += 1
-        return self._append(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
-                            np.asarray(x_before, dtype=float)[first],
-                            np.asarray(x_after, dtype=float)[first])
+        return self._append(Step(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+                                 np.asarray(x_before, dtype=float)[first],
+                                 np.asarray(x_after, dtype=float)[first]))
 
 
 def per_run_replicate(config, updates) -> list:

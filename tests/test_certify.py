@@ -31,6 +31,7 @@ from oracles import (
     check_subset_lemma,
     check_z_bound,
     coeff_matrices,
+    logged_step,
     random_mixed_stream,
 )
 
@@ -48,18 +49,18 @@ def run_single_covering():
 def test_log_extreme_tracking():
     log = MultiplierLog(np.ones(1))
     c1 = HalfspaceConstraint.covering({0: 2.0})
-    log.append_projection(c1, 0.8, [0.0], [0.5])
+    log.append_projection(c1, logged_step(c1, 0.8, [0.0], [0.5]))
     assert log.entries().aspect_ratio == 1.0
     assert log.entries().sparsity == 1
     c2 = HalfspaceConstraint.covering({0: 4.0})
-    log.append_projection(c2, 0.1, [0.5], [0.5])
+    log.append_projection(c2, logged_step(c2, 0.1, [0.5], [0.5]))
     assert log.entries().aspect_ratio == 2.0
     p = HalfspaceConstraint.packing({0: 1.0})
-    log.append_projection(p, 0.3, [0.5], [0.4])
+    log.append_projection(p, logged_step(p, 0.3, [0.5], [0.4]))
     assert log.entries().aspect_ratio == 2.0
     assert log.entries().sparsity == 1
     with pytest.raises(ValueError):
-        log.append_projection(c1, -0.2, [0.4], [0.5])
+        log.append_projection(c1, logged_step(c1, -0.2, [0.4], [0.5]))
 
 
 def test_warmup_single_covering_arithmetic():
@@ -103,7 +104,7 @@ def test_warmup_r_is_weight_at_origin():
     x = FractionalPoint.zeros(2, w)
     row = HalfspaceConstraint.covering({0: 1.0})
     res = project_covering(x, row, 0.5)
-    log.append_projection(row, res.multiplier, x.values[row.indices], res.after)
+    log.append_projection(row, res)
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.r_bar.at(1, 0) == 3.0
     assert cert.r_bar.at(0, 0) == 1.0
@@ -260,3 +261,23 @@ def test_window_sums_match_triple_loop():
     excess, _ = check_ineq1(log, ytilde, eps)
     assert excess <= FEASIBILITY_TOL
     assert check_ineq2(log, ytilde, eps) <= FEASIBILITY_TOL
+
+
+def test_warmup_duals_take_their_log_form_past_float_range():
+    # 4 d cmax x / eps overflows for coordinate 0 at eps 1e-300; its dual is
+    # read in log form, as A is, and the certificate stays finite
+    import warnings
+
+    log = MultiplierLog(np.ones(2))
+    row = HalfspaceConstraint.covering({0: 1e100, 1: 1.0})
+    log.append_projection(row, logged_step(row, 0.5, [0.0, 0.0], [1.0, 0.5]))
+    eps = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = build_warmup_dual(log, eps)
+    A = cert.scaling
+    assert A == pytest.approx(math.log(8.0) - math.log(eps))  # each coordinate has one c
+    for i, (cmax, x) in enumerate([(1e100, 1.0), (1.0, 0.5)]):
+        lifted = math.log(8.0 * cmax * x) - math.log(eps)
+        assert cert.r_bar.after[i] == pytest.approx(1.0 - lifted / A, rel=1e-12, abs=1e-12)
+    assert math.isfinite(cert.objective) and math.isfinite(cert.max_violation)

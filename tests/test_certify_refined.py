@@ -22,6 +22,7 @@ from oracles import (
     dense_max_window_sums,
     list_refine_ytilde,
     list_refined_movement,
+    logged_step,
     random_mixed_stream,
 )
 
@@ -67,7 +68,7 @@ def all_packing_log(T=4):
     x = np.array([1.0, 1.0])
     row = HalfspaceConstraint.packing({0: 2.0, 1: 1.0})
     for _ in range(T):
-        log.append_projection(row, 0.5, x, x * 0.5)
+        log.append_projection(row, logged_step(row, 0.5, x, x * 0.5))
         x = x * 0.5
     return log
 

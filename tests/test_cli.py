@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,3 +414,94 @@ def test_f_below_the_instance_frequency_fails_before_any_update(cover_file, caps
     captured = capsys.readouterr()
     assert captured.err == "error: f=1 below the instance frequency 2\n"
     assert captured.out == ""
+
+
+MATCHING_UPDATES = "\n".join(json.dumps(r) for r in [
+    {"problem": "matching", "n": 6},
+    {"op": "insert", "u": 0, "v": 3},
+    {"op": "insert", "u": 1, "v": 4},
+]) + "\n"
+
+TREE_UPDATES = "\n".join(json.dumps(r) for r in [
+    {"problem": "mst", "vertices": [0, 1, 2]},
+    {"op": "insert", "u": 0, "v": 1, "cost": 1.0},
+    {"op": "insert", "u": 1, "v": 2, "cost": 2.0},
+]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["matching", "M", "--round", "on", "--delta", "1e-300"],
+    ["mst", "T", "--round", "on", "--delta", "1e-300"],
+    ["replicate", "M", "--round", "on", "--delta", "1e-300", "--runs", "2"],
+    ["replicate", "T", "--round", "on", "--delta", "1e-300", "--runs", "2"],
+    ["matching", "M", "--round", "on", "--delta", "1e-160"],
+    ["mst", "T", "--round", "on", "--delta", "1e-160"],
+    ["matching", "M", "--round", "on", "--alpha", "1e300"],
+    ["matching", "M", "--round", "on", "--alpha", "1e6"],
+    ["mst", "T", "--round", "on", "--alpha", "1e300", "--gamma", "1e300"],
+])
+def test_a_sampler_past_float_range_or_its_copy_cap_exits_1_before_drawing(
+        argv, tmp_path, monkeypatch, capsys):
+    # delta^2 underflows at 1e-300 and 1e-160 makes the copy count inf; alpha
+    # 1e6 asks for 716,706,655 copies an edge: each is refused before a draw
+    from bodychase import round_matching, round_mst
+
+    def refuse(*args):
+        raise AssertionError("a threshold was drawn")
+
+    monkeypatch.setattr(round_matching, "substream", refuse)
+    monkeypatch.setattr(round_mst, "substream", refuse)
+    files = {"M": MATCHING_UPDATES, "T": TREE_UPDATES}
+    path = tmp_path / "u.jsonl"
+    path.write_text(files[argv[1]])
+    assert main([argv[0], str(path), *argv[2:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("C 0:1e308 1:1\nC 0:1\n", "coefficients must be finite, at most 1e+100"),
+    ("C 0:1 1:1e-320\nC 0:1\n", "coefficients must be positive, at least 1e-100"),
+    ("C 0:1\nP 0:1e101\n", "coefficients must be finite, at most 1e+100"),
+])
+def test_a_coefficient_past_the_row_range_exits_2_at_its_line_without_warnings(
+        text, message, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["chase", str(path)]) == 2
+    line = text.count("\n", 0, text.index("e"))  # the line of the first exponent
+    assert capsys.readouterr().err == "error: %s:%d: %s\n" % (path, line + 1, message)
+
+
+@pytest.mark.parametrize("text", [
+    "C 0:1e100 7:3.963285 10:6.793918\nC 0:7.865160 1:7.731600 3:6.073530\n"
+    "C 0:5.520046 3:6.039366 6:6.848985\nC 11:1.0\n",
+    "C 0:3.182820 7:1e100 10:6.793918\nC 3:1.277150 7:4.700125 9:4.215351\n"
+    "P 4:2.820682 7:6.879171 9:4.566471\nC 11:1.0\n",
+])
+def test_the_widest_coefficients_at_the_smallest_delta_exit_without_warnings(
+        text, tmp_path, capsys):
+    # eps = 5e-302 underflows the shift of a 1e100 coefficient to 0: its step
+    # caps the exponent as the root finder does, and the warm-up duals take
+    # their log form, so the run ends in one line and no numpy warning
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["chase", str(path), "--delta", "1e-300"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and err.count("\n") == (rc == 1)
+
+
+def test_loads_too_small_for_the_makespan_search_exit_1(tmp_path, capsys):
+    path = tmp_path / "u.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in [
+        {"problem": "loadbalance", "machines": ["m0", "m1"]},
+        {"op": "insert", "job": "j0", "loads": {"m0": 1e-300, "m1": 3.0}},
+    ]) + "\n")
+    assert main(["loadbalance", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: live loads too small: the optimal makespan is 0 within 1e-9\n"

@@ -33,7 +33,7 @@ def assert_matches_newton(new, x, row, eps):
     ref = newton_project(x, row, eps)
     assert new.iterations == 1
     assert new.multiplier == pytest.approx(ref.multiplier, rel=REL, abs=0.0)
-    np.testing.assert_allclose(new.after, ref.point.values[row.indices], rtol=REL, atol=0.0)
+    np.testing.assert_allclose(new.x_after, ref.point.values[row.indices], rtol=REL, atol=0.0)
     assert new.residual <= 1e-14
 
 

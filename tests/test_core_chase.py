@@ -25,8 +25,8 @@ def test_one_covering_round():
     x, trace = chase_body(FractionalPoint.zeros(2), body, delta=0.2)
     assert len(trace) == 1
     # the one step is the covering row's: it moved both coordinates up
-    assert np.array_equal(trace[0].before, [0.0, 0.0]) and trace[0].multiplier > 0.0
-    assert np.array_equal(trace[0].after, x.values)
+    assert np.array_equal(trace[0].x_before, [0.0, 0.0]) and trace[0].multiplier > 0.0
+    assert np.array_equal(trace[0].x_after, x.values)
     assert x.values == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
@@ -143,3 +143,37 @@ def test_random_bodies_scale_to_feasible(delta):
             assert row.value_at(out.values) >= 1.0 - 1e-12
         for row in body.packing:
             assert row.value_at(out.values) <= (1.0 + delta) * (1.0 + 1e-12)
+
+
+def test_the_steps_returned_are_the_very_steps_the_log_keeps():
+    # one record from projector to log: chase_body returns the log's last steps
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        body = random_nonempty_body(rng, n, rows=int(rng.integers(2, 7)))
+        log = MultiplierLog(np.ones(n))
+        x, first = chase_body(FractionalPoint.zeros(n), body, delta=0.3, log=log)
+        x, trace = chase_body(x, body, delta=0.1, log=log)
+        assert log.horizon == len(first) + len(trace)
+        assert all(a is b for a, b in zip(first + trace, log.steps))
+        for step in trace:
+            assert step.iterations >= 1 and step.multiplier > 0.0
+            assert np.array_equal(step.x_after, np.asarray(step.x_after, dtype=float))
+
+
+def test_a_callable_oracle_is_the_separator_of_a_body_listing_no_rows():
+    # the callable and the same callable as a body's separator take the same steps
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        rows = random_nonempty_body(rng, n, rows=4)
+        as_body = PositiveBody(rows.covering, rows.packing)
+
+        def oracle(values, cover_floor, pack_ceiling):
+            return as_body.find_violated(values, cover_floor, pack_ceiling)
+
+        x, trace = chase_body(FractionalPoint.zeros(n), oracle, delta=0.2)
+        y, again = chase_body(FractionalPoint.zeros(n), PositiveBody(separate=oracle), delta=0.2)
+        assert x.values.tobytes() == y.values.tobytes() and len(trace) == len(again)
+        for a, b in zip(trace, again):
+            assert a.multiplier == b.multiplier and a.x_after.tobytes() == b.x_after.tobytes()

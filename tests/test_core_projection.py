@@ -40,7 +40,7 @@ def test_covering_symmetric_pair():
     x0 = FractionalPoint.zeros(2)
     c = HalfspaceConstraint.covering({0: 1.0, 1: 1.0})
     res = project_covering(x0, c, eps=1.0)
-    assert res.after == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert res.x_after == pytest.approx([0.5, 0.5], abs=1e-9)
     assert res.multiplier >= 0.0
 
 
@@ -49,7 +49,7 @@ def test_covering_singleton_multiplier():
     x0 = FractionalPoint.zeros(1)
     c = HalfspaceConstraint.covering({0: 2.0})
     res = project_covering(x0, c, eps=1.0)
-    assert res.after[0] == pytest.approx(0.5, abs=1e-9)
+    assert res.x_after[0] == pytest.approx(0.5, abs=1e-9)
     assert res.multiplier == pytest.approx(np.log(5.0) / 2.0, abs=1e-9)
 
 
@@ -65,7 +65,7 @@ def test_packing_symmetric_scale():
     x0 = FractionalPoint([1.0, 1.0])
     p = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
     res = project_packing(x0, p, eps=0.5)
-    assert res.after == pytest.approx([0.75, 0.75], abs=1e-9)
+    assert res.x_after == pytest.approx([0.75, 0.75], abs=1e-9)
 
 
 def test_packing_uniform_factor():
@@ -73,7 +73,7 @@ def test_packing_uniform_factor():
     p = HalfspaceConstraint.packing({0: 1.0, 1: 1.0})
     res = project_packing(x0, p, eps=0.0)
     assert res.multiplier == pytest.approx(np.log(3.0), abs=1e-9)
-    assert res.after == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
+    assert res.x_after == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
 
 
 def test_packing_boundary_is_not_violated():
@@ -149,7 +149,7 @@ def test_random_packing_kkt_and_monotonicity():
         assert res.multiplier >= 0.0
         assert np.all(applied(x0, p, res) <= x0.values + 1e-15)
         zero = x0.values[p.indices] == 0.0
-        assert np.all(res.after[zero] == 0.0)
+        assert np.all(res.x_after[zero] == 0.0)
         off = np.setdiff1d(np.arange(x0.dim), p.indices)
         assert np.array_equal(applied(x0, p, res)[off], x0.values[off])
         assert full_divergence(x0, p, eps, applied(x0, p, res)) >= -1e-12
@@ -167,3 +167,33 @@ def test_matches_brute_minimizer_small():
         res = project_packing(x0, p, eps)
         ref = brute_project(x0.values, x0.weights, p, eps)
         assert np.max(np.abs(applied(x0, p, res) - ref)) <= 1e-6
+
+
+def test_coefficients_span_the_row_range_and_no_further():
+    from bodychase.core import COEFF_MAX, COEFF_MIN
+    from bodychase.formats import MAX_DIMENSION
+
+    row = HalfspaceConstraint.covering({0: COEFF_MIN, 1: COEFF_MAX})
+    k = row.constants(1.0, np.ones(2))
+    assert np.isfinite(k.shift).all() and np.isfinite(k.rate).all() and np.isfinite(k.const)
+    # the widest support and the extreme eps the range is sized for stay finite
+    assert np.isfinite(1.0 / (4.0 * MAX_DIMENSION * COEFF_MIN))
+    assert np.isfinite(4.0 * MAX_DIMENSION * (COEFF_MAX / COEFF_MIN) / 1e-100)
+    for value in (np.nextafter(COEFF_MIN, 0.0), np.nextafter(COEFF_MAX, np.inf), 0.0, -1.0,
+                  np.nan, np.inf):
+        with pytest.raises(ConstraintError):
+            HalfspaceConstraint.packing({0: 1.0, 3: float(value)})
+
+
+def test_a_step_whose_root_needs_a_capped_exponent_moves_no_coordinate_to_inf():
+    # at eps 5e-302 the shift of the 1e100 coefficient underflows to 0, so
+    # the root lies where its exponent passes the cap: the step takes the
+    # capped exponent the root finder solved for, and stays finite
+    import warnings
+
+    row = HalfspaceConstraint.covering({0: 1e100, 1: 4.0, 2: 7.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = project_covering(FractionalPoint.zeros(3), row, 5e-302)
+    assert np.isfinite(res.x_after).all() and res.x_after[0] == 0.0
+    assert float(res.x_after @ row.coeffs) == pytest.approx(1.0, rel=1e-9)

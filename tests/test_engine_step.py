@@ -53,11 +53,12 @@ def test_fused_step_matches_the_copying_step_bit_for_bit(eps):
             x, res = project_and_record(x, row, eps, log)
             ref, ref_res = copying_project_and_record(ref, row, eps, ref_ledger, ref_log)
             assert bits(x.values) == bits(ref.values)
-            assert (res is None) == (ref_res is None)
-            if res is not None:
+            assert log.steps[-1] is res
+            assert (res.iterations == 0) == (ref_res is None)
+            if res.iterations:
                 moved += 1
-                assert bits(res.before) == bits(ref_log.steps[-1].x_before)
-                assert bits(res.after) == bits(ref_res.point.values[row.indices])
+                assert bits(res.x_before) == bits(ref_log.steps[-1].x_before)
+                assert bits(res.x_after) == bits(ref_res.point.values[row.indices])
                 assert bits([res.multiplier, res.residual]) == bits(
                     [ref_res.multiplier, ref_res.residual])
                 assert res.iterations == ref_res.iterations
@@ -87,8 +88,8 @@ def test_a_projector_given_the_rows_value_matches_the_one_that_reads_it(eps):
                 _, ref = copying_project_and_record(x, row, eps)
                 for given in (value, row.value_at(x.values)):
                     res = project(x, row, eps, value=given)
-                    for a, b in [(res.before, plain.before), (res.after, plain.after),
-                                 (res.after, ref.point.values[row.indices]),
+                    for a, b in [(res.x_before, plain.x_before), (res.x_after, plain.x_after),
+                                 (res.x_after, ref.point.values[row.indices]),
                                  ([res.multiplier, res.residual, res.iterations],
                                   [plain.multiplier, plain.residual, plain.iterations]),
                                  ([res.multiplier, res.residual],
@@ -153,9 +154,9 @@ def test_a_row_projected_across_a_grown_run_reads_the_new_weights():
             copies, ref = copying_project_and_record(copies, HalfspaceConstraint(
                 row.kind, row.as_dict()), run.eps, ref_ledger, ref_log)
             assert np.array_equal(x.values, copies.values)
-            assert (res is None) == (ref is None)
+            assert (res.iterations == 0) == (ref is None)
             # a projected row keeps its constants against the grown weights
-            assert res is None or row._constants.weights is run.x.weights
+            assert not res.iterations or row._constants.weights is run.x.weights
             assert_same_log_step(run.log.steps[-1], ref_log.steps[-1])
         # push the point off every row again
         run.x.values[:] = copies.values[:] = 0.0
@@ -174,9 +175,9 @@ def test_a_satisfied_row_is_a_zero_step_that_never_projects(monkeypatch):
     for row in (HalfspaceConstraint.covering({0: 1.0, 1: 1.0}),
                 HalfspaceConstraint.packing({1: 1.0, 2: 1.0})):
         out, res = project_and_record(x, row, 0.5, log)
-        assert out is x and res is None
         step = log.steps[-1]
-        assert step.kind is row.kind and step.multiplier == 0.0
+        assert out is x and res is step
+        assert step.kind is row.kind and step.multiplier == step.iterations == step.residual == 0
         assert np.array_equal(step.x_before, values[row.indices])
         assert np.array_equal(step.x_after, values[row.indices])
     assert np.array_equal(x.values, values)
@@ -193,7 +194,7 @@ def test_the_step_moves_the_point_it_was_given_in_place():
     out, res = project_and_record(x, HalfspaceConstraint.covering({0: 1.0, 2: 2.0}), 0.5)
     assert out is x and x.values is values
     assert x.values[1] == 0.0
-    assert np.array_equal(x.values[[0, 2]], res.after)
+    assert np.array_equal(x.values[[0, 2]], res.x_after)
 
 
 def test_the_step_never_changes_an_array_handed_out_before_it():
@@ -205,7 +206,7 @@ def test_the_step_never_changes_an_array_handed_out_before_it():
     for row in rows:
         x, res = project_and_record(x, row, 0.5, log=log)
         step = log.steps[-1]
-        after = None if res is None else res.after
+        after = res.x_after if res.iterations else None
         kept.append((step, step.x_before.copy(), step.x_after.copy(), after,
                      None if after is None else after.copy()))
         assert not np.shares_memory(step.x_before, x.values)

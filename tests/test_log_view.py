@@ -18,6 +18,7 @@ from oracles import (
     IncrementalLog,
     appearances,
     coeff_matrices,
+    logged_step,
     random_mixed_stream,
     stream_from_log,
 )
@@ -50,7 +51,8 @@ def replay_checked(source):
             if step.kind is Kind.FREEZE:
                 target.append_freeze(step.indices, step.x_before, step.x_after)
             else:
-                target.append_projection(item, step.multiplier, step.x_before, step.x_after)
+                target.append_projection(item, logged_step(item, step.multiplier,
+                                                           step.x_before, step.x_after))
         assert_view_matches(log, ref)
     return log
 

@@ -158,7 +158,7 @@ def test_a_kept_row_recomputes_its_constants_after_the_run_grows():
     assert row._constants.weights is run.x.weights
     _, new = project_and_record(fresh, HalfspaceConstraint.packing(row.as_dict()), run.eps)
     assert np.array_equal(run.x.values, fresh.values)
-    for a, b in [(res.before, new.before), (res.after, new.after),
+    for a, b in [(res.x_before, new.x_before), (res.x_after, new.x_after),
                  ([res.multiplier, res.residual, res.iterations],
                   [new.multiplier, new.residual, new.iterations])]:
         assert np.array_equal(a, b)

@@ -20,6 +20,7 @@ from bodychase.offline import (
 from oracles import (
     build_full_lp,
     dense_compressed_lp,
+    logged_step,
     random_mixed_stream,
     stream_from_log,
     two_phase_lp,
@@ -267,9 +268,11 @@ def test_stream_from_log_round_trip():
     log = MultiplierLog(w)
     x0 = np.zeros(2)
     x1 = np.array([0.5, 0.0])
-    log.append_projection(C({0: 2.0}), 0.3, x0[:1], x1[:1])
+    c = C({0: 2.0})
+    log.append_projection(c, logged_step(c, 0.3, x0[:1], x1[:1]))
     log.append_freeze([0], x1[:1], np.zeros(1))
-    log.append_projection(P({1: 1.0}), 0.0, np.zeros(1), np.zeros(1))
+    p = P({1: 1.0})
+    log.append_projection(p, logged_step(p, 0.0, np.zeros(1), np.zeros(1)))
     stream = stream_from_log(log)
     assert isinstance(stream[1], Freeze) and stream[1].indices == (0,)
     assert stream[0].kind.value == "C" and stream[2].kind.value == "P"

@@ -49,7 +49,7 @@ def assert_agree(new, ref, row):
     # carry the multiplier's error times rate * z, so they are held to the
     # point's scale rather than their own
     scale = float(np.max(np.abs(ref.point.values)))
-    np.testing.assert_allclose(new.after, ref.point.values[row.indices], rtol=REL, atol=REL * scale)
+    np.testing.assert_allclose(new.x_after, ref.point.values[row.indices], rtol=REL, atol=REL * scale)
     assert new.residual <= 2e-12
 
 

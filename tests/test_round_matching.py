@@ -193,3 +193,14 @@ def test_pipeline_keeps_the_adjacency_of_the_support():
         maintain_matching(inserted, deleted, mm)
         assert mm.edges == stab.support
         assert mm.adj == build_adjacency(stab.support)
+
+
+def test_the_copy_count_is_refused_past_its_cap():
+    from bodychase.adapters import AdapterError
+    from bodychase.round_matching import MAX_COPIES
+
+    # delta 0.02 at n = 1000 fits; alpha 1e6 at n = 6 would ask for 716,706,655
+    assert kappa_copies(1.0, 0.02, 1000) == 8634695 <= MAX_COPIES
+    for alpha, delta in [(1e6, 0.5), (1e300, 0.5), (1.0, 1e-160), (1.0, 1e-300)]:
+        with pytest.raises(AdapterError, match="threshold copies per edge"):
+            kappa_copies(alpha, delta, 6)

@@ -164,3 +164,11 @@ def test_dynamic_pipeline_tree_invariants(seed):
         frac = sum(state.costs[e] * scaled.values[state.coords[e]]
                    for e in state.live)
         assert tree.tree_cost() <= (2.0 + delta) * frac + 1e-9
+
+
+def test_a_sampling_rate_past_float_range_is_refused():
+    # a finite rate past 1 only samples surely; an infinite one is refused
+    assert sampling_rate(1.0, 1.0, 1e-150, 8) == pytest.approx(200.0 * np.log(8.0) * 1e300)
+    for gamma, alpha, delta in [(1.0, 1.0, 1e-300), (1.0, 1.0, 1e-160), (1e300, 1e300, 0.5)]:
+        with pytest.raises(AdapterError, match="past float range"):
+            sampling_rate(gamma, alpha, delta, 8)

@@ -77,7 +77,7 @@ def test_freeze_line_clamps_and_blocks_refined():
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Every ProjectionResult the engine returns during a test, in order."""
+    """Every Step a projector returns during a test, in order."""
     from bodychase import core
 
     results = []
@@ -122,6 +122,54 @@ def test_problem_reports_root_finder_cost(projections):
     s = summary_of(records)
     assert s["rootfind_iterations"] == sum(r.iterations for r in projections)
     assert s["max_projection_residual"] == max(r.residual for r in projections)
+
+
+@pytest.fixture
+def finished_runs(monkeypatch):
+    """Every `_Run` that reaches its summary during a test, in order."""
+    runs = []
+    finish = runner._Run.finish
+
+    def recorded(self, summary):
+        runs.append(self)
+        return finish(self, summary)
+
+    monkeypatch.setattr(runner._Run, "finish", recorded)
+    return runs
+
+
+def test_a_streams_step_records_read_the_steps_the_log_keeps(projections, finished_runs):
+    # the projector's step is the log's step, and each step record reads it
+    stream = parse_stream(["C 0:2", "C 0:2", "F 0", "C 1:1 2:4 3:0.5", "P 2:8 3:1", "F 1 2",
+                           "C 0:1 3:2; P 1:3"])
+    records = run_chase(RunConfig(eps=0.5), stream, np.array([1.0, 1.0, 0.01, 10.0]))
+    (run,) = finished_runs
+    steps = run.log.steps
+    assert [s for s in steps if s.iterations] == projections
+    assert all(a is b for a, b in zip([s for s in steps if s.iterations], projections))
+    rows = rows_of(records, "step")
+    assert len(rows) == len(steps)
+    assert [r["multiplier"] for r in rows] == [
+        None if s.kind is Kind.FREEZE else s.multiplier for s in steps]
+    assert [r["rootfind_iterations"] for r in rows] == [s.iterations for s in steps]
+
+
+@pytest.mark.parametrize("problem", ["matching", "mst", "loadbalance"])
+def test_the_summarys_root_finder_totals_are_read_off_the_log(problem, finished_runs):
+    rng = np.random.default_rng(24)
+    records = run_problem(RunConfig(problem=problem, offline=False),
+                          random_replay(rng, problem, 30))
+    (run,) = finished_runs
+    steps, s = run.log.steps, summary_of(records)
+    assert s["rootfind_iterations"] == sum(step.iterations for step in steps) > 0
+    assert s["rootfind_iterations"] == sum(r.get("rootfind_iterations", 0)
+                                           for r in rows_of(records, "update"))
+    assert s["max_projection_residual"] == max(step.residual for step in steps) > 0.0
+
+
+def test_an_empty_run_reports_zero_root_finder_totals():
+    s = summary_of(run_chase(RunConfig(eps=0.5), parse_stream(["F 0"])))
+    assert (s["rootfind_iterations"], s["max_projection_residual"]) == (0, 0.0)
 
 
 def test_weights_shape_mismatch_rejected():
