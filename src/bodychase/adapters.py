@@ -11,6 +11,7 @@ are too many to list, so its body finds them by separation.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,13 @@ import numpy as np
 from .core import ChaseError, HalfspaceConstraint, PositiveBody
 from .graphs import (
     GraphError,
+    apply_augmenting_path,
     global_min_cut,
     is_connected,
     kruskal_mst,
-    maximum_matching,
-    two_color,  # noqa: F401  the benchmark's tracer wraps this name
+    maximum_matching,  # noqa: F401  the benchmark's tracer wraps this name
+    shortest_augmenting_path,
+    two_color,  # noqa: F401  and this one
 )
 from .simplex import solve_inequality_lp
 
@@ -145,33 +148,44 @@ def _edge_key(u, v):
 
 class MatchingState:
     """Dynamic bipartite graph; one body coordinate per distinct edge. Keeps
-    a maximum matching (see `optimum`) and `matching_body`'s vertex rows."""
+    a maximum matching (see `optimum`), the sorted coordinates of the live
+    and of the dead edges, and `matching_body`'s vertex rows."""
 
     def __init__(self):
         self.coords: dict = {}
         self.live: set = set()
-        self.adj: dict = {}  # vertex -> its live neighbours; a vertex with none is dropped
+        # vertex -> {live neighbour: the edge's coordinate} in insertion order, if it has one
+        self.adj: dict = {}
         self.matching: dict = {}
-        self.rows: dict = {}  # vertex -> (live incident coordinates, the row: all coefficients 1)
+        self._changed = None  # the edge changed since the matching was last maximum, if it matters
+        self.live_coords: list = []
+        self.frozen: list = []
+        self.rows: dict = {}  # vertex -> its packing row: all coefficients 1
+        self.touched: dict = {}  # the vertices whose live edges changed since the last body
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
 
-    def _same_side(self, u, v) -> bool:
-        """Whether a live path of even length joins u to v. The live graph is
-        bipartite, so every u-v path has the parity of the first one found,
-        and only u's component is searched."""
-        side, stack = {u: 0}, [u] if u in self.adj else []
-        while stack:
-            a = stack.pop()
+    def _sides(self, u) -> dict:
+        """The side of each vertex of u's live component, 0 for u's and 1
+        for the other, in breadth-first order (the graph is bipartite)."""
+        side, queue = {u: 0}, [u] if u in self.adj else []
+        for a in queue:
             for b in self.adj[a]:
                 if b not in side:
-                    if b == v:
-                        return side[a] == 1
                     side[b] = 1 - side[a]
-                    stack.append(b)
-        return False
+                    queue.append(b)
+        return side
+
+    def _same_side(self, u, v) -> bool:
+        """Whether a live path of even length joins u to v: every u-v path
+        has the parity of any other, so only u's component is searched."""
+        return self._sides(u).get(v) == 0
+
+    def _free_beside(self, u) -> list:
+        """The free vertices on u's side of its component, in search order."""
+        return [a for a, s in self._sides(u).items() if s == 0 and a not in self.matching]
 
     def insert(self, u, v):
         key = _edge_key(u, v)
@@ -179,28 +193,65 @@ class MatchingState:
             raise AdapterError("edge %r is already live" % (key,))
         if self._same_side(*key):
             raise AdapterError("edge %r would close an odd cycle" % (key,))
-        if key not in self.coords:
-            self.coords[key] = len(self.coords)
+        self._repair()
+        if key in self.coords:
+            self.frozen.remove(self.coords[key])
+        coord = self.coords.setdefault(key, len(self.coords))
         self.live.add(key)
+        insort(self.live_coords, coord)
         for a, b in (key, key[::-1]):
-            self.adj.setdefault(a, set()).add(b)
+            self.adj.setdefault(a, {})[b] = coord
+            self.touched[a] = None
+        self._changed = key
 
     def delete(self, u, v):
         key = _edge_key(u, v)
         if key not in self.live:
             raise AdapterError("edge %r is not live" % (key,))
+        self._repair()
+        coord = self.coords[key]
         self.live.remove(key)
+        self.live_coords.remove(coord)
+        insort(self.frozen, coord)
         for a, b in (key, key[::-1]):
-            self.adj[a].discard(b)
+            del self.adj[a][b]
             if not self.adj[a]:
                 del self.adj[a]
+            self.touched[a] = None
         if self.matching.get(key[0]) == key[1]:
             del self.matching[key[0]], self.matching[key[1]]
+            self._changed = key  # only a matched edge's deletion can leave it short
+
+    def _repair(self) -> None:
+        """Make the kept matching maximum again after the one edge change
+        since it last was. By Berge's theorem the matching is then at most
+        one augmenting path short, and that path touches the changed edge:
+        it ends at a freed end of a deleted edge, or runs through an
+        inserted one, from its free end or, when both ends are matched,
+        from a free vertex on the first end's side of its component."""
+        if self._changed is None:
+            return
+        key, self._changed, matching = self._changed, None, self.matching
+        a, b = key
+        if key not in self.live:
+            starts = [[v] for v in key if v in self.adj]
+        elif a not in matching and b not in matching:
+            matching[a], matching[b] = b, a
+            return
+        elif a in matching and b in matching:
+            starts = [self._free_beside(a)]
+        else:
+            starts = [[a if b in matching else b]]
+        for free in starts:
+            path = shortest_augmenting_path(self.adj, matching, free=free)
+            if path is not None:
+                apply_augmenting_path(matching, path)
+                return
 
     def optimum(self) -> int:
-        """Maximum matching size. The kept matching, less the edges deleted
-        since the last call, is at most one augmenting path from maximum."""
-        self.matching = maximum_matching(sorted(self.live), start=self.matching)
+        """Maximum matching size. The matching is repaired where the graph
+        changed, so any number of updates may come between two calls."""
+        self._repair()
         return len(self.matching) // 2
 
 
@@ -208,23 +259,17 @@ def matching_body(state: MatchingState, beta: float) -> PositiveBody:
     if not 0.0 < beta <= 1.0:
         raise AdapterError("beta must lie in (0, 1] for matching")
     opt = state.optimum()
-    live = sorted(state.live)
-    covering = [HalfspaceConstraint.covering(
-        dict.fromkeys((state.coords[e] for e in live), 1.0 / (beta * opt)))] if opt > 0 else []
-    # one pass over the live edges gives every vertex its incident coordinates
-    incident: dict = {}
-    for e in live:
-        for v in e:
-            incident.setdefault(v, {})[state.coords[e]] = 1.0
-    kept, state.rows = state.rows, {}
-    for v in sorted(incident):
-        key = tuple(incident[v])
-        if v not in kept or kept[v][0] != key:
-            kept[v] = key, HalfspaceConstraint.packing(incident[v])
-        state.rows[v] = kept[v]
-    packing = [row for _, row in state.rows.values()]
-    frozen = tuple(sorted(state.coords[e] for e in state.coords if e not in state.live))
-    return PositiveBody(covering, packing, frozen=frozen, opt=float(opt))
+    covering = [HalfspaceConstraint.covering(dict.fromkeys(
+        state.live_coords, 1.0 / (beta * opt)))] if opt > 0 else []
+    # only a vertex whose live edges changed gets a new row
+    for v in state.touched:
+        if v in state.adj:
+            state.rows[v] = HalfspaceConstraint.packing(dict.fromkeys(state.adj[v].values(), 1.0))
+        else:
+            state.rows.pop(v, None)
+    state.touched.clear()
+    packing = [state.rows[v] for v in sorted(state.rows)]
+    return PositiveBody(covering, packing, frozen=state.frozen, opt=float(opt))
 
 
 # ------------------------------------------------------------- load balancing

@@ -115,13 +115,17 @@ class MultiplierLog:
         return self._append(step, row.support_weights(self.weights))
 
     def append_freeze(self, indices, x_before, x_after) -> "MultiplierLog":
-        """Record a clamp; x_before and x_after are x at `indices`, in that order."""
-        idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
+        """Record a clamp; x_before and x_after are x at `indices`, in that order.
+        The step holds each index once, in increasing order, with its first values."""
         if np.shape(x_before) != np.shape(indices) or np.shape(x_after) != np.shape(indices):
             raise ValueError("x_before and x_after must hold x at the clamped indices")
-        return self._append(Step(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
-                                 np.asarray(x_before, dtype=float)[first],
-                                 np.asarray(x_after, dtype=float)[first]), self.weights[idx])
+        idx = np.array(indices, dtype=np.int64)
+        before, after = np.array(x_before, dtype=float), np.array(x_after, dtype=float)
+        if idx.shape[0] > 1 and not (idx[1:] > idx[:-1]).all():  # sorted and distinct as it is
+            idx, first = np.unique(idx, return_index=True)
+            before, after = before[first], after[first]
+        return self._append(Step(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0, before, after),
+                            self.weights[idx])
 
 
 @dataclass
@@ -204,6 +208,8 @@ class _Entries:
         starts = np.flatnonzero(self.first)
         # coefficients are positive, so a coordinate no covering row names gets cmax 0
         cov = self.kind == "C"
+        # the numerator 10 d c of refine_ytilde's damping threshold, largest over covering entries
+        self.damping = float((10.0 * size[self.time] * self.coeff)[cov].max()) if cov.any() else 0.0
         top = np.maximum.reduceat(np.where(cov, self.coeff, 0.0), starts)
         low = np.minimum.reduceat(np.where(cov, self.coeff, np.inf), starts)
         ratio = (top / low)[top > 0.0]
@@ -300,14 +306,15 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     the entries before it in its run of the log's view.
 
     Only valid for clamp-free logs: a freeze resets a coordinate without
-    a packing payment, which breaks the window bound.
+    a packing payment, which breaks the window bound. Refused too when a
+    threshold overflows: then no earlier time is damped (see `_refusal`).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     e = log.entries()
-    if e.freeze_count:
-        raise CertificateError("refined certificate requires a clamp-free log (%d freezes present)"
-                               % e.freeze_count)
+    reason = _refusal(e, eps)
+    if reason is not None:
+        raise CertificateError(reason)
     # the view ordered by time: each step's support is one slice of it
     by_step = np.argsort(e.time, kind="stable").tolist()
     cuts = np.concatenate(([0], np.cumsum(np.bincount(e.time, minlength=e.horizon)))).tolist()
@@ -344,6 +351,17 @@ def refine_ytilde(log: MultiplierLog, eps: float) -> np.ndarray:
     if deficit > FEASIBILITY_TOL:
         raise CertificateError("ytilde mass dropped below (1 - eps/10) by %.3e" % deficit)
     return ytilde
+
+
+def _refusal(e: "_Entries", eps: float) -> str | None:
+    """Why the refined certificate cannot be built for the view `e` at eps, or
+    None: a clamp in the log, or a damping threshold 10 d c / eps that leaves
+    float range, which would damp nothing and fail the window bound."""
+    if e.freeze_count:
+        return "refined certificate requires a clamp-free log (%d freezes present)" % e.freeze_count
+    if not e.damping / eps < math.inf:
+        return "refined certificate's damping threshold 10 d c / eps leaves float range"
+    return None
 
 
 def _suffix_sums(e: "_Entries", ytilde) -> np.ndarray:
@@ -444,7 +462,8 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
     """Summary record combining both certificates, against the log's ledger.
 
     The refined fields, `refined_max_violation` among them, are null when
-    the log contains freezes (the refined construction is unsound there);
+    the log contains freezes (the refined construction is unsound there)
+    or when eps is so small that its damping threshold leaves float range;
     the theoretical cap then falls back to the warmup constant.
     """
     e, ledger = log.entries(), log.ledger
@@ -456,7 +475,7 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
     if log.horizon == 0:
         return out
     certs = [build_warmup_dual(log, eps)]
-    if not e.freeze_count:
+    if _refusal(e, eps) is None:
         certs.append(build_refined_dual(log, refine_ytilde(log, eps), eps))
     for cert in certs:
         report = certified_report(cert, ledger, eps)

@@ -180,9 +180,13 @@ class HalfspaceConstraint:
         values = np.array([coeffs[i] for i in keys], dtype=float)
         if indices[0] < 0:  # sorted, so the first id is the least
             raise ConstraintError("coordinate ids must be nonnegative")
-        if not float(values.max()) <= COEFF_MAX:  # nan fails too
+        # a row has few coefficients, so list builtins beat numpy reductions;
+        # max skips a nan that is not first, but the sum is nan then
+        floats = values.tolist()
+        total = sum(floats)
+        if not (max(floats) <= COEFF_MAX and total == total):
             raise ConstraintError("coefficients must be finite, at most %g" % COEFF_MAX)
-        if float(values.min()) < COEFF_MIN:
+        if min(floats) < COEFF_MIN:
             raise ConstraintError("coefficients must be positive, at least %g" % COEFF_MIN)
         self.kind = kind
         self.indices = indices
@@ -345,8 +349,9 @@ def _root(g, total, rhs, increasing):
     the sign of g; a step that leaves (lo, hi), or a zero or infinite
     slope, falls back to the midpoint, or to doubling from 1 while hi is
     open.  Stops once |g| <= _ROOT_TOL * rhs.  After _ROOT_MAX_ITER
-    evaluations, or on an exhausted bracket, the best point is accepted only
-    within 1e3 of the target, else the call fails.  Returns (root, |g|, evaluations).
+    evaluations, or on an exhausted bracket (closed and no wider than
+    hi's rounding, however far below 1 the root lies), the best point is
+    accepted only within 1e3 of the target, else the call fails.  Returns (root, |g|, evaluations).
     """
     t, lo, hi = 0.0, 0.0, math.inf
     gt, slope = g(t)
@@ -365,7 +370,7 @@ def _root(g, total, rhs, increasing):
         if abs(gt) <= _ROOT_TOL * rhs:
             return t, abs(gt), iterations
         lo, hi = (t, hi) if (gt < 0.0) == increasing else (lo, t)
-        if hi - lo <= _FLOAT_EPS * max(1.0, lo):
+        if hi < math.inf and hi - lo <= _FLOAT_EPS * hi:
             break
     if abs(best_g) <= 1e3 * _ROOT_TOL * rhs:
         return best, abs(best_g), iterations
@@ -566,7 +571,10 @@ def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
     the separator of a body listing no rows (its choice, without a value).
     Rows are fed to the single-halfspace projectors with eps = delta/20, so on exit every
     covering row has value >= 1 - delta/10 and every packing row has value
-    <= (1 + eps) + delta/10.  Use `scaled_output` on the returned point
+    <= (1 + eps) + delta/10.  The band never passes inside the projectors'
+    own tests (`covering_violated`, `packing_violated`), so for delta below
+    about 1e-11 the bounds are 1 - VIOLATION_SLACK and (1 + eps)(1 +
+    VIOLATION_SLACK) instead.  Use `scaled_output` on the returned point
     when full covering feasibility is required downstream.
 
     `x_prev` is moved in place and returned (see `project_and_record`),
@@ -579,8 +587,9 @@ def chase_body(x_prev: FractionalPoint, oracle, delta: float, *, log=None,
         raise ValueError("delta must lie in (0, 1]")
     eps = delta / 20.0
     body = oracle if isinstance(oracle, PositiveBody) else PositiveBody(separate=oracle)
-    cover_floor = 1.0 - delta / 10.0
-    pack_ceiling = 1.0 + eps + delta / 10.0
+    # below delta of about 1e-11 the band would pass inside the projectors' own tests
+    cover_floor = min(1.0 - delta / 10.0, 1.0 - VIOLATION_SLACK)
+    pack_ceiling = max(1.0 + eps + delta / 10.0, (1.0 + eps) * (1.0 + VIOLATION_SLACK))
 
     x = x_prev
     trace: list[Step] = []

@@ -168,20 +168,23 @@ def global_min_cut(vertices, edges):
     return best_value, frozenset(best_side)
 
 
-def shortest_augmenting_path(adj, matching, max_len=None, color=None):
+def shortest_augmenting_path(adj, matching, max_len=None, color=None, free=None):
     """Shortest augmenting path in a bipartite graph, or None.
 
-    adj maps vertex -> sorted neighbors; matching maps both endpoints of
-    each matched edge to each other. Paths longer than max_len edges are
-    not reported. Layered BFS from every free vertex of colour 0 in
-    `color`, the graph's `two_color_adjacency(adj)` (computed if omitted).
+    adj maps vertex -> its neighbors, iterated in a fixed order; matching
+    maps both endpoints of each matched edge to each other. Paths longer
+    than max_len edges are not reported. Layered BFS from the vertices of
+    `free`, which must be free vertices of adj on one side of the graph;
+    by default from every free vertex of colour 0 in `color`, the graph's
+    `two_color_adjacency(adj)` (computed if omitted).
     """
-    color = two_color_adjacency(adj) if color is None else color
-    if color is None:
-        raise GraphError("augmenting search requires a bipartite graph")
-    left_free = sorted(v for v in adj if color[v] == 0 and v not in matching)
-    parent = {v: None for v in left_free}
-    queue = deque((v, 0) for v in left_free)
+    if free is None:
+        color = two_color_adjacency(adj) if color is None else color
+        if color is None:
+            raise GraphError("augmenting search requires a bipartite graph")
+        free = sorted(v for v in adj if color[v] == 0 and v not in matching)
+    parent = dict.fromkeys(free)
+    queue = deque((v, 0) for v in free)
     while queue:
         u, depth = queue.popleft()
         if max_len is not None and depth + 1 > max_len:
@@ -216,10 +219,10 @@ def apply_augmenting_path(matching, path):
         matching[path[i + 1]] = path[i]
 
 
-def maximum_matching(edges, vertices=(), start=None):
-    """Maximum bipartite matching as a symmetric partner map, augmented from a copy of `start`."""
+def maximum_matching(edges, vertices=()):
+    """Maximum bipartite matching as a symmetric partner map."""
     adj = build_adjacency(edges, vertices)
-    color, matching = two_color_adjacency(adj), dict(start or {})
+    color, matching = two_color_adjacency(adj), {}
     while True:
         path = shortest_augmenting_path(adj, matching, color=color)
         if path is None:

@@ -63,7 +63,8 @@ class Stabilizer:
         self.seed = int(seed)
         self.kappa = kappa_copies(alpha, delta, n)
         self._thresholds: dict = {}
-        self.counts: dict = {}
+        self.counts: dict = {}  # live edge -> its nonzero copy count at the last step
+        self.values: dict = {}  # live edge -> its value at the last step
         self.support: set = set()
         self.case: str = "a"
         self.fallback: set = set()
@@ -89,23 +90,24 @@ def stabilizer_step(values, stab: Stabilizer):
     Returns (support edge set, inserted edges, deleted edges). Copy-level
     recourse is accumulated on the stabilizer.
     """
-    inst = stab.instance
-    counts = {}
+    inst, last, kept = stab.instance, stab.values, stab.counts
+    counts, degree, copy_delta, stab.values = {}, {}, 0, {}
     for e in sorted(inst.live):
-        c = stab.copy_count(e, float(values[inst.coords[e]]))
+        value = stab.values[e] = float(values[inst.coords[e]])
+        old = kept.pop(e, 0)
+        # a count is a function of the edge's value: only a moved edge is searched again
+        c = old if last.get(e) == value else stab.copy_count(e, value)
         if c:
             counts[e] = c
-    copy_delta = 0
-    for e in counts.keys() | stab.counts.keys():
-        copy_delta += abs(counts.get(e, 0) - stab.counts.get(e, 0))
+            u, v = e
+            degree[u] = degree.get(u, 0) + c
+            degree[v] = degree.get(v, 0) + c
+        copy_delta += abs(c - old)
+    copy_delta += sum(kept.values())  # the copies of the edges that died since the last step
     stab.copy_step_recourse = copy_delta
     stab.copy_recourse_total += copy_delta
     stab.counts = counts
 
-    degree = {}
-    for (u, v), c in counts.items():
-        degree[u] = degree.get(u, 0) + c
-        degree[v] = degree.get(v, 0) + c
     cap = (1.0 + stab.delta) * stab.kappa
     support = set(counts)
     if degree and max(degree.values()) > cap:

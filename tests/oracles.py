@@ -1313,3 +1313,22 @@ def random_replay(rng, problem: str, updates: int):
             live.remove(e)
             events.append(UpdateEvent(problem, "delete", ids(e)))
     return problem, header, events
+
+
+def unique_freeze_step(indices, x_before, x_after) -> Step:
+    """`MultiplierLog.append_freeze`'s step as it was built before it skipped
+    `np.unique` on sorted, distinct indices: every clamp goes through it."""
+    idx, first = np.unique(np.asarray(indices, dtype=np.int64), return_index=True)
+    return Step(Kind.FREEZE, idx, np.zeros(idx.shape[0]), 0.0,
+                np.asarray(x_before, dtype=float)[first], np.asarray(x_after, dtype=float)[first])
+
+
+def fresh_copy_counts(stab, values) -> dict:
+    """`stabilizer_step`'s nonzero copy counts as it once computed them: a
+    threshold search for every live edge on every update, in sorted order."""
+    inst, counts = stab.instance, {}
+    for e in sorted(inst.live):
+        c = stab.copy_count(e, float(values[inst.coords[e]]))
+        if c:
+            counts[e] = c
+    return counts

@@ -281,3 +281,22 @@ def test_warmup_duals_take_their_log_form_past_float_range():
         lifted = math.log(8.0 * cmax * x) - math.log(eps)
         assert cert.r_bar.after[i] == pytest.approx(1.0 - lifted / A, rel=1e-12, abs=1e-12)
     assert math.isfinite(cert.objective) and math.isfinite(cert.max_violation)
+
+
+def test_refined_certificate_is_refused_when_its_damping_threshold_leaves_float_range():
+    # 10 d c / eps = 20 * 1e100 / 5e-302 overflows: nothing would be damped and
+    # the window check would fail, so the construction is refused up front
+    w, eps = np.ones(2), 5e-302
+    log = MultiplierLog(w)
+    project_and_record(FractionalPoint.zeros(2, w), HalfspaceConstraint.covering({0: 1e100, 1: 1.0}),
+                       eps, log=log)
+    with pytest.raises(CertificateError, match="float range"):
+        refine_ytilde(log, eps)
+    summary = certify_run(log, eps)
+    assert summary["refined_bound"] is None and summary["A_refined"] is None
+    assert summary["warmup_bound"] > 0.0
+    # the same row chased at an eps whose thresholds stay finite is certified both ways
+    log = MultiplierLog(w)
+    project_and_record(FractionalPoint.zeros(2, w), HalfspaceConstraint.covering({0: 1e100, 1: 1.0}),
+                       0.025, log=log)
+    assert certify_run(log, 0.025)["refined_bound"] > 0.0

@@ -486,14 +486,39 @@ def test_the_widest_coefficients_at_the_smallest_delta_exit_without_warnings(
         text, tmp_path, capsys):
     # eps = 5e-302 underflows the shift of a 1e100 coefficient to 0: its step
     # caps the exponent as the root finder does, and the warm-up duals take
-    # their log form, so the run ends in one line and no numpy warning
-    path = tmp_path / "s.txt"
+    # their log form; the refined damping threshold 10 d c / eps overflows,
+    # so that certificate is refused up front, as for a clamped log
+    path, out = tmp_path / "s.txt", tmp_path / "r.jsonl"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["chase", str(path), "--delta", "1e-300"])
-    err = capsys.readouterr().err
-    assert rc in (0, 1) and err.count("\n") == (rc == 1)
+        rc = main(["chase", str(path), "--delta", "1e-300", "--report", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    (cert,) = [r for r in map(json.loads, out.read_text().splitlines())
+               if r["kind"] == "certificate"]
+    assert cert["warmup_bound"] > 0.0 and cert["A_warmup"] > 0.0
+    assert cert["refined_bound"] is None and cert["A_refined"] is None
+
+
+@pytest.mark.parametrize("problem, events", [
+    ("matching", [{"op": "insert", "u": "a", "v": "b"}, {"op": "insert", "u": "c", "v": "d"},
+                  {"op": "insert", "u": "b", "v": "c"}]),
+    ("setcover", [{"op": "insert", "element": 2}, {"op": "insert", "element": 3},
+                  {"op": "insert", "element": 0}, {"op": "delete", "element": 2}]),
+])
+def test_a_replay_at_the_smallest_delta_hands_the_projectors_only_violated_rows(
+        problem, events, tmp_path, capsys):
+    # at delta 1e-300 the cover floor 1 - delta/10 rounds to 1.0; the chase
+    # stops at the projectors' own slack instead, so no satisfied row is
+    # handed over (each run exited 1 with "oracle returned a satisfied row")
+    header = {"problem": "matching", "n": 4} if problem == "matching" else {
+        "problem": "setcover", "sets": [{"cost": 2.023643, "elements": [2, 3]},
+                                        {"cost": 2.900927, "elements": [0, 3]},
+                                        {"cost": 1.288319, "elements": [0, 3]}]}
+    path = tmp_path / "u.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in [header, *events]) + "\n")
+    assert main([problem, str(path), "--delta", "1e-300", "--no-offline"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_loads_too_small_for_the_makespan_search_exit_1(tmp_path, capsys):

@@ -15,6 +15,7 @@ from bodychase import (
     chase_body,
     scaled_output,
 )
+from bodychase.core import VIOLATION_SLACK
 
 
 def test_one_covering_round():
@@ -177,3 +178,27 @@ def test_a_callable_oracle_is_the_separator_of_a_body_listing_no_rows():
         assert x.values.tobytes() == y.values.tobytes() and len(trace) == len(again)
         for a, b in zip(trace, again):
             assert a.multiplier == b.multiplier and a.x_after.tobytes() == b.x_after.tobytes()
+
+
+def test_the_band_stays_inside_the_projectors_own_tests_at_the_smallest_delta():
+    # 1 - delta/10 rounds to 1.0 below delta of about 1e-11, where a row the
+    # projectors call satisfied would be handed to them as violated
+    seen = {}
+
+    def oracle(values, cover_floor, pack_ceiling):
+        seen.update(floor=cover_floor, ceiling=pack_ceiling)
+        return None
+
+    chase_body(FractionalPoint.zeros(1), oracle, delta=1e-300)
+    assert seen["floor"] == 1.0 - VIOLATION_SLACK
+    assert seen["ceiling"] == (1.0 + 5e-302) * (1.0 + VIOLATION_SLACK)
+    body = PositiveBody([HalfspaceConstraint.covering({0: 1.0})],
+                        [HalfspaceConstraint.packing({1: 1.0})])
+    x, trace = chase_body(FractionalPoint([1.0 - 1e-13, 1.0 + 1e-13]), body, delta=1e-300)
+    assert trace == [] and x.values.tolist() == [1.0 - 1e-13, 1.0 + 1e-13]
+    # a row violated beyond the slack is still chased
+    _, trace = chase_body(FractionalPoint([0.5, 1.0]), body, delta=1e-300)
+    assert len(trace) == 1
+    # from delta 1e-10 up the band is the one documented
+    chase_body(FractionalPoint.zeros(1), oracle, delta=1e-10)
+    assert seen["floor"] == 1.0 - 1e-11 and seen["ceiling"] == 1.0 + 5e-12 + 1e-11

@@ -180,9 +180,14 @@ def test_coefficients_span_the_row_range_and_no_further():
     assert np.isfinite(1.0 / (4.0 * MAX_DIMENSION * COEFF_MIN))
     assert np.isfinite(4.0 * MAX_DIMENSION * (COEFF_MAX / COEFF_MIN) / 1e-100)
     for value in (np.nextafter(COEFF_MIN, 0.0), np.nextafter(COEFF_MAX, np.inf), 0.0, -1.0,
-                  np.nan, np.inf):
-        with pytest.raises(ConstraintError):
-            HalfspaceConstraint.packing({0: 1.0, 3: float(value)})
+                  np.nan, np.inf, -np.inf):
+        # first, between and last: the message names the bound a numpy reduction breaks
+        for coeffs in ({0: value, 3: 1.0, 5: 2.0}, {0: 1.0, 3: value, 5: 2.0},
+                       {0: 1.0, 3: 2.0, 5: value}, {0: value, 3: -value}):
+            values = np.array(list(coeffs.values()))
+            bound = "finite" if not values.max() <= COEFF_MAX else "positive"
+            with pytest.raises(ConstraintError, match="coefficients must be " + bound):
+                HalfspaceConstraint.packing(coeffs)
 
 
 def test_a_step_whose_root_needs_a_capped_exponent_moves_no_coordinate_to_inf():

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from bodychase.adapters import MatchingState
 from bodychase.graphs import (
     GraphError,
     apply_augmenting_path,
@@ -144,24 +145,57 @@ def random_bipartite_churn(rng, left, right, updates):
 
 
 def test_warm_started_maximum_matching_under_churn():
+    # the matching adapter keeps its maximum matching between updates and
+    # repairs it where the graph changed; networkx solves every graph afresh
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(2201)
     for trial in range(8):
-        kept = {}
+        state, before = MatchingState(), set()
         for edges in random_bipartite_churn(rng, 4, 5, 60):
             live = set(edges)
-            # a deleted matched edge unmatches both of its ends
-            start = {u: v for u, v in kept.items() if tuple(sorted((u, v))) in live}
-            copy = dict(start)
-            kept = maximum_matching(edges, start=start)
-            assert start == copy  # augments a copy
+            for op, edge in [("insert", e) for e in live - before] + \
+                    [("delete", e) for e in before - live]:
+                getattr(state, op)(*edge)
+            before = live
+            size = state.optimum()
+            kept = state.matching
             assert all(tuple(sorted((u, v))) in live and kept[v] == u for u, v in kept.items())
-            size = len(kept) // 2
-            assert size == len(maximum_matching(edges)) // 2, trial
+            assert size == len(kept) // 2 == len(maximum_matching(edges)) // 2, trial
             G = nx.Graph(edges)
             top = {v for v in G if v[0] == "L"}
             assert size == (len(nx.bipartite.maximum_matching(G, top_nodes=top)) // 2
                             if edges else 0), trial
+
+
+def test_a_search_from_given_free_vertices_finds_an_augmenting_path_from_them():
+    rng = np.random.default_rng(2501)
+    searched = found = 0
+    for edges in random_bipartite_churn(rng, 4, 4, 120):
+        adj = build_adjacency(edges)
+        color = two_color_adjacency(adj)
+        matching = {}
+        while True:
+            coloured = shortest_augmenting_path(adj, matching, color=color)
+            by_side = {0: [], 1: []}
+            for v in adj:
+                if v not in matching:
+                    by_side[color[v]].append(v)
+            # from all colour-0 free vertices: the default search itself
+            assert shortest_augmenting_path(adj, matching, free=sorted(by_side[0])) == coloured
+            for v in by_side[0] + by_side[1]:
+                path = shortest_augmenting_path(adj, matching, free=[v])
+                searched += 1
+                if path is not None:
+                    found += 1
+                    assert path[0] == v and path[-1] not in matching and path[-1] != v
+                    assert all(path[i + 1] in adj[path[i]] for i in range(len(path) - 1))
+                    assert all(matching[path[i]] == path[i + 1] for i in range(1, len(path) - 1, 2))
+                elif coloured is not None:
+                    assert v not in coloured  # an end of some augmenting path has one
+            if coloured is None:
+                break
+            apply_augmenting_path(matching, coloured)
+    assert searched > 1000 and found > 300
 
 
 def test_augmenting_search_with_a_given_colouring_finds_the_same_path():

@@ -21,6 +21,7 @@ from oracles import (
     logged_step,
     random_mixed_stream,
     stream_from_log,
+    unique_freeze_step,
 )
 from test_certify_sparse import stream_with_freezes
 
@@ -114,3 +115,28 @@ def test_certify_run_builds_the_view_once(monkeypatch):
     freezing = stream_with_freezes(rng, 5, 20, 0.5)
     certify_run(freezing, 0.5)
     assert builds == [before, log.horizon, freezing.horizon]
+
+
+@pytest.mark.parametrize("indices", [[4], [1, 3, 4], [4, 1, 3], [3, 1, 3, 4, 1], [2, 2], [],
+                                     np.array([0, 2, 4]), np.array([4, 0]), (2, 1)])
+def test_a_clamp_keeps_the_step_of_the_unique_path(indices):
+    # sorted, distinct indices skip np.unique; any others take it: both must
+    # keep the same step, with arrays of their own
+    w = np.arange(1.0, 6.0)
+    before = np.linspace(0.9, 0.1, len(indices))
+    after = np.zeros(len(indices))
+    log = MultiplierLog(w)
+    log.append_freeze(indices, before, after)
+    got, want = log.steps[-1], unique_freeze_step(indices, before, after)
+    assert got.kind is want.kind is Kind.FREEZE
+    for field in ("indices", "coeffs", "x_before", "x_after"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (got.multiplier, got.iterations, got.residual) == \
+        (want.multiplier, want.iterations, want.residual)
+    assert log.ledger.steps[-1] == (0.0, float(w[want.indices].dot(want.x_before)))
+    if isinstance(indices, np.ndarray):
+        indices[:] = 0
+    before[:] = after[:] = 7.0
+    assert np.array_equal(got.indices, want.indices) and np.array_equal(got.x_before, want.x_before)
+    assert np.array_equal(got.x_after, np.zeros(want.indices.shape[0]))

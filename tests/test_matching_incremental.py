@@ -5,12 +5,15 @@ Every update's body, and every report, must come out the same."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bodychase import runner
+from bodychase import adapters, graphs, runner
 from bodychase.adapters import AdapterError, MatchingState, matching_body
 from bodychase.core import FractionalPoint, HalfspaceConstraint, project_and_record
 from bodychase.graphs import build_adjacency, two_color
@@ -200,3 +203,105 @@ def test_the_odd_cycle_check_on_the_touched_component_agrees_with_two_colouring(
             assert state.live == live
             assert {a: sorted(b) for a, b in state.adj.items()} == build_adjacency(live)
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("label", [int, "v{}".format], ids=["int", "str"])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_the_kept_matching_is_maximum_after_every_batch_of_ops(monkeypatch, label, batch):
+    # up to `batch` ops between two optimum() calls, on every pair of a vertex
+    # set, so inserts that would close an odd cycle are refused; matched edges
+    # are deleted on purpose; the state never asks for a cold matching
+    real, beside = adapters.shortest_augmenting_path, MatchingState._free_beside
+    searches, component = [], []
+
+    def counted(adj, matching, *args, free=None, **kwargs):
+        path = real(adj, matching, *args, free=free, **kwargs)
+        searches.append((any(free is f for f in component), path is not None))
+        return path
+
+    def free_beside(state, u):
+        component.append(beside(state, u))
+        return component[-1]
+
+    def cold(*args, **kwargs):
+        raise AssertionError("MatchingState must not rebuild its matching")
+
+    monkeypatch.setattr(adapters, "shortest_augmenting_path", counted)
+    monkeypatch.setattr(adapters, "maximum_matching", cold)
+    monkeypatch.setattr(MatchingState, "_free_beside", free_beside)
+    rng = np.random.default_rng([2506, batch])
+    seen = dict.fromkeys(("refused", "matched deletes", "reinserts", "several ops"), 0)
+    for trial in range(6):
+        state = MatchingState()
+        names = [label(i) for i in range(int(rng.integers(5, 10)))]
+        pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
+        for _ in range(80):
+            ops = int(rng.integers(1, batch + 1))
+            seen["several ops"] += ops > 1
+            for _ in range(ops):
+                matched = sorted({tuple(sorted(p)) for p in state.matching.items()})
+                draw = rng.random()
+                if matched and draw < 0.25:
+                    u, v = matched[int(rng.integers(len(matched)))]
+                    seen["matched deletes"] += (state.matching.get(u) == v)
+                    state.delete(u, v)
+                elif state.live and draw < 0.45:
+                    live = sorted(state.live)
+                    state.delete(*live[int(rng.integers(len(live)))])
+                else:
+                    u, v = pairs[int(rng.integers(len(pairs)))]
+                    if tuple(sorted((u, v))) in state.live:
+                        continue
+                    again = tuple(sorted((u, v))) in state.coords
+                    try:
+                        state.insert(v, u)
+                        seen["reinserts"] += again
+                    except AdapterError:
+                        seen["refused"] += 1
+            assert state.optimum() == len(graphs.maximum_matching(sorted(state.live))) // 2
+            kept = state.matching
+            assert all(kept[kept[v]] == v and tuple(sorted((v, kept[v]))) in state.live
+                       for v in kept)
+            assert state.live_coords == sorted(state.coords[e] for e in state.live)
+            assert_same_body(matching_body(state, 1.0), cold_matching_body(state, 1.0))
+    assert min(seen.values()) >= (20 if batch > 1 else 0), seen
+    # searches from an end of the changed edge, finding a path and not, and
+    # from the free vertices of an inserted edge's component (a path through
+    # the new edge is rare there: see the test below)
+    assert min(searches.count(k) for k in [(False, True), (False, False), (True, False)]) >= 10
+
+
+def test_an_insert_between_two_matched_ends_augments_through_it():
+    # x - m1 = a and b = m2 - y, matched at m1-a and b-m2 (the edges at x and
+    # y come last, so each finds no path): inserting a-b makes x-m1-a-b-m2-y
+    # augmenting, from the free vertex x on a's side of the component
+    state = MatchingState()
+    for edge, size in [(("a", "m1"), 1), (("b", "m2"), 2), (("m1", "x"), 2), (("m2", "y"), 2)]:
+        state.insert(*edge)
+        assert state.optimum() == size
+    assert state.matching == {"a": "m1", "m1": "a", "b": "m2", "m2": "b"}
+    state.insert("a", "b")
+    assert state._free_beside("a") == ["x"]
+    assert state.optimum() == 3
+    assert state.matching == {"x": "m1", "m1": "x", "a": "b", "b": "a", "m2": "y", "y": "m2"}
+
+
+def test_a_replay_with_string_ids_writes_the_same_report_under_any_hash_seed(tmp_path):
+    # vertex ids are strings, whose hashes change with PYTHONHASHSEED: every
+    # kept structure must iterate in an order the updates fix
+    lines = gen.matching_text(np.random.default_rng([25, 9]), 4, 4, 8, 60).splitlines()
+    events = [json.loads(line) for line in lines[1:]]
+    text = "\n".join(json.dumps(r) for r in [json.loads(lines[0])] + [
+        {"op": e["op"], "u": "u%d" % e["u"], "v": "v%d" % e["v"]} for e in events]) + "\n"
+    path = tmp_path / "m.jsonl"
+    path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / ("r%s.jsonl" % hash_seed)
+        path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path_var}
+        subprocess.run([sys.executable, "-m", "bodychase", "matching", str(path), "--round", "on",
+                        "--report", str(out)], check=True, env=env)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0].count(b'"kind": "update"') == 60

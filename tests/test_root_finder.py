@@ -168,3 +168,24 @@ def test_max_index_is_fixed_at_construction():
     assert row.value_at(np.ones(8)) == 3.0
     with pytest.raises(DimensionMismatch):
         row.value_at(np.ones(7))
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1e100, 1: 1.0}, {0: 1e100, 1: 1e-100}])
+def test_a_root_far_below_one_is_resolved(coeffs):
+    # the fast coordinate reaches the row after a multiplier near 6e-100: a
+    # bracket measured against 1 would count as exhausted after one step
+    row = HalfspaceConstraint.covering(coeffs)
+    step = project_covering(FractionalPoint.zeros(2), row, 0.025)
+    assert 0.0 < step.multiplier < 1e-90
+    assert step.residual <= 2e-12 and 1 < step.iterations <= 12
+    assert float(step.x_after.dot(row.coeffs)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_stream_whose_root_lies_far_below_one_chases(tmp_path, capsys):
+    from bodychase.cli import main
+
+    for text in ("C 0:1e100 1:1\nC 0:1\n", "C 0:1e100 1:1e-100\nP 0:1e100 1:1e-100\nC 1:1e-100\n"):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        assert main(["chase", str(path), "--no-offline"]) == 0
+        assert capsys.readouterr().err == ""

@@ -1,8 +1,12 @@
 """Matching rounding: copy counts, case split, maintained matching."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bodychase import runner
 from bodychase.adapters import MatchingState, matching_body
 from bodychase.core import FractionalPoint, chase_body
 from bodychase.graphs import build_adjacency, maximum_matching, shortest_augmenting_path
@@ -14,7 +18,14 @@ from bodychase.round_matching import (
     stabilizer_step,
 )
 
-from oracles import ColdMaintainedMatching
+from bodychase.runner import RunConfig, run_problem
+
+from oracles import ColdMaintainedMatching, fresh_copy_counts
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def test_kappa_arithmetic():
@@ -204,3 +215,50 @@ def test_the_copy_count_is_refused_past_its_cap():
     for alpha, delta in [(1e6, 0.5), (1e300, 0.5), (1.0, 1e-160), (1.0, 1e-300)]:
         with pytest.raises(AdapterError, match="threshold copies per edge"):
             kappa_copies(alpha, delta, 6)
+
+
+def test_kept_counts_equal_a_fresh_copy_count_on_every_update(monkeypatch, tmp_path):
+    # replays of the benchmark's generator, where most updates move no
+    # coordinate, and a churn under random points that move some of them
+    real, searches, visits = stabilizer_step, [], []
+    copy_count = Stabilizer.copy_count
+
+    def counted(stab, edge, value):
+        searches[-1] += 1
+        return copy_count(stab, edge, value)
+
+    def checked(values, stab):
+        before, want = dict(stab.counts), fresh_copy_counts(stab, values)
+        searches.append(0)
+        visits.append(len(stab.instance.live))
+        with monkeypatch.context() as m:
+            m.setattr(Stabilizer, "copy_count", counted)
+            out = real(values, stab)
+        assert stab.counts == want and list(stab.counts) == list(want)
+        assert stab.copy_step_recourse == sum(abs(want.get(e, 0) - before.get(e, 0))
+                                              for e in want.keys() | before.keys())
+        return out
+
+    monkeypatch.setattr(runner, "stabilizer_step", checked)
+    for seed in range(3):
+        path = tmp_path / "m.jsonl"
+        path.write_text(gen.matching_text(np.random.default_rng([25, seed]), 4, 4, 8, 60))
+        run_problem(RunConfig(round_mode="on", offline=False, certify=False), str(path))
+    assert len(searches) == 180 and sum(searches) < sum(visits) / 2
+
+    inst = MatchingState()
+    stab = Stabilizer(inst, alpha=1.0, delta=0.5, n=8, seed=7)
+    rng = np.random.default_rng(2505)
+    values = np.zeros(0)
+    cases = set()
+    for _ in range(200):
+        u, v = ("L", int(rng.integers(4))), ("R", int(rng.integers(4)))
+        (inst.delete if (u, v) in inst.live else inst.insert)(u, v)
+        grown = np.zeros(inst.dimension)
+        grown[: values.shape[0]] = values
+        moved = rng.random(inst.dimension) < 0.3
+        grown[moved] = rng.choice([0.0, -0.0, 0.2, 0.9, 1.0], size=int(moved.sum()))
+        values = grown
+        checked(values, stab)
+        cases.add(stab.case)
+    assert cases == {"a", "b"}
