@@ -82,6 +82,7 @@ class SetCoverState:
         self._column = {u: j for j, u in enumerate(self._holders)}
         self._incidence = np.array([[float(u in s) for u in self._holders] for s in self.sets])
         self._price, self._lp = np.ones(len(self._column)), None  # -1 if live; last optimum
+        self._packing = (None, ())  # ((beta, opt), the cost rows c / (beta opt)) last built
         self.live: set = set()
         self.lp_pivots = 0
 
@@ -132,9 +133,10 @@ def setcover_body(state: SetCoverState, beta: float) -> PositiveBody:
         raise AdapterError("beta must be at least 1 for covering problems")
     covering = tuple(state.rows[u] for u in sorted(state.live))
     opt = state.fractional_opt()
-    packing = [HalfspaceConstraint.packing(
-        {i: float(c) / (beta * opt) for i, c in enumerate(state.costs)})] if opt > 0.0 else []
-    return PositiveBody(covering, packing, opt=opt)
+    if state._packing[0] != (beta, opt):  # else the kept row, with its step constants
+        state._packing = ((beta, opt), (HalfspaceConstraint.packing(
+            {i: float(c) / (beta * opt) for i, c in enumerate(state.costs)}),) if opt > 0.0 else ())
+    return PositiveBody(covering, state._packing[1], opt=opt)
 
 
 # ------------------------------------------------------------------ matching

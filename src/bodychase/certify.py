@@ -464,7 +464,10 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
     The refined fields, `refined_max_violation` among them, are null when
     the log contains freezes (the refined construction is unsound there)
     or when eps is so small that its damping threshold leaves float range;
-    the theoretical cap then falls back to the warmup constant.
+    the theoretical cap then falls back to the warmup constant. A scheme
+    whose dual fails its feasibility check by more than FEASIBILITY_TOL
+    certifies nothing: its bound, ratio and A are null, and only its
+    `*_max_violation` is reported.
     """
     e, ledger = log.entries(), log.ledger
     out = {"upward_recourse": ledger.upward_total, "l1_recourse": ledger.l1_total,
@@ -479,6 +482,8 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
         certs.append(build_refined_dual(log, refine_ytilde(log, eps), eps))
     for cert in certs:
         report = certified_report(cert, ledger, eps)
+        if not cert.max_violation <= FEASIBILITY_TOL:  # a dual failing its check bounds nothing
+            report.update(lower_bound=None, ratio=None, A=None)
         out[cert.scheme + "_bound"] = report["lower_bound"]
         out["ratio_" + cert.scheme] = report["ratio"]
         out["A_" + cert.scheme] = report["A"]

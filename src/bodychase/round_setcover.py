@@ -34,13 +34,13 @@ class CoverState:
         self.step_recourse = 0
 
     def cost(self) -> float:
-        return float(sum(self.instance.costs[i] for i in self.selected))
+        costs = self.instance.costs.tolist()
+        return float(sum(costs[i] for i in self.selected))
 
     def covers_live(self) -> bool:
-        return all(
-            any(i in self.selected for i in self.instance.covering_sets(u))
-            for u in self.instance.live
-        )
+        """One pass over the selected sets: their union holds every live element."""
+        sets = self.instance.sets
+        return set().union(*[sets[i] for i in self.selected]).issuperset(self.instance.live)
 
     def _commit(self, new_selected: set) -> None:
         self.step_recourse = len(new_selected ^ self.selected)
@@ -67,11 +67,9 @@ def round_det(x, state: CoverState, f: int) -> CoverState:
     if values.shape[0] != state.instance.dimension:
         raise AdapterError("point dimension does not match the set system")
     enter, leave = 1.0 / f, 1.0 / (2.0 * f)
-    new_selected = {
-        i for i in range(values.shape[0])
-        if values[i] >= enter or (i in state.selected and values[i] > leave)
-    }
-    state._commit(new_selected)
+    selected = state.selected
+    state._commit({i for i, v in enumerate(values.tolist())
+                   if v >= enter or (v > leave and i in selected)})
     return state
 
 

@@ -200,7 +200,8 @@ class _Run:
         cert = block = None
         if config.certify:
             cert = {"kind": "certificate", **certify_run(self.log, self.eps)}
-            for key in ("warmup_bound", "refined_bound", "ratio_warmup", "ratio_refined"):
+            for key in ("warmup_bound", "refined_bound", "ratio_warmup", "ratio_refined",
+                        "warmup_max_violation", "refined_max_violation"):
                 out[key] = cert[key]
         if config.offline:
             block = _offline_block(self.offline, self.x.weights, config.oracle_cap)

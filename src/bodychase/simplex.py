@@ -51,15 +51,15 @@ class SimplexResult:
 
 
 def _pivot(work, obj, row, col):
-    work[row] = work[row] / work[row, col]
-    rows = np.flatnonzero(work[:, col])
+    colvec = work[:, col].copy()  # the column before the pivot row is divided
+    work[row] /= colvec[row]
+    rows = colvec.nonzero()[0]
     if 2 * rows.size > work.shape[0]:  # a dense column: update the whole tableau
-        factor = work[:, col].copy()
-        factor[row] = 0.0
-        work -= np.outer(factor, work[row])
+        colvec[row] = 0.0
+        work -= np.outer(colvec, work[row])
     else:  # the other rows would lose exactly 0 * x
         rows = rows[rows != row]
-        work[rows] -= np.outer(work[rows, col], work[row])
+        work[rows] -= np.outer(colvec[rows], work[row])
     if obj[col] != 0.0:
         obj -= obj[col] * work[row]
 
@@ -108,39 +108,39 @@ def _run_phase(work, obj, basis, max_iter, refresh=None):
     while pivots < max_iter:
         reduced = obj[:-1]
         if bland:
-            negs = np.flatnonzero(reduced < -PIVOT_TOL)
+            negs = (reduced < -PIVOT_TOL).nonzero()[0]
             if negs.size == 0:
                 return "optimal", pivots
             col = int(negs[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
                 return "optimal", pivots
-        colvec = work[:, col]
-        eligible = colvec > PIVOT_TOL
-        if not eligible.any():
-            return "unbounded", pivots
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = work[eligible, -1] / colvec[eligible]
+        colvec = work[:, col].copy()
+        ratios = np.divide(work[:, -1], colvec, out=np.full(m, np.inf), where=colvec > PIVOT_TOL)
         best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
-        if bland:
-            row = int(ties[np.argmin(np.asarray(basis)[ties])])
+        if best == np.inf:
+            return "unbounded", pivots
+        ties = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
+        if ties.size == 1:
+            row = int(ties[0])
+        elif bland:
+            row = int(ties[np.asarray(basis)[ties].argmin()])
         else:
-            row = int(ties[np.argmax(colvec[ties])])
+            row = int(ties[colvec[ties].argmax()])
         if (refresh is not None and refreshed < pivots
-                and colvec[row] < MIN_PIVOT_RATIO * np.abs(colvec).max()):
+                and colvec[row] < MIN_PIVOT_RATIO * abs(colvec).max()):
             refreshed = pivots
             table = refresh(basis)
             if table is not None:  # pricing starts over on the clean tableau
                 work[:], obj[:] = table
                 bland, stall = False, 0
                 continue
-        before = obj[-1]
+        before = float(obj[-1])
         _pivot(work, obj, row, col)
         basis[row] = col
         pivots += 1
-        if obj[-1] <= before + 1e-12 * (1.0 + abs(before)):
+        if float(obj[-1]) <= before + 1e-12 * (1.0 + abs(before)):
             stall += 1
             if stall >= 50:
                 bland = True
@@ -182,12 +182,12 @@ def solve_inequality_lp(c, G, h, *, start=None) -> SimplexResult:
     x_full[basis] = work[:, -1]
     x = x_full[:n]
     objective = float(c @ x)
-    duals = np.clip(obj[n:n + m], 0.0, None)
+    duals = np.maximum(obj[n:n + m], 0.0)
 
     slack_primal = h - G @ x
-    cs_rows = float(np.max(np.abs(duals * slack_primal)))
+    cs_rows = float(abs(duals * slack_primal).max())
     reduced = c + G.T @ duals
-    cs_cols = float(np.max(np.abs(x * reduced))) if n else 0.0
+    cs_cols = float(abs(x * reduced).max()) if n else 0.0
     cs = max(cs_rows, cs_cols)
     gap = abs(objective - float(-h @ duals))
     return SimplexResult("optimal", objective, x, duals, iterations, cs, gap, tuple(basis), work)

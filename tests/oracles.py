@@ -54,6 +54,7 @@ from bodychase.round_matching import MaintainedMatching
 from bodychase.runner import _meta, run_problem
 from bodychase.simplex import (
     FEAS_TOL,
+    MIN_PIVOT_RATIO,
     PIVOT_TOL,
     SimplexError,
     SimplexResult,
@@ -904,6 +905,82 @@ def dense_pivot(work, obj, row, col):
         obj -= obj[col] * work[row]
 
 
+def unfused_pivot(work, obj, row, col):
+    """`simplex._pivot` as it was before it copied its column once: it
+    divides the pivot row into a new array and reads the column after."""
+    work[row] = work[row] / work[row, col]
+    rows = np.flatnonzero(work[:, col])
+    if 2 * rows.size > work.shape[0]:  # a dense column: update the whole tableau
+        factor = work[:, col].copy()
+        factor[row] = 0.0
+        work -= np.outer(factor, work[row])
+    else:  # the other rows would lose exactly 0 * x
+        rows = rows[rows != row]
+        work[rows] -= np.outer(work[rows, col], work[row])
+    if obj[col] != 0.0:
+        obj -= obj[col] * work[row]
+
+
+def masked_run_phase(work, obj, basis, max_iter, refresh=None):
+    """`simplex._run_phase` as it was before it copied its entering column
+    once: the ratio test through a boolean mask, the stall test in numpy
+    scalars, the pivot by `unfused_pivot`. Minimize until no negative
+    reduced cost remains.
+
+    Returns (status, pivots). Switches to Bland's rule after 50 pivots
+    without objective improvement. A pivot below MIN_PIVOT_RATIO of its
+    column's largest entry may be round-off: then `refresh(basis)`, if
+    given, rebuilds (work, obj) (None if it cannot), and the pricing
+    starts over from Dantzig's rule, at most once between two pivots, so
+    a genuinely small pivot is still taken.
+    """
+    m = work.shape[0]
+    bland, stall, pivots = False, 0, 0
+    refreshed = -1  # the pivot count at the last refresh
+    while pivots < max_iter:
+        reduced = obj[:-1]
+        if bland:
+            negs = np.flatnonzero(reduced < -PIVOT_TOL)
+            if negs.size == 0:
+                return "optimal", pivots
+            col = int(negs[0])
+        else:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -PIVOT_TOL:
+                return "optimal", pivots
+        colvec = work[:, col]
+        eligible = colvec > PIVOT_TOL
+        if not eligible.any():
+            return "unbounded", pivots
+        ratios = np.full(m, np.inf)
+        ratios[eligible] = work[eligible, -1] / colvec[eligible]
+        best = float(ratios.min())
+        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        if bland:
+            row = int(ties[np.argmin(np.asarray(basis)[ties])])
+        else:
+            row = int(ties[np.argmax(colvec[ties])])
+        if (refresh is not None and refreshed < pivots
+                and colvec[row] < MIN_PIVOT_RATIO * np.abs(colvec).max()):
+            refreshed = pivots
+            table = refresh(basis)
+            if table is not None:  # pricing starts over on the clean tableau
+                work[:], obj[:] = table
+                bland, stall = False, 0
+                continue
+        before = obj[-1]
+        unfused_pivot(work, obj, row, col)
+        basis[row] = col
+        pivots += 1
+        if obj[-1] <= before + 1e-12 * (1.0 + abs(before)):
+            stall += 1
+            if stall >= 50:
+                bland = True
+        else:
+            stall = 0
+    raise SimplexError("pivot budget exhausted after %d iterations" % max_iter)
+
+
 def lu_duals(c, G, basis):
     """Nonnegative row multipliers of G v <= h from an optimal basis of
     [G | I], by one linear solve with the basis: how `solve_inequality_lp`
@@ -1041,6 +1118,26 @@ def two_phase_lp(c, G, h, *, basis=None) -> SimplexResult:
     cs = max(cs_rows, cs_cols)
     gap = abs(objective - float(-h @ duals))
     return SimplexResult("optimal", objective, x, duals, total_iter, cs, gap, tuple(basis))
+
+
+def set_round_det(values, selected, f: int) -> set:
+    """`round_det`'s next selection as it was computed before it read the
+    point as Python floats: one numpy comparison per set, in index order."""
+    enter, leave = 1.0 / f, 1.0 / (2.0 * f)
+    return {i for i in range(values.shape[0])
+            if values[i] >= enter or (i in selected and values[i] > leave)}
+
+
+def set_covers_live(cover) -> bool:
+    """`CoverState.covers_live` by its definition: every live element has a
+    selected set among the sets that hold it."""
+    return all(any(i in cover.selected for i in cover.instance.covering_sets(u))
+               for u in cover.instance.live)
+
+
+def set_cost(cover) -> float:
+    """`CoverState.cost` as it summed numpy costs over the selected sets."""
+    return float(sum(cover.instance.costs[i] for i in cover.selected))
 
 
 def cold_cover_opt(state):

@@ -187,6 +187,33 @@ def test_setcover_index_built_once():
     assert snap.covering[0] is state.rows["a"]
 
 
+def test_setcover_body_keeps_its_cost_row_while_beta_and_opt_hold():
+    # the row c / (beta opt) is rebuilt only when beta or the optimum moved,
+    # and a kept row is the row a fresh build would give
+    rng = np.random.default_rng(27)
+    sets = [set(int(u) for u in rng.choice(12, size=3, replace=False)) for _ in range(8)]
+    state = SetCoverState(rng.uniform(1.0, 3.0, size=8), sets)
+    covered = sorted(set().union(*sets))
+    last, kept = None, {True: 0, False: 0}
+    for _ in range(300):
+        u = covered[int(rng.integers(len(covered)))]
+        (state.delete if u in state.live else state.insert)(u)
+        beta = 2.0 if rng.random() < 0.9 else 3.0
+        body = setcover_body(state, beta)
+        if body.opt == 0.0:
+            assert body.packing == []
+            last = None
+            continue
+        (row,) = body.packing
+        assert row.as_dict() == {i: float(c) / (beta * body.opt) for i, c in enumerate(state.costs)}
+        if last is not None:
+            same = (beta, body.opt) == last[0]
+            assert (row is last[1]) == same
+            kept[same] += 1
+        last = (beta, body.opt), row
+    assert min(kept.values()) > 30
+
+
 def test_setcover_opt_monotone_under_deletion():
     rng = np.random.default_rng(5)
     sets = [{0, 1}, {1, 2}, {2, 3}, {0, 3}]

@@ -294,7 +294,10 @@ def test_refined_certificate_is_refused_when_its_damping_threshold_leaves_float_
         refine_ytilde(log, eps)
     summary = certify_run(log, eps)
     assert summary["refined_bound"] is None and summary["A_refined"] is None
-    assert summary["warmup_bound"] > 0.0
+    # the warm-up dual fails its own check by about 1e100 there, so it bounds nothing
+    assert summary["warmup_max_violation"] > FEASIBILITY_TOL
+    assert summary["warmup_bound"] is None and summary["A_warmup"] is None
+    assert summary["ratio_warmup"] is None
     # the same row chased at an eps whose thresholds stay finite is certified both ways
     log = MultiplierLog(w)
     project_and_record(FractionalPoint.zeros(2, w), HalfspaceConstraint.covering({0: 1e100, 1: 1.0}),

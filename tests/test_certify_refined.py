@@ -151,7 +151,7 @@ def test_no_self_check_without_a_certificate(tmp_path):
     empty = certify_run(MultiplierLog(np.ones(2)), eps=0.5)
     assert empty["warmup_max_violation"] is None
     assert empty["refined_max_violation"] is None
-    # replay summaries keep their fields
+    # replay summaries carry both checks next to their bounds
     updates = tmp_path / "u.jsonl"
     updates.write_text(json.dumps({"problem": "setcover", "sets": [
         {"cost": 1.0, "elements": [0, 1]}, {"cost": 2.0, "elements": [1]}]})
@@ -160,4 +160,5 @@ def test_no_self_check_without_a_certificate(tmp_path):
     assert main(["setcover", str(updates), "--no-offline", "--report", str(report)]) == 0
     summary = json.loads(report.read_text().splitlines()[-1])
     assert summary["kind"] == "summary" and summary["refined_bound"] is not None
-    assert not any(key.endswith("_max_violation") for key in summary)
+    for key in ("warmup_max_violation", "refined_max_violation"):
+        assert isinstance(summary[key], float) and summary[key] <= FEASIBILITY_TOL

@@ -10,8 +10,11 @@ subcommand that reads it, with some of that subcommand's flags set to
 1e-300 or 1e300. The property: `main` returns 0, 1 or 2, writes at most one
 line to stderr (a warning counts as a line, as a command line run prints
 it there; argparse's usage block before its own error line does not) and
-raises nothing. The example count is fixed and the draws are
-derandomized, so the test is deterministic.
+raises nothing. A report it writes reports only bounds that hold: each
+non-null dual bound passed its certificate's own check (or is the 0.0 of
+a run with no step), and none exceeds a non-null offline optimum. The
+example count is fixed and the draws are derandomized, so the test is
+deterministic.
 """
 
 import contextlib
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bodychase.certify import FEASIBILITY_TOL
 from bodychase.cli import SUBCOMMANDS, main
 from bodychase.runner import ROUND_MODES
 
@@ -145,9 +149,9 @@ def input_path(tmp_path_factory):
 def test_no_input_or_flag_value_ends_in_a_traceback(input_path, run):
     command, text, argv = run
     input_path.write_text(text)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         rc = main([command, str(input_path), *argv])
     lines = err.getvalue().splitlines()
@@ -156,3 +160,16 @@ def test_no_input_or_flag_value_ends_in_a_traceback(input_path, run):
     lines += [str(w.message) for w in caught]
     assert rc in (0, 1, 2), (rc, lines)
     assert len(lines) <= 1, lines
+    if rc == 0:
+        assert_bounds_hold([json.loads(line) for line in out.getvalue().splitlines()])
+
+
+def assert_bounds_hold(records):
+    for record in records:
+        opt = record.get("offline_opt")
+        for scheme in ("warmup", "refined"):
+            bound, violation = record.get(scheme + "_bound"), record.get(scheme + "_max_violation")
+            if bound is None:
+                continue
+            assert (violation is None and bound == 0.0) or violation <= FEASIBILITY_TOL, record
+            assert opt is None or bound <= opt * (1.0 + 1e-9) + 1e-12, record

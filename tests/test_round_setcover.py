@@ -10,6 +10,8 @@ from bodychase.adapters import AdapterError, SetCoverState, setcover_body
 from bodychase.core import FractionalPoint, chase_body, scaled_output
 from bodychase.round_setcover import CoverState, init_clocks, round_det, round_rand
 
+from oracles import set_cost, set_covers_live, set_round_det
+
 
 def small_instance():
     return SetCoverState([1.0, 2.0, 4.0], [{0, 1}, {1, 2}, {0, 2}])
@@ -127,3 +129,33 @@ def test_rand_requires_clocks():
         round_rand(FractionalPoint.zeros(3), state, alpha=2.0, n=3)
     with pytest.raises(AdapterError):
         init_clocks(small_instance(), seed=1, alpha=0.4, n=2)
+
+
+def test_rounding_checks_match_their_set_definitions_on_random_instances():
+    # values at and next to both thresholds, live sets assigned directly,
+    # some with elements that no set holds
+    rng = np.random.default_rng(27)
+    checked = {True: 0, False: 0}
+    for _ in range(300):
+        m, n_el, f = int(rng.integers(1, 13)), int(rng.integers(1, 16)), int(rng.integers(1, 5))
+        sets = [{u for u in range(n_el) if rng.random() < 0.3} for _ in range(m)]
+        inst = SetCoverState(rng.uniform(0.5, 3.0, size=m), sets)
+        cover = CoverState(inst)
+        edges = [0.0, 1.0 / f, 1.0 / (2.0 * f), np.nextafter(1.0 / f, 0.0),
+                 np.nextafter(1.0 / (2.0 * f), 1.0), 1.5]
+        for _ in range(4):
+            values = rng.uniform(0.0, 1.2 / f, size=m)
+            at = rng.random(m) < 0.4
+            values[at] = rng.choice(edges, size=int(at.sum()))
+            before, total = set(cover.selected), cover.recourse_total
+            want = set_round_det(values, before, f)
+            round_det(FractionalPoint(values), cover, f)
+            # the same sets, inserted in the same order, so cost() sums in one order
+            assert list(cover.selected) == list(want)
+            assert cover.step_recourse == len(want ^ before)
+            assert cover.recourse_total == total + cover.step_recourse
+            assert cover.cost() == set_cost(cover)
+            inst.live = {u for u in range(n_el + 2) if rng.random() < 0.5}
+            assert cover.covers_live() == set_covers_live(cover)
+            checked[cover.covers_live()] += 1
+    assert min(checked.values()) > 50

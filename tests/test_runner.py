@@ -275,6 +275,7 @@ def test_replay_summary_reports_offline_pivots(monkeypatch):
 RUN_KEYS = {"kind", "upward_recourse", "l1_recourse", "rootfind_iterations",
             "max_projection_residual"}
 TAIL_KEYS = RUN_KEYS | {"warmup_bound", "refined_bound", "ratio_warmup", "ratio_refined",
+                        "warmup_max_violation", "refined_max_violation",
                         "offline_opt", "offline_pivots", "offline_skipped", "ratio_vs_opt"}
 
 

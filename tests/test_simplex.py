@@ -1,5 +1,5 @@
-"""Dense one-phase simplex against hand solutions, vertex enumeration and
-the dense pivot and LU dual recovery it replaced."""
+"""Dense one-phase simplex against hand solutions, vertex enumeration, and
+the dense pivot, LU dual recovery and masked pivot loop it replaced."""
 
 import tracemalloc
 from itertools import combinations
@@ -7,11 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bodychase import simplex
+from bodychase import adapters, offline, simplex
+from bodychase.adapters import SetCoverState
 from bodychase.offline import build_compressed_lp
+from bodychase.runner import RunConfig, run_problem
 from bodychase.simplex import SimplexError, solve_inequality_lp
 
-from oracles import dense_pivot, lu_duals, random_mixed_stream
+from oracles import dense_pivot, lu_duals, masked_run_phase, random_mixed_stream, random_replay
 
 
 def test_box_maximum():
@@ -216,6 +218,86 @@ def test_solve_matches_dense_pivot_and_lu_duals(monkeypatch):
         assert res.basis == ref.basis and res.iterations == ref.iterations
         lu = lu_duals(c, G, res.basis)
         assert np.max(np.abs(res.duals - lu)) <= 1e-9 * max(1.0, np.max(np.abs(lu)))
+
+
+def assert_same_result(res, ref):
+    """Two solves agree bit for bit: signs of zeros and nan payloads included."""
+    assert (res.status, res.basis, res.iterations) == (ref.status, ref.basis, ref.iterations)
+    for a, b in ((res.x, ref.x), (res.duals, ref.duals), (res.objective, ref.objective),
+                 (res.cs_residual, ref.cs_residual), (res.duality_gap, ref.duality_gap)):
+        assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    assert (res.tableau is None) == (ref.tableau is None)
+    if res.tableau is not None:
+        assert res.tableau.tobytes() == ref.tableau.tobytes()
+
+
+def both_loops(monkeypatch, solved):
+    """`solve_inequality_lp`, checked against the same solve by the masked
+    loop; each compared result is appended to `solved`."""
+    def solve(c, G, h, *, start=None):
+        res = solve_inequality_lp(c, G, h, start=start)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_run_phase", masked_run_phase)
+            ref = solve_inequality_lp(c, G, h, start=start)
+        assert_same_result(res, ref)
+        solved.append(res)
+        return res
+    return solve
+
+
+def stalling_lp():
+    """Every h is 0, so no pivot improves the objective, and c = -G^T y
+    makes the origin optimal: Dantzig's rule stalls for 50 pivots and
+    Bland's rule finishes (410 pivots)."""
+    rng = np.random.default_rng(0)
+    n, m = int(rng.integers(40, 80)), int(rng.integers(40, 80))
+    G = rng.integers(-3, 4, size=(m, n)).astype(float)
+    return -G.T @ rng.integers(0, 3, size=m).astype(float), G, np.zeros(m)
+
+
+def test_the_pivot_loop_matches_the_masked_loop_on_the_differential_lps(monkeypatch):
+    # hand LPs add Bland's rule, Beale's cycling example, a refresh before a
+    # genuinely small pivot and an unbounded column
+    lps = list(differential_lps()) + [
+        stalling_lp(),
+        (np.array([-0.75, 150.0, -0.02, 6.0]),
+         np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+         np.array([0.0, 0.0, 1.0])),
+        (np.array([-1.0]), np.array([[1e-7], [1.0]]), np.array([1e-8, 1.0])),
+        (np.array([-1.0]), np.array([[0.0]]), np.array([1.0])),
+    ]
+    solved, rng = [], np.random.default_rng(27)
+    solve = both_loops(monkeypatch, solved)
+    for c, G, h in lps:
+        cold = solve(c, G, h)
+        if cold.status == "optimal":  # and from that tableau, re-priced
+            solve(rng.permutation(c) - rng.uniform(0.0, 1.0, size=c.shape), G, h, start=cold)
+    assert len(solved) > len(lps) and {r.status for r in solved} == {"optimal", "unbounded"}
+
+
+def test_the_pivot_loop_matches_the_masked_loop_under_long_set_cover_churn(monkeypatch):
+    # the standing cover LP of a bench-sized system, each solve re-pricing the last
+    rng = np.random.default_rng(2727)
+    sets = [set(int(u) for u in rng.choice(60, size=8, replace=False)) for _ in range(40)]
+    state = SetCoverState(rng.uniform(1.0, 3.0, size=40), sets)
+    covered = sorted(set().union(*sets))
+    solved = []
+    monkeypatch.setattr(adapters, "solve_inequality_lp", both_loops(monkeypatch, solved))
+    for _ in range(1500):
+        u = covered[int(rng.integers(len(covered)))]
+        (state.delete if u in state.live else state.insert)(u)
+        state.fractional_opt()
+    assert len(solved) >= 1490 and sum(r.iterations for r in solved) > 1000
+
+
+def test_the_pivot_loop_matches_the_masked_loop_on_offline_lps_of_mst_replays(monkeypatch):
+    solved = []
+    monkeypatch.setattr(offline, "solve_inequality_lp", both_loops(monkeypatch, solved))
+    rng = np.random.default_rng(270)
+    for _ in range(12):
+        run_problem(RunConfig(problem="mst", certify=False), random_replay(rng, "mst", 30))
+    assert len(solved) == 12 and all(r.status == "optimal" for r in solved)
+    assert sum(r.iterations for r in solved) > 12
 
 
 def test_sparse_column_pivot_allocates_no_tableau():
