@@ -407,6 +407,9 @@ def loadbalance_body(state: LoadBalanceState, beta: float) -> PositiveBody:
 # ------------------------------------------------------------------------ mst
 
 
+_STALE = object()  # a spanning tree not yet built for the live graph
+
+
 class MstState:
     """Dynamic graph on a fixed vertex set; coordinate per distinct edge."""
 
@@ -417,6 +420,7 @@ class MstState:
         self.coords: dict = {}
         self.costs: dict = {}
         self.live: set = set()
+        self._tree = _STALE
 
     @property
     def dimension(self) -> int:
@@ -437,23 +441,35 @@ class MstState:
             self.coords[key] = len(self.coords)
         self.costs[key] = cost
         self.live.add(key)
+        self._tree = _STALE
 
     def delete(self, u, v):
         key = _edge_key(u, v)
         if key not in self.live:
             raise AdapterError("edge %r is not live" % (key,))
         self.live.remove(key)
+        self._tree = _STALE
 
     def frozen_coords(self):
         return tuple(sorted(self.coords[e] for e in self.coords if e not in self.live))
 
+    def spanning_tree(self):
+        """`kruskal_mst` of the live graph, `(total, tree edges)`, or None when
+        it is disconnected. Built once and kept until the next insert or
+        delete; the (cost, u, v) order makes it independent of set order."""
+        if self._tree is _STALE:
+            try:
+                self._tree = kruskal_mst(self.vertices,
+                                         [(u, v, self.costs[(u, v)]) for u, v in self.live])
+            except GraphError:
+                self._tree = None
+        return self._tree
+
     def optimum(self) -> float:
-        try:
-            total, _ = kruskal_mst(self.vertices,
-                                   [(u, v, self.costs[(u, v)]) for u, v in self.live])
-        except GraphError as exc:
-            raise AdapterError(str(exc)) from None
-        return total
+        kept = self.spanning_tree()
+        if kept is None:
+            raise AdapterError("graph is disconnected")
+        return kept[0]
 
     def separation(self, values, cover_floor, pack_ceiling, beta):
         """One violated row of the cut body, or None (see `mst_body`)."""
@@ -477,9 +493,11 @@ def mst_body(state: MstState, beta: float) -> PositiveBody:
         return PositiveBody(frozen=frozen, opt=opt)
     cost = HalfspaceConstraint.packing(
         {state.coords[e]: state.costs[e] / (beta * opt) for e in live})
+    coords = [state.coords[e] for e in live]
 
     def separate(values, cover_floor, pack_ceiling):
-        weighted = [(u, v, float(values[state.coords[(u, v)]])) for u, v in live]
+        point = values.tolist()
+        weighted = [(u, v, point[c]) for (u, v), c in zip(live, coords)]
         cut_value, side = global_min_cut(state.vertices, weighted)
         if cut_value < cover_floor:
             return HalfspaceConstraint.covering(

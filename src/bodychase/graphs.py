@@ -62,34 +62,18 @@ def two_color_adjacency(adj):
     return color
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def is_connected(vertices, edges) -> bool:
-    verts = set(vertices)
-    if len(verts) <= 1:
+    parent = {v: v for v in vertices}
+    parts = len(parent)
+    if parts <= 1:
         return True
-    uf = _UnionFind(verts)
-    parts = len(verts)
     for u, v in edges:
-        if uf.union(u, v):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[max(u, v)] = min(u, v)
             parts -= 1
     return parts == 1
 
@@ -99,15 +83,22 @@ def kruskal_mst(vertices, edges):
 
     Returns (total cost, tree edges). Ties broken by (cost, u, v) for
     deterministic replay. Raises GraphError on a disconnected graph.
+    The union-find is inline: path halving, roots joined toward the
+    smaller label.
     """
-    verts = set(vertices)
-    uf = _UnionFind(verts)
+    parent = {v: v for v in vertices}
     tree, total = [], 0.0
     for cost, u, v in sorted((c, u, v) for u, v, c in edges):
-        if uf.union(u, v):
+        ru, rv = u, v
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
             tree.append((u, v, cost))
             total += cost
-    if len(tree) != len(verts) - 1:
+    if len(tree) != len(parent) - 1:
         raise GraphError("graph is disconnected")
     return total, tree
 
@@ -119,52 +110,49 @@ def global_min_cut(vertices, edges):
     remaining supervertices by total weight into the grown set (smallest
     label on ties), records the cut separating the last vertex, and
     contracts the last two. Returns (cut value, frozenset of one side).
+    Vertices are positions in label order over a dense weight matrix, an
+    absent edge weighing +0.0, which adds nothing to a nonnegative sum.
     """
     verts = sorted(set(vertices))
-    if len(verts) < 2:
+    n = len(verts)
+    if n < 2:
         raise GraphError("min cut needs at least two vertices")
-    w = {v: {} for v in verts}
+    pos = {v: i for i, v in enumerate(verts)}
+    w = [[0.0] * n for _ in range(n)]
     for u, v, weight in edges:
         if u == v:
             continue
         if weight < 0:
             raise GraphError("negative edge weight")
-        w[u][v] = w[u].get(v, 0.0) + weight
-        w[v][u] = w[v].get(u, 0.0) + weight
-    groups = {v: [v] for v in verts}
-    active = list(verts)
+        i, j = pos[u], pos[v]
+        w[i][j] += weight
+        w[j][i] += weight
+    groups = [[v] for v in verts]
+    active = list(range(n))
     best_value, best_side = float("inf"), None
     while len(active) > 1:
-        start = active[0]
-        wsum = {v: w[start].get(v, 0.0) for v in active if v != start}
-        order = [start]
-        last_weight = 0.0
-        while wsum:
-            pick, pick_w = None, -1.0
-            for v in sorted(wsum):
-                if wsum[v] > pick_w:
-                    pick, pick_w = v, wsum[v]
-            order.append(pick)
-            last_weight = pick_w
-            del wsum[pick]
-            for v, weight in w[pick].items():
-                if v in wsum:
-                    wsum[v] += weight
-        t, s = order[-1], order[-2]
-        if best_side is None or last_weight < best_value:
-            best_value, best_side = last_weight, sorted(groups[t])
-        for v, weight in w[t].items():
-            if v == s:
-                continue
-            w[s][v] = w[s].get(v, 0.0) + weight
-            w[v][s] = w[v].get(s, 0.0) + weight
-        for v in list(w[t]):
-            del w[v][t]
-        del w[t]
-        w[s].pop(t, None)
-        groups[s].extend(groups[t])
-        del groups[t]
+        wsum = w[active[0]][:]
+        rest = active[1:]
+        s = active[0]
+        while len(rest) > 1:
+            # the next pick s: the first strict maximum, so ties go to the smallest label
+            s, top = rest[0], wsum[rest[0]]
+            for p in rest:
+                if wsum[p] > top:
+                    s, top = p, wsum[p]
+            rest.remove(s)
+            row = w[s]
+            for p in rest:
+                wsum[p] += row[p]
+        t = rest[0]  # the last pick, whose sum is the phase's cut
+        if best_side is None or wsum[t] < best_value:
+            best_value, best_side = wsum[t], groups[t]
+        ws, wt = w[s], w[t]
         active.remove(t)
+        for p in active:
+            if p != s:
+                ws[p] = w[p][s] = ws[p] + wt[p]
+        groups[s].extend(groups[t])
     return best_value, frozenset(best_side)
 
 

@@ -72,16 +72,22 @@ def mst_sampler_step(values, sampler: MstSampler):
     or their tree costs more than (2+delta) times the fractional cost,
     kept as `sampler.fractional_cost` (summed over the sorted live edges).
     """
-    inst = sampler.instance
+    inst, rate, thresholds = sampler.instance, sampler.rate, sampler._thresholds
     live = sorted(inst.live)
-    sampled = {
-        e for e in live
-        if sampler.probability(float(values[inst.coords[e]])) > sampler.threshold(e)
-    }
+    every = values.tolist()
+    point = [every[inst.coords[e]] for e in live]
+    sampled = set()
+    for e, value in zip(live, point):
+        # `probability(value) > threshold(e)`, read inline
+        threshold = thresholds.get(e)
+        if threshold is None:
+            threshold = sampler.threshold(e)
+        if min(1.0, rate * value) > threshold:
+            sampled.add(e)
     sampler.sample_recourse_total += len(sampled ^ sampler.sampled)
     sampler.sampled = sampled
 
-    sampler.fractional_cost = sum(inst.costs[e] * float(values[inst.coords[e]]) for e in live)
+    sampler.fractional_cost = sum(inst.costs[e] * value for e, value in zip(live, point))
     fallback = set()
     fired = False
     try:
@@ -91,12 +97,10 @@ def mst_sampler_step(values, sampler: MstSampler):
     except GraphError:
         fired = True
     if fired:
-        try:
-            _, tree = kruskal_mst(inst.vertices,
-                                  [(u, v, inst.costs[(u, v)]) for u, v in live])
-        except GraphError as exc:
-            raise AdapterError(str(exc)) from None
-        fallback = {(u, v) for u, v, _ in tree}
+        kept = inst.spanning_tree()
+        if kept is None:
+            raise AdapterError("graph is disconnected")
+        fallback = {(u, v) for u, v, _ in kept[1]}
     sampler.fallback_fired = fired
     combined = sampled | fallback
     inserted = sorted(combined - sampler.combined)

@@ -43,6 +43,7 @@ from bodychase.core import (
 from bodychase.adapters import AdapterError, UpdateEvent
 from bodychase.formats import FormatError, _numeric, parse_updates
 from bodychase.graphs import (
+    GraphError,
     apply_augmenting_path,
     build_adjacency,
     is_connected,
@@ -1429,3 +1430,89 @@ def fresh_copy_counts(stab, values) -> dict:
         if c:
             counts[e] = c
     return counts
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {v: v for v in items}
+
+    def find(self, a):
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def unionfind_kruskal_mst(vertices, edges):
+    """`graphs.kruskal_mst` as it was before its union-find was inlined: a
+    union-find object with full path compression."""
+    verts = set(vertices)
+    uf = _UnionFind(verts)
+    tree, total = [], 0.0
+    for cost, u, v in sorted((c, u, v) for u, v, c in edges):
+        if uf.union(u, v):
+            tree.append((u, v, cost))
+            total += cost
+    if len(tree) != len(verts) - 1:
+        raise GraphError("graph is disconnected")
+    return total, tree
+
+
+def dict_global_min_cut(vertices, edges):
+    """`graphs.global_min_cut` as it was before it worked on positions: a
+    dict-of-dicts weight map, the remaining vertices sorted at every pick."""
+    verts = sorted(set(vertices))
+    if len(verts) < 2:
+        raise GraphError("min cut needs at least two vertices")
+    w = {v: {} for v in verts}
+    for u, v, weight in edges:
+        if u == v:
+            continue
+        if weight < 0:
+            raise GraphError("negative edge weight")
+        w[u][v] = w[u].get(v, 0.0) + weight
+        w[v][u] = w[v].get(u, 0.0) + weight
+    groups = {v: [v] for v in verts}
+    active = list(verts)
+    best_value, best_side = float("inf"), None
+    while len(active) > 1:
+        start = active[0]
+        wsum = {v: w[start].get(v, 0.0) for v in active if v != start}
+        order = [start]
+        last_weight = 0.0
+        while wsum:
+            pick, pick_w = None, -1.0
+            for v in sorted(wsum):
+                if wsum[v] > pick_w:
+                    pick, pick_w = v, wsum[v]
+            order.append(pick)
+            last_weight = pick_w
+            del wsum[pick]
+            for v, weight in w[pick].items():
+                if v in wsum:
+                    wsum[v] += weight
+        t, s = order[-1], order[-2]
+        if best_side is None or last_weight < best_value:
+            best_value, best_side = last_weight, sorted(groups[t])
+        for v, weight in w[t].items():
+            if v == s:
+                continue
+            w[s][v] = w[s].get(v, 0.0) + weight
+            w[v][s] = w[v].get(s, 0.0) + weight
+        for v in list(w[t]):
+            del w[v][t]
+        del w[t]
+        w[s].pop(t, None)
+        groups[s].extend(groups[t])
+        del groups[t]
+        active.remove(t)
+    return best_value, frozenset(best_side)

@@ -17,7 +17,7 @@ from bodychase.adapters import (
     setcover_body,
 )
 from bodychase.core import FractionalPoint
-from bodychase.graphs import is_connected
+from bodychase.graphs import GraphError, is_connected, kruskal_mst
 from bodychase.simplex import solve_inequality_lp
 
 from oracles import cold_cover_opt, mst_separation, random_replay
@@ -465,6 +465,49 @@ def test_mst_cost_reuse_rules():
         state.insert(0, 2, 1.0)
     with pytest.raises(AdapterError):
         MstState([])
+
+
+def test_mst_kept_spanning_tree_follows_churn():
+    # after every operation, accepted or rejected, the kept tree is a fresh
+    # Kruskal tree of the live edges and its verdict is the graph's connectivity
+    rng = np.random.default_rng(2902)
+    rejected = reinserted = built = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        state, costs, was_live = MstState(range(n)), {}, set()
+        for _ in range(60):
+            u, v = (int(a) for a in rng.integers(0, n + 1, 2))  # n is off the vertex set
+            key = (min(u, v), max(u, v))
+            cost = costs.setdefault(key, float(rng.choice([0.5, 1.0, 1.0, 2.0, 3.5])))
+            if rng.random() < 0.1:
+                cost = -cost if rng.random() < 0.5 else cost + 1.0
+            try:
+                if key in state.live and rng.random() < 0.7:
+                    state.delete(u, v)
+                elif rng.random() < 0.8:
+                    reinserted += key in was_live
+                    state.insert(u, v, cost)
+                    was_live.add(key)
+                else:
+                    state.delete(u, v)
+            except AdapterError:
+                rejected += 1
+            kept = state.spanning_tree()
+            assert kept is state.spanning_tree()  # built once
+            live = [(a, b, state.costs[(a, b)]) for a, b in state.live]
+            try:
+                fresh = kruskal_mst(state.vertices, live)
+            except GraphError:
+                fresh = None
+            assert kept == fresh and (kept is not None) == is_connected(state.vertices,
+                                                                        state.live)
+            if kept is None:
+                with pytest.raises(AdapterError):
+                    state.optimum()
+            else:
+                assert state.optimum() == kept[0]
+                built += 1
+    assert rejected > 300 and reinserted > 100 and built > 300
 
 
 def test_snapshot_builds_positive_body():

@@ -1,5 +1,7 @@
 """Graph routine checks against brute force and networkx."""
 
+import random
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +20,7 @@ from bodychase.graphs import (
     two_color,
     two_color_adjacency,
 )
+from oracles import dict_global_min_cut, unionfind_kruskal_mst
 
 
 def test_two_color_path_and_odd_cycle():
@@ -88,6 +91,53 @@ def test_min_cut_matches_brute_force():
 def test_min_cut_needs_two_vertices():
     with pytest.raises(GraphError):
         global_min_cut([0], [])
+
+
+def outcome(routine, vertices, edges):
+    """What `routine` returns or raises, comparable bit for bit: a float as
+    its bytes, so that 0.0 and -0.0 differ."""
+    try:
+        value, rest = routine(vertices, edges)
+    except Exception as exc:  # the exception is what is compared
+        return type(exc), exc.args
+    return struct.pack("<d", value), rest
+
+
+def random_weighted_graph(rng):
+    """2 to 9 int or string vertices and up to 3n edges among them: parallel
+    edges, self-loops, zero and tied weights, often disconnected."""
+    n = rng.randint(2, 9)
+    vertices = ["v%d" % i for i in range(n)] if rng.random() < 0.3 else list(range(n))
+    rng.shuffle(vertices)
+    pool = rng.sample(vertices, rng.randint(1, n))  # edges stay on these
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.choice(pool), rng.choice(pool)
+        weight = rng.choice((0.0, 0.5, 1.0, 1.0, 2.5)) if rng.random() < 0.5 else rng.random()
+        edges.append((u, v, weight))
+    return vertices, edges
+
+
+def test_min_cut_and_kruskal_match_their_references_bit_for_bit():
+    rng = random.Random(2901)
+    cuts = disconnected = 0
+    for trial in range(20000):
+        vertices, edges = random_weighted_graph(rng)
+        fault = rng.random()
+        if fault < 0.02:
+            edges.append((vertices[0], vertices[-1], -0.25))
+        elif fault < 0.04:
+            edges.insert(rng.randint(0, len(edges)), (vertices[0], "x" if
+                                                       isinstance(vertices[0], str) else 99, 1.0))
+        elif fault < 0.05:
+            vertices = vertices[:1]
+        mine = outcome(global_min_cut, vertices, edges)
+        assert mine == outcome(dict_global_min_cut, vertices, edges), trial
+        cuts += isinstance(mine[0], bytes)
+        mine = outcome(kruskal_mst, vertices, edges)
+        assert mine == outcome(unionfind_kruskal_mst, vertices, edges), trial
+        disconnected += mine[0] is GraphError
+    assert cuts > 18000 and disconnected > 5000
 
 
 def test_augmenting_path_truncation():

@@ -381,23 +381,85 @@ def test_mst_disconnection_after_start_is_an_error():
 
 
 def test_a_tree_update_checks_connectivity_once(monkeypatch):
-    from bodychase import adapters, graphs
+    # the connectivity check, the optimum and the sampler's fallback all
+    # read the live graph's spanning tree, which MstState builds once per
+    # update; the sampler builds only its sample's tree, once a rounding
+    from bodychase import adapters, graphs, round_mst
 
-    calls = []
+    calls = {adapters: 0, round_mst: 0}
 
-    def counted(vertices, edges):
-        calls.append(1)
-        return graphs.is_connected(vertices, edges)
+    def counting(module):
+        def counted(vertices, edges):
+            calls[module] += 1
+            return graphs.kruskal_mst(vertices, edges)
+        return counted
 
-    monkeypatch.setattr(runner, "is_connected", counted)
-    monkeypatch.setattr(adapters, "is_connected", counted)
-    for seed in (1, 2):
+    for module in calls:
+        monkeypatch.setattr(module, "kruskal_mst", counting(module))
+    fired = 0
+    for seed, gamma in ((1, 1.0), (2, 1.0), (2, 1e-4)):  # a small gamma fires the fallback
         updates = _bench_updates("mst", seed)
-        calls.clear()
-        records = run_problem(RunConfig(round_mode="on", certify=False, offline=False), updates)
+        calls.update(dict.fromkeys(calls, 0))
+        records = run_problem(RunConfig(round_mode="on", gamma=gamma, certify=False,
+                                        offline=False), updates)
         chased = [r for r in rows_of(records, "update") if "skipped" not in r]
         assert len(chased) > 10
-        assert len(calls) == len(updates[2])
+        assert calls == {adapters: len(updates[2]), round_mst: len(chased)}
+        fired += sum(r["fallback_fired"] for r in chased)
+    assert fired > 5
+
+
+def test_replay_cuts_and_trees_match_their_references_bit_for_bit(monkeypatch):
+    # every separation and every spanning tree of the benchmark's small
+    # tree replays, held to the routines they replaced
+    from bodychase import adapters, graphs, round_mst
+    from oracles import dict_global_min_cut, unionfind_kruskal_mst
+    from test_graphs import outcome
+
+    seen = {graphs.global_min_cut: [], graphs.kruskal_mst: []}
+
+    def recording(routine):
+        def recorded(vertices, edges):
+            seen[routine].append((tuple(vertices), list(edges)))
+            return routine(vertices, edges)
+        return recorded
+
+    monkeypatch.setattr(adapters, "global_min_cut", recording(graphs.global_min_cut))
+    for module in (adapters, round_mst):
+        monkeypatch.setattr(module, "kruskal_mst", recording(graphs.kruskal_mst))
+    for seed, gamma in ((1, 1.0), (2, 1.0), (2, 1e-4)):
+        run_problem(RunConfig(round_mode="on", gamma=gamma, certify=False, offline=False),
+                    _bench_updates("mst", seed))
+    references = {graphs.global_min_cut: dict_global_min_cut,
+                  graphs.kruskal_mst: unionfind_kruskal_mst}
+    for routine, calls in seen.items():
+        for vertices, edges in calls:
+            assert (outcome(routine, vertices, edges)
+                    == outcome(references[routine], vertices, edges))
+    assert len(seen[graphs.global_min_cut]) > 100 and len(seen[graphs.kruskal_mst]) > 100
+
+
+def test_a_replay_without_the_offline_lp_keeps_no_offline_groups(monkeypatch):
+    kept = []
+    finish = runner._Run.finish
+
+    def counted(run, summary):
+        kept.append(len(run.offline))
+        return finish(run, summary)
+
+    monkeypatch.setattr(runner._Run, "finish", counted)
+    offline_keys = {"offline_opt", "offline_pivots", "offline_skipped", "ratio_vs_opt"}
+    for problem, mode in (("setcover", "det"), ("matching", "on"), ("mst", "on")):
+        updates = _bench_updates(problem, 1)
+        kept.clear()
+        on = run_problem(RunConfig(round_mode=mode), updates)
+        off = run_problem(RunConfig(round_mode=mode, offline=False), updates)
+        assert kept[0] > 0 and kept[1] == 0
+        # the groups feed only the offline LP: every other field is as it was
+        strip = [{k: v for k, v in r.items() if k not in offline_keys}
+                 for r in on if r["kind"] != "offline"]
+        assert [{**r, "config": {**r["config"], "offline": False}} if r["kind"] == "meta"
+                else r for r in strip] == off
 
 
 @pytest.mark.parametrize("jobs, opt, exact", [(13, 700.0, False), (12, 604.0, True)])
