@@ -38,7 +38,6 @@ from .certify import (
     MultiplierLog,
     build_refined_dual,
     build_warmup_dual,
-    certified_report,
     certify_run,
     refine_ytilde,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "UpdateEvent",
     "build_refined_dual",
     "build_warmup_dual",
-    "certified_report",
     "certify_run",
     "chase_body",
     "loadbalance_body",

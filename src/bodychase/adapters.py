@@ -51,7 +51,6 @@ class AdapterError(ChaseError):
 
 @dataclass(frozen=True)
 class UpdateEvent:
-    problem: str
     op: str
     payload: dict
 
@@ -180,11 +179,6 @@ class MatchingState:
                     queue.append(b)
         return side
 
-    def _same_side(self, u, v) -> bool:
-        """Whether a live path of even length joins u to v: every u-v path
-        has the parity of any other, so only u's component is searched."""
-        return self._sides(u).get(v) == 0
-
     def _free_beside(self, u) -> list:
         """The free vertices on u's side of its component, in search order."""
         return [a for a, s in self._sides(u).items() if s == 0 and a not in self.matching]
@@ -193,7 +187,9 @@ class MatchingState:
         key = _edge_key(u, v)
         if key in self.live:
             raise AdapterError("edge %r is already live" % (key,))
-        if self._same_side(*key):
+        # an even live path from u to v would close an odd cycle; every u-v
+        # path has the parity of any other, so only u's component is searched
+        if self._sides(key[0]).get(key[1]) == 0:
             raise AdapterError("edge %r would close an odd cycle" % (key,))
         self._repair()
         if key in self.coords:
@@ -341,20 +337,19 @@ class LoadBalanceState:
 
         return place(0)
 
-    def optimum(self):
+    def optimum(self) -> float:
         """Minimum integral makespan over live jobs.
 
         Exact up to EXHAUSTIVE_JOB_LIMIT live jobs; beyond that a greedy
-        upper bound is declared instead (flagged in the second slot, and
-        kept as `opt_exact`).
+        upper bound is returned instead, and `opt_exact` is False.
         """
         jobs = sorted(self.live)
         self.opt_exact = len(jobs) <= EXHAUSTIVE_JOB_LIMIT
         if not jobs:
-            return 0.0, True
+            return 0.0
         upper = self._greedy_makespan(jobs)
         if not self.opt_exact:
-            return upper, False
+            return upper
         lower = max(min(self.jobs[j].values()) for j in jobs)
         # the optimal makespan is some machine's total, hence a subset sum
         candidates = set()
@@ -375,13 +370,13 @@ class LoadBalanceState:
                 hi = mid - 1
             else:
                 lo = mid + 1
-        return best, True
+        return best
 
 
 def loadbalance_body(state: LoadBalanceState, beta: float) -> PositiveBody:
     if beta < 1.0:
         raise AdapterError("beta must be at least 1 for load balancing")
-    opt, _ = state.optimum()
+    opt = state.optimum()
     if state.live and not opt > 0.0:
         # the optimum packs within 1e-9 of a makespan, so loads that small pack in 0
         raise AdapterError("live loads too small: the optimal makespan is 0 within 1e-9")
@@ -471,6 +466,8 @@ class MstState:
             raise AdapterError("graph is disconnected")
         return kept[0]
 
+    # kept only for the benchmark tracer's adapters.body patch and criterion 7's
+    # oracle; it duplicates mst_body(state, beta).find_violated after a connectivity check
     def separation(self, values, cover_floor, pack_ceiling, beta):
         """One violated row of the cut body, or None (see `mst_body`)."""
         if not is_connected(self.vertices, self.live):

@@ -47,7 +47,6 @@ __all__ = [
     "build_warmup_dual",
     "refine_ytilde",
     "build_refined_dual",
-    "certified_report",
     "certify_run",
     "check_dual_feasibility",
     "max_window_sums",
@@ -443,21 +442,6 @@ def build_refined_dual(log: MultiplierLog, ytilde: np.ndarray, eps: float) -> Du
     return DualCertificate("refined", A, y_bar, z_bar, r_bar, np.asarray(ytilde, float), objective, violation)
 
 
-def certified_report(cert: DualCertificate, ledger: RecourseLedger, eps: float) -> dict:
-    """Lower bound, realized recourse, their ratio, and the ratio cap."""
-    bound = cert.certified_bound
-    upward = ledger.upward_total
-    cap = (2.0 + eps) * (1.0 + eps) / eps * cert.scaling
-    return {
-        "scheme": cert.scheme,
-        "lower_bound": bound,
-        "upward_recourse": upward,
-        "ratio": upward / bound if bound > 0.0 else None,
-        "theoretical_cap": cap,
-        "A": cert.scaling,
-    }
-
-
 def certify_run(log: MultiplierLog, eps: float) -> dict:
     """Summary record combining both certificates, against the log's ledger.
 
@@ -480,13 +464,14 @@ def certify_run(log: MultiplierLog, eps: float) -> dict:
     certs = [build_warmup_dual(log, eps)]
     if _refusal(e, eps) is None:
         certs.append(build_refined_dual(log, refine_ytilde(log, eps), eps))
-    for cert in certs:
-        report = certified_report(cert, ledger, eps)
-        if not cert.max_violation <= FEASIBILITY_TOL:  # a dual failing its check bounds nothing
-            report.update(lower_bound=None, ratio=None, A=None)
-        out[cert.scheme + "_bound"] = report["lower_bound"]
-        out["ratio_" + cert.scheme] = report["ratio"]
-        out["A_" + cert.scheme] = report["A"]
-        out["theoretical_cap"] = report["theoretical_cap"]
+    for cert in certs:  # refined, when built, overrides the warmup cap
+        out["theoretical_cap"] = (2.0 + eps) * (1.0 + eps) / eps * cert.scaling
         out[cert.scheme + "_max_violation"] = cert.max_violation
+        if not cert.max_violation <= FEASIBILITY_TOL:  # a dual failing its check bounds nothing
+            out[cert.scheme + "_bound"] = None
+            continue
+        bound = cert.certified_bound
+        out[cert.scheme + "_bound"] = bound
+        out["ratio_" + cert.scheme] = ledger.upward_total / bound if bound > 0.0 else None
+        out["A_" + cert.scheme] = cert.scaling
     return out

@@ -510,8 +510,7 @@ class PositiveBody:
     row, or when no row is violated).  Any violated row keeps the chaser's
     guarantee; the most violated one, as in remotest-set control of Bregman
     projections, needs fewer steps.
-    `rows()` is the listed rows, then every row `separate` returned;
-    `body()` is the body itself.
+    `rows()` is the listed rows, then every row `separate` returned.
     """
 
     def __init__(self, covering=(), packing=(), *, frozen=(), opt=0.0, separate=None):
@@ -528,9 +527,6 @@ class PositiveBody:
         (self.covering if row.kind is Kind.COVERING else self.packing).append(row)
         if row.max_index > self.max_index:
             self.max_index = row.max_index
-
-    def body(self) -> "PositiveBody":
-        return self
 
     def rows(self) -> list:
         return [*self.covering, *self.packing, *self.separated]

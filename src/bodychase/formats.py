@@ -276,7 +276,7 @@ def parse_updates(lines, source="<updates>"):
         payload = _event_payload(problem, op, record, source, lineno)
         id_type = _id_type([payload[key] for key in _EVENT_KEYS[problem][0]],
                            id_type, source, lineno)
-        events.append(UpdateEvent(problem, op, payload))
+        events.append(UpdateEvent(op, payload))
     if header is None:
         _fail(source, 1, "empty update file: header record required")
     return problem, header, events

@@ -57,9 +57,7 @@ class Stabilizer:
     def __init__(self, instance: MatchingState, alpha: float, delta: float,
                  n: int, seed: int):
         self.instance = instance
-        self.alpha = float(alpha)
         self.delta = float(delta)
-        self.n = int(n)
         self.seed = int(seed)
         self.kappa = kappa_copies(alpha, delta, n)
         self._thresholds: dict = {}
@@ -136,7 +134,6 @@ class MaintainedMatching:
         self.edges: set = set()
         self.adj: dict = {}  # build_adjacency(self.edges), kept per unit
         self.recourse_total = 0
-        self.step_recourse = 0
 
     def size(self) -> int:
         return len(self.matching) // 2
@@ -177,7 +174,6 @@ class MaintainedMatching:
             for a, b in (edge, edge[::-1]):
                 insort(self.adj.setdefault(a, []), b)
         changed += self._augment_to_stability()
-        self.step_recourse = changed
         self.recourse_total += changed
         return changed
 

@@ -42,9 +42,7 @@ class MstSampler:
     def __init__(self, instance: MstState, alpha: float, delta: float,
                  seed: int, gamma: float = 1.0):
         self.instance = instance
-        self.alpha = float(alpha)
         self.delta = float(delta)
-        self.gamma = float(gamma)
         self.seed = int(seed)
         self.rate = sampling_rate(gamma, alpha, delta, len(instance.vertices))
         self._thresholds: dict = {}

@@ -1405,11 +1405,11 @@ def random_replay(rng, problem: str, updates: int):
         if k < len(start) or (dead and (not removable or rng.random() < 0.55)):
             e = start[k] if k < len(start) else dead[int(rng.integers(len(dead)))]
             live.append(e)
-            events.append(UpdateEvent(problem, "insert", {**ids(e), **pool[e]}))
+            events.append(UpdateEvent("insert", {**ids(e), **pool[e]}))
         else:
             e = removable[int(rng.integers(len(removable)))]
             live.remove(e)
-            events.append(UpdateEvent(problem, "delete", ids(e)))
+            events.append(UpdateEvent("delete", ids(e)))
     return problem, header, events
 
 

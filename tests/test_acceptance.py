@@ -257,7 +257,7 @@ def test_criterion_5_setcover_rounding():
             else:
                 continue
             snap = setcover_body(state, beta=2.0)
-            x, _ = chase_body(x, snap.body(), delta)
+            x, _ = chase_body(x, snap, delta)
             scaled = scaled_output(x, delta)
             scaled_l1 += float(np.abs(scaled.values - prev_scaled).sum())
             prev_scaled = scaled.values.copy()
@@ -336,7 +336,7 @@ def random_matching_run(rng, delta):
         from bodychase.adapters import matching_body
 
         snap = matching_body(state, beta=1.0)
-        x, _ = chase_body(x, snap.body(), 0.5)
+        x, _ = chase_body(x, snap, 0.5)
         _, inserted, deleted = stabilizer_step(x.values, stab)
         per_unit = maintain_matching(inserted, deleted, mm)
         steps.append((set(mm.edges), dict(mm.matching), per_unit))

@@ -26,9 +26,9 @@ from test_simplex import enumerate_vertices
 
 
 def test_update_event_validates_op():
-    UpdateEvent("setcover", "insert", {"element": 1})
+    UpdateEvent("insert", {"element": 1})
     with pytest.raises(AdapterError):
-        UpdateEvent("setcover", "upsert", {})
+        UpdateEvent("upsert", {})
 
 
 # ---------------------------------------------------------------- set cover
@@ -358,8 +358,8 @@ def test_loadbalance_optimum_exact_against_enumeration():
             eligible = [m for m in machines if rng.random() < 0.7] or [machines[0]]
             jobs[j] = {m: float(rng.integers(1, 9)) for m in eligible}
             state.insert(j, jobs[j])
-        opt, exact = state.optimum()
-        assert exact
+        opt = state.optimum()
+        assert state.opt_exact
         assert opt == pytest.approx(brute_makespan(machines, jobs), abs=1e-9), trial
 
 
@@ -513,8 +513,7 @@ def test_mst_kept_spanning_tree_follows_churn():
 def test_snapshot_builds_positive_body():
     state = MatchingState()
     state.insert(0, 1)
-    snap = matching_body(state, beta=1.0)
-    body = snap.body()
+    body = matching_body(state, beta=1.0)
     row = body.find_violated(np.zeros(1), 0.9, 1.1)
     assert row is not None and row.kind.value == "C"
 

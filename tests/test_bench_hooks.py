@@ -163,3 +163,80 @@ def test_tracer_sees_every_cover_rounding(tmp_path):
     traced, records = traced_replay(tmp_path, SETCOVER, ["setcover", "--round", "det"])
     updates = [r for r in records if r["kind"] == "update"]
     assert traced["spans"].get("round_setcover.round", 0) >= len(updates) == 5
+
+
+# The tracer's patches that no replay enters: each wraps a name kept in src/
+# only for its patch, so its layer reads 0. Re-wiring the tracer empties this.
+DEAD_PATCHES = {
+    "adapters.MstState.separation",
+    "adapters.is_connected",
+    "adapters.maximum_matching",
+    "adapters.two_color",
+    "runner.is_connected",
+}
+
+# a freeze, and a packing row that the covering rows before it leave violated
+STREAM = "C 0:1 1:2\nC 2:1\nF 1\nP 0:2 2:1\n"
+
+COVERAGE_SCRIPT = """
+import json, sys, types
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import tracing
+from bodychase import adapters, cli, round_matching
+
+
+class Recording(tracing.Tracer):
+    # every patched name, with the calls that reach it through its patch
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def patch(self, owner, attr, span, on_return=None):
+        where = (owner.__name__ if isinstance(owner, types.ModuleType)
+                 else owner.__module__ + "." + owner.__qualname__)
+        key = where.removeprefix("bodychase.") + "." + attr
+        self.calls[key], fn = 0, getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            self.calls[key] += 1
+            return fn(*args, **kwargs)
+
+        setattr(owner, attr, counted)
+        super().patch(owner, attr, span, on_return)
+
+
+tracer = Recording()
+tracing.install(tracer)
+for argv in json.loads(sys.argv[3]):
+    assert cli.main(argv) == 0, argv
+# two units on vertex 0 put its copy degree past (1 + delta) kappa: case b
+state = adapters.MatchingState()
+state.insert(0, 1)
+state.insert(0, 2)
+stab = round_matching.Stabilizer(state, 1.0, 0.5, 4, 0)
+round_matching.stabilizer_step(np.ones(2), stab)
+assert stab.case == "b"
+print(json.dumps(tracer.calls))
+"""
+
+
+def test_every_tracer_patch_but_the_dead_ones_is_entered(tmp_path):
+    # a patch nothing calls would read 0 on its layer without any error
+    runs = []
+    for name, text, argv in [
+        ("s.txt", STREAM, ["chase"]),
+        ("m.jsonl", MATCHING, ["matching", "--round", "on", "--no-offline"]),
+        ("c.jsonl", SETCOVER, ["setcover", "--round", "det", "--no-offline"]),
+        ("c.jsonl", SETCOVER, ["setcover", "--round", "rand", "--no-offline"]),
+        ("t.jsonl", MST, ["mst", "--round", "on"]),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        runs.append([argv[0], str(path), *argv[1:], "--report", str(tmp_path / "r.jsonl")])
+    done = subprocess.run(
+        [sys.executable, "-c", COVERAGE_SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
+         json.dumps(runs)],
+        capture_output=True, text=True, timeout=120, check=True)
+    calls = json.loads(done.stdout)
+    assert {name for name, count in calls.items() if count == 0} == DEAD_PATCHES

@@ -13,7 +13,6 @@ from bodychase import (
     MultiplierLog,
     build_refined_dual,
     build_warmup_dual,
-    certified_report,
     certify_run,
     project_and_record,
     project_covering,
@@ -64,18 +63,20 @@ def test_log_extreme_tracking():
 
 
 def test_warmup_single_covering_arithmetic():
-    x, log, ledger = run_single_covering()
+    _, log, _ = run_single_covering()
     cert = build_warmup_dual(log, eps=1.0)
     assert cert.scaling == pytest.approx(math.log(5.0))
     assert cert.y_bar[0] == pytest.approx(0.5, abs=1e-9)
     assert cert.r_bar.at(0, 0) == pytest.approx(1.0)
     assert cert.objective == pytest.approx(0.5, abs=1e-9)
     assert cert.max_violation <= FEASIBILITY_TOL
-    report = certified_report(cert, ledger, eps=1.0)
+    report = certify_run(log, eps=1.0)
     assert report["upward_recourse"] == pytest.approx(0.5, abs=1e-9)
-    assert report["ratio"] == pytest.approx(1.0, abs=1e-8)
-    assert report["theoretical_cap"] == pytest.approx(6.0 * math.log(5.0))
-    assert report["ratio"] <= report["theoretical_cap"]
+    assert report["ratio_warmup"] == pytest.approx(1.0, abs=1e-8)
+    assert report["A_warmup"] == cert.scaling
+    # the clamp-free log builds the refined certificate too, whose cap overrides the warmup's
+    assert report["theoretical_cap"] == pytest.approx(6.0 * report["A_refined"])
+    assert report["ratio_warmup"] <= 6.0 * math.log(5.0) <= report["theoretical_cap"]
 
 
 def test_warmup_packing_only_clamps_to_zero():
@@ -87,14 +88,20 @@ def test_warmup_packing_only_clamps_to_zero():
     cert = build_warmup_dual(log, eps=0.5)
     assert cert.objective < 0.0
     assert cert.certified_bound == 0.0
-    report = certified_report(cert, log.ledger, eps=0.5)
-    assert report["ratio"] is None  # no upward movement either
-    # upward movement against the zero bound has no ratio either, not inf
+    report = certify_run(log, eps=0.5)
+    assert report["warmup_bound"] == 0.0
+    assert report["ratio_warmup"] is None  # no upward movement either
+    # upward movement against the zero bound has no ratio either, not inf: a
+    # packing step, then a covering step whose multiplier is smaller
     moved = MultiplierLog(w)
-    project_and_record(FractionalPoint.zeros(2, w), HalfspaceConstraint.covering({0: 1.0}),
-                       0.5, log=moved)
-    assert moved.ledger.upward_total > 0.0
-    assert certified_report(cert, moved.ledger, eps=0.5)["ratio"] is None
+    point = FractionalPoint([0.9, 2.0], w)
+    project_and_record(point, HalfspaceConstraint.packing({1: 1.0}), 0.5, log=moved)
+    project_and_record(point, HalfspaceConstraint.covering({0: 1.0}), 0.5, log=moved)
+    packing, covering = (step.multiplier for step in moved.steps)
+    assert covering - packing <= 0.0 < moved.ledger.upward_total
+    report = certify_run(moved, eps=0.5)
+    assert report["warmup_bound"] == 0.0
+    assert report["ratio_warmup"] is None
 
 
 def test_warmup_r_is_weight_at_origin():

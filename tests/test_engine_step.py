@@ -227,7 +227,7 @@ def _setcover_replay():
     seq = [("insert", 0), ("insert", 2), ("insert", 1), ("delete", 0),
            ("insert", 3), ("insert", 0), ("delete", 2), ("insert", 2)]
     return ("setcover", header,
-            [UpdateEvent("setcover", op, {"element": u}) for op, u in seq])
+            [UpdateEvent(op, {"element": u}) for op, u in seq])
 
 
 def test_points_handed_to_rounding_are_not_moved_by_later_steps(monkeypatch):

@@ -128,8 +128,8 @@ def drive_matching_pipeline(seed, delta, T=30, n=10):
         for c in (inst.coords[e] for e in inst.coords if e not in inst.live):
             vals[c] = 0.0
         x = FractionalPoint(vals, np.ones(dim))
-        body = matching_body(inst, beta=1.0).body()
-        x, _ = chase_body(x, body.find_violated, delta=0.5)
+        body = matching_body(inst, beta=1.0)
+        x, _ = chase_body(x, body, delta=0.5)
         x_vals = x.values
         _, inserted, deleted = stabilizer_step(x_vals, stab)
         for unit in maintain_matching(inserted, deleted, mm):

@@ -61,8 +61,8 @@ def run_dynamic_fractional(seed, n_elems=8, m_sets=6, T=25):
             if not fresh:
                 continue
             inst.insert(fresh[int(rng.integers(len(fresh)))])
-        body = setcover_body(inst, beta=2.0).body()
-        x, _ = chase_body(x, body.find_violated, delta)
+        body = setcover_body(inst, beta=2.0)
+        x, _ = chase_body(x, body, delta)
         trace.append((set(inst.live), scaled_output(x, delta)))
     return inst, trace
 

@@ -110,7 +110,7 @@ def test_chase_reports_root_finder_cost(projections):
 
 def test_problem_reports_root_finder_cost(projections):
     header = {"problem": "matching", "n": 8}
-    events = _events("matching", [("insert", {"u": "a", "v": "b"}),
+    events = _events([("insert", {"u": "a", "v": "b"}),
                                   ("insert", {"u": "a", "v": "d"}),
                                   ("insert", {"u": "c", "v": "d"}),
                                   ("delete", {"u": "a", "v": "b"})])
@@ -193,8 +193,8 @@ def test_apply_freeze_records_movement():
     assert log.steps[-1].x_before.tolist() == [0.4]
 
 
-def _events(problem, seq):
-    return [UpdateEvent(problem, op, payload) for op, payload in seq]
+def _events(seq):
+    return [UpdateEvent(op, payload) for op, payload in seq]
 
 
 SETCOVER_HEADER = {
@@ -208,7 +208,7 @@ SETCOVER_HEADER = {
 
 
 def test_setcover_det_pipeline():
-    events = _events("setcover", [("insert", {"element": 0}),
+    events = _events([("insert", {"element": 0}),
                                   ("insert", {"element": 2}),
                                   ("delete", {"element": 0}),
                                   ("insert", {"element": 1})])
@@ -226,7 +226,7 @@ def test_setcover_det_pipeline():
 
 
 def test_setcover_rows_report_cover_lp_pivots():
-    events = _events("setcover", [("insert", {"element": 0}),
+    events = _events([("insert", {"element": 0}),
                                   ("insert", {"element": 2}),
                                   ("delete", {"element": 0}),
                                   ("delete", {"element": 2}),
@@ -238,7 +238,7 @@ def test_setcover_rows_report_cover_lp_pivots():
     assert summary_of(records)["lp_pivots"] == sum(pivots)
     matching = run_problem(RunConfig(problem="matching"),
                            ("matching", {"problem": "matching"},
-                            _events("matching", [("insert", {"u": 0, "v": 1})])))
+                            _events([("insert", {"u": 0, "v": 1})])))
     assert all("lp_pivots" not in r for r in matching)
 
 
@@ -261,7 +261,7 @@ def test_replay_summary_reports_offline_pivots(monkeypatch):
         return block(stream, weights, cap)
 
     monkeypatch.setattr(runner, "_offline_block", keep)
-    updates = ("mst", MST_HEADER, _events("mst", MST_EVENTS))
+    updates = ("mst", MST_HEADER, _events(MST_EVENTS))
     s = summary_of(run_problem(RunConfig(problem="mst"), updates))
     (stream, weights), = seen
     lp_res = solve_recourse_lp(build_compressed_lp(stream, weights))
@@ -281,7 +281,7 @@ TAIL_KEYS = RUN_KEYS | {"warmup_bound", "refined_bound", "ratio_warmup", "ratio_
 
 def test_stream_and_replay_summaries_share_one_tail():
     stream = parse_stream(["C 0:1 1:2", "P 0:1", "F 1", "C 1:1 2:1"])
-    updates = ("mst", MST_HEADER, _events("mst", MST_EVENTS))
+    updates = ("mst", MST_HEADER, _events(MST_EVENTS))
     for config, keys in ((RunConfig(), TAIL_KEYS),
                          (RunConfig(certify=False, offline=False), RUN_KEYS)):
         chased = summary_of(run_chase(config, stream))
@@ -290,7 +290,7 @@ def test_stream_and_replay_summaries_share_one_tail():
 
 
 @pytest.mark.parametrize("updates", [("setcover", SETCOVER_HEADER, []),
-                                     ("mst", MST_HEADER, _events("mst", MST_EVENTS[:2]))])
+                                     ("mst", MST_HEADER, _events(MST_EVENTS[:2]))])
 def test_replay_that_chased_nothing_solves_the_empty_offline_lp(updates):
     # as test_empty_stream requires of an empty stream
     s = summary_of(run_problem(RunConfig(), updates))
@@ -303,7 +303,7 @@ def test_replay_that_chased_nothing_solves_the_empty_offline_lp(updates):
 
 def test_eps_is_pinned_to_delta():
     # a replay chases at eps = delta/20, so its certificate may read no other eps
-    updates = ("setcover", SETCOVER_HEADER, _events("setcover", [("insert", {"element": 0})]))
+    updates = ("setcover", SETCOVER_HEADER, _events([("insert", {"element": 0})]))
     with pytest.raises(ValueError, match="eps = delta / 20"):
         run_problem(RunConfig(delta=0.2, eps=0.3), updates)
     with pytest.raises(ValueError, match="eps = delta / 20"):
@@ -320,7 +320,7 @@ def test_replicate_runs_neither_certify_nor_solve_offline(monkeypatch):
 
     monkeypatch.setattr(runner, "certify_run", fail)
     monkeypatch.setattr(runner, "_offline_block", fail)
-    events = _events("setcover", [("insert", {"element": 0}), ("insert", {"element": 1})])
+    events = _events([("insert", {"element": 0}), ("insert", {"element": 1})])
     cfg = RunConfig(problem="setcover", round_mode="rand", runs=2)
     meta, agg = replicate(cfg, ("setcover", SETCOVER_HEADER, events))
     assert meta["config"]["certify"] is False and meta["config"]["offline"] is False
@@ -328,14 +328,14 @@ def test_replicate_runs_neither_certify_nor_solve_offline(monkeypatch):
 
 
 def test_setcover_f_below_frequency_rejected():
-    events = _events("setcover", [("insert", {"element": 0})])
+    events = _events([("insert", {"element": 0})])
     cfg = RunConfig(problem="setcover", round_mode="det", f=1)
     with pytest.raises(AdapterError):
         run_problem(cfg, ("setcover", SETCOVER_HEADER, events))
 
 
 def test_adapter_rejection_names_update_index():
-    events = _events("setcover", [("insert", {"element": 0}),
+    events = _events([("insert", {"element": 0}),
                                   ("insert", {"element": 0})])
     with pytest.raises(AdapterError) as err:
         run_problem(RunConfig(problem="setcover"), ("setcover", SETCOVER_HEADER, events))
@@ -344,7 +344,7 @@ def test_adapter_rejection_names_update_index():
 
 def test_matching_delete_clamps_coordinate():
     header = {"problem": "matching", "n": 8}
-    events = _events("matching", [("insert", {"u": "a", "v": "b"}),
+    events = _events([("insert", {"u": "a", "v": "b"}),
                                   ("insert", {"u": "c", "v": "d"}),
                                   ("delete", {"u": "a", "v": "b"})])
     records = run_problem(RunConfig(problem="matching"), ("matching", header, events))
@@ -357,7 +357,7 @@ def test_matching_delete_clamps_coordinate():
 
 def test_mst_warmup_then_static_triangle_is_quiet():
     header = {"problem": "mst", "vertices": [0, 1, 2]}
-    events = _events("mst", [("insert", {"u": 0, "v": 1, "cost": 1.0}),
+    events = _events([("insert", {"u": 0, "v": 1, "cost": 1.0}),
                              ("insert", {"u": 1, "v": 2, "cost": 1.0}),
                              ("insert", {"u": 0, "v": 2, "cost": 1.0})])
     cfg = RunConfig(problem="mst", round_mode="on", seed=2)
@@ -372,7 +372,7 @@ def test_mst_warmup_then_static_triangle_is_quiet():
 
 def test_mst_disconnection_after_start_is_an_error():
     header = {"problem": "mst", "vertices": [0, 1, 2]}
-    events = _events("mst", [("insert", {"u": 0, "v": 1, "cost": 1.0}),
+    events = _events([("insert", {"u": 0, "v": 1, "cost": 1.0}),
                              ("insert", {"u": 1, "v": 2, "cost": 1.0}),
                              ("delete", {"u": 1, "v": 2})])
     with pytest.raises(AdapterError) as err:
@@ -469,7 +469,7 @@ def test_loadbalance_reports_whether_its_optimum_is_exact(jobs, opt, exact):
     # 200 * 3 and splits the unit jobs. Past 12 live jobs the greedy stands.
     loads = [300.0, 300.0, 200.0, 200.0, 200.0] + [1.0] * (jobs - 5)
     header = {"problem": "loadbalance", "machines": ["a", "b"]}
-    events = _events("loadbalance", [("insert", {"job": k, "loads": {"a": p, "b": p}})
+    events = _events([("insert", {"job": k, "loads": {"a": p, "b": p}})
                                       for k, p in enumerate(loads)])
     last = run_problem(RunConfig(problem="loadbalance", offline=False),
                        ("loadbalance", header, events))[-2]
@@ -478,7 +478,7 @@ def test_loadbalance_reports_whether_its_optimum_is_exact(jobs, opt, exact):
 
 def test_loadbalance_is_fractional_only():
     header = {"problem": "loadbalance", "machines": ["m0"]}
-    events = _events("loadbalance", [("insert", {"job": "j", "loads": {"m0": 1.0}})])
+    events = _events([("insert", {"job": "j", "loads": {"m0": 1.0}})])
     from bodychase.formats import FormatError
 
     with pytest.raises(FormatError):
@@ -492,7 +492,7 @@ def test_loadbalance_is_fractional_only():
 def test_problem_mismatch_rejected():
     from bodychase.formats import FormatError
 
-    events = _events("setcover", [])
+    events = _events([])
     with pytest.raises(FormatError):
         run_problem(RunConfig(problem="mst"), ("setcover", SETCOVER_HEADER, events))
 
@@ -502,7 +502,7 @@ def test_replicate_statistics_and_determinism():
               "sets": [{"cost": 1.0, "elements": [0]},
                        {"cost": 1.0, "elements": [0, 1]},
                        {"cost": 3.0, "elements": [1]}]}
-    events = _events("setcover", [("insert", {"element": 0}),
+    events = _events([("insert", {"element": 0}),
                                   ("insert", {"element": 1}),
                                   ("delete", {"element": 0})])
     cfg = RunConfig(problem="setcover", round_mode="rand", seed=7, runs=3)
@@ -520,7 +520,7 @@ def test_replicate_statistics_and_determinism():
 
 @pytest.mark.parametrize("given, beta", [(RunConfig(), 2.0), (RunConfig(beta=3.0), 3.0)])
 def test_replicate_meta_echoes_the_file_problem_and_its_beta(given, beta):
-    events = _events("setcover", [("insert", {"element": 0}), ("insert", {"element": 2})])
+    events = _events([("insert", {"element": 0}), ("insert", {"element": 2})])
     cfg = replace(given, round_mode="rand", runs=2)
     meta, agg = replicate(cfg, ("setcover", SETCOVER_HEADER, events))
     assert meta["config"]["problem"] == "setcover"
